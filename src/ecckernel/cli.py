@@ -7,7 +7,9 @@ environment variable; the flag wins.
 
 Derivation files are JSON trees; each node carries `rule`, `ctx` (list
 of {name, type}), `term`, `type`, `side`, and `premises`, with all terms
-in surface syntax so a verifier re-parses and re-checks from scratch.
+in surface syntax so a verifier re-parses and re-checks from scratch. A
+field of the wrong JSON type (a `true` or `1.0` level, a numeric term, a
+string where a list belongs) rejects the file rather than being coerced.
 """
 
 from __future__ import annotations
@@ -52,18 +54,32 @@ def derivation_to_dict(d: Derivation) -> dict:
     }
 
 
+def _field(value, kind: type, what: str):
+    # bool is an int subclass; a JSON `true` is never a universe level
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _term_field(value, what: str):
+    return parse_term(_field(value, str, what))
+
+
 def derivation_from_dict(obj: dict) -> Derivation:
     try:
-        ctx = Context(tuple((e["name"], parse_term(e["type"])) for e in obj["ctx"]))
-        conclusion = Judgment(ctx, parse_term(obj["term"]), parse_term(obj["type"]))
-        side = obj.get("side", {})
+        ctx = Context(tuple(
+            (_field(e["name"], str, "ctx name"), _term_field(e["type"], "ctx type"))
+            for e in _field(obj["ctx"], list, "ctx")
+        ))
+        conclusion = Judgment(ctx, _term_field(obj["term"], "term"), _term_field(obj["type"], "type"))
+        side = _field(obj.get("side", {}), dict, "side")
         return Derivation(
-            rule=obj["rule"],
+            rule=_field(obj["rule"], str, "rule"),
             conclusion=conclusion,
-            premises=tuple(derivation_from_dict(p) for p in obj["premises"]),
-            level=side.get("level"),
-            sub=parse_term(side["sub"]) if "sub" in side else None,
-            sup=parse_term(side["sup"]) if "sup" in side else None,
+            premises=tuple(derivation_from_dict(p) for p in _field(obj["premises"], list, "premises")),
+            level=_field(side["level"], int, "side level") if "level" in side else None,
+            sub=_term_field(side["sub"], "side sub") if "sub" in side else None,
+            sup=_term_field(side["sup"], "side sup") if "sup" in side else None,
         )
     except (KeyError, TypeError, AttributeError) as e:
         raise DerivationError("file", f"malformed derivation node: {e!r}") from e

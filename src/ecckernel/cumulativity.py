@@ -1,17 +1,21 @@
 """Decision procedures for the cumulativity preorder.
 
-`subtype` decides the full preorder structurally on weak-head normal
-forms: conversion, universe inclusion (Prop below every Type level),
-codomain covariance for Pi (domains invariant under conversion), and
-covariance in both Sigma components. `subtype_at_level` is the literal
-level-indexed unfolding of the same relation, and `strict_subtype` the
-strict part, decided without full normalization when both sides share a
-head constructor (the descending-chain demo never normalizes).
+One structural walk on weak-head normal forms decides the preorder, its
+strict part and the least level relating two terms: conversion, universe
+inclusion (Prop below every Type level), codomain covariance for Pi
+(domains invariant under conversion), and covariance in both Sigma
+components. A strict Pi sits one level above its codomain, a strict
+Sigma one level above the higher of its components. The walk never
+normalizes a whole term, so the strict part of the descending-chain demo
+is decided on raw non-normalizing terms.
+
+`subtype_at_level` is kept apart as the literal level-indexed unfolding
+of the same relation, the definition the walk's least level answers to.
 """
 
 from __future__ import annotations
 
-from .reduction import DEFAULT_FUEL, Fuel, conv, normalize, whnf
+from .reduction import DEFAULT_FUEL, Fuel, conv, whnf
 from .terms import Pi, Prop, Sigma, Term, Type, Var, alpha_eq, free_vars, fresh_name, subst
 
 
@@ -36,57 +40,52 @@ def _opened(x: str, b1: Term, y: str, b2: Term) -> tuple[Term, Term]:
 
 def subtype(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     """Decide the cumulativity preorder."""
-    return _subtype(a, b, Fuel.coerce(fuel))
-
-
-def _subtype(a: Term, b: Term, f: Fuel) -> bool:
-    if alpha_eq(a, b):
-        return True
-    ha, hb = whnf(a, f), whnf(b, f)
-    la, lb = universe_level(ha), universe_level(hb)
-    if la is not None or lb is not None:
-        return la is not None and lb is not None and la <= lb
-    match ha, hb:
-        case (Pi(x, a1, b1), Pi(y, a2, b2)):
-            if not conv(a1, a2, f):
-                return False
-            c1, c2 = _opened(x, b1, y, b2)
-            return _subtype(c1, c2, f)
-        case (Sigma(x, a1, b1), Sigma(y, a2, b2)):
-            if not _subtype(a1, a2, f):
-                return False
-            c1, c2 = _opened(x, b1, y, b2)
-            return _subtype(c1, c2, f)
-    if type(ha) is type(hb):
-        return conv(ha, hb, f)
-    return False
+    return _relate(a, b, Fuel.coerce(fuel)) is not None
 
 
 def strict_subtype(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     """Decide the strict part: subtype but not convertible."""
-    return _strict(a, b, Fuel.coerce(fuel))
+    related = _relate(a, b, Fuel.coerce(fuel), strict_only=True)
+    return related is not None and related[1]
 
 
-def _strict(a: Term, b: Term, f: Fuel) -> bool:
+def min_subtype_level(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> int | None:
+    """Least level at which a is below b; None when unrelated."""
+    related = _relate(a, b, Fuel.coerce(fuel))
+    return None if related is None else related[0]
+
+
+def _relate(a: Term, b: Term, f: Fuel, strict_only: bool = False) -> tuple[int, bool] | None:
+    # None when unrelated, else (least level, strict). A related pair is
+    # strict exactly when it is not convertible, and convertible pairs sit
+    # at level 0. With strict_only the caller reads only the strict bit, so
+    # a pair related by conversion alone may come back None: neutral heads
+    # then skip a conv that may diverge.
     if alpha_eq(a, b):
-        return False
+        return 0, False
     ha, hb = whnf(a, f), whnf(b, f)
     la, lb = universe_level(ha), universe_level(hb)
     if la is not None or lb is not None:
-        return la is not None and lb is not None and la < lb
+        if la is None or lb is None or la > lb:
+            return None
+        return 0, la < lb
     match ha, hb:
         case (Pi(x, a1, b1), Pi(y, a2, b2)):
             if not conv(a1, a2, f):
-                return False
-            c1, c2 = _opened(x, b1, y, b2)
-            return _strict(c1, c2, f)
+                return None
+            codomain = _relate(*_opened(x, b1, y, b2), f, strict_only)
+            if codomain is None or not codomain[1]:
+                return codomain
+            return 1 + codomain[0], True
         case (Sigma(x, a1, b1), Sigma(y, a2, b2)):
-            c1, c2 = _opened(x, b1, y, b2)
-            if not (_subtype(a1, a2, f) and _subtype(c1, c2, f)):
-                return False
-            return _strict(a1, a2, f) or _strict(c1, c2, f)
-    # remaining heads relate only through conversion, which is never strict
-    return False
+            first = _relate(a1, a2, f)
+            second = None if first is None else _relate(*_opened(x, b1, y, b2), f)
+            if second is None or not (first[1] or second[1]):
+                return second
+            return 1 + max(first[0], second[0]), True
+    if type(ha) is type(hb) and not strict_only and conv(ha, hb, f):
+        return 0, False
+    return None
 
 
 def subtype_at_level(a: Term, b: Term, level: int, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
@@ -123,30 +122,3 @@ def _at_level(a: Term, b: Term, i: int, f: Fuel) -> bool:
             c1, c2 = _opened(x, b1, y, b2)
             return _at_level(c1, c2, i - 1, f)
     return False
-
-
-def _head_depth(t: Term) -> int:
-    match t:
-        case Pi(_, a, b) | Sigma(_, a, b):
-            return 1 + max(_head_depth(a), _head_depth(b))
-        case _:
-            return 0
-
-
-def min_subtype_level(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> int | None:
-    """Least level at which a is below b; None when unrelated.
-
-    The search is bounded by the binder nesting depth of the normal
-    forms: each level strips one shared head from both sides.
-    """
-    f = Fuel.coerce(fuel)
-    if alpha_eq(a, b):
-        return 0
-    if not _subtype(a, b, f):
-        return None
-    na, nb = normalize(a, f), normalize(b, f)
-    bound = min(_head_depth(na), _head_depth(nb))
-    for i in range(bound + 1):
-        if _at_level(na, nb, i, f):
-            return i
-    raise AssertionError("subtype holds but no level within the structural bound")

@@ -10,10 +10,14 @@ embeds a kernel derivation rho typing the conversion target.
 
 `verify` re-checks every kernel node against its rule schema from
 scratch: premise conclusions must instantiate the schema (compared up to
-alpha), substitutions are recomputed, universe arithmetic and recorded
-cumulativity side conditions are re-decided semantically, and every
-conclusion context must itself check. It never looks at how a tree was
-produced.
+alpha), substitutions are recomputed, and universe arithmetic and recorded
+cumulativity side conditions are re-decided semantically. Contexts need
+no separate check: every rule other than Ax and C has a premise whose
+context is the node's own or extends it, so every non-empty context is a
+prefix of one that some C node concludes; a C node checks that its last
+entry is typed and fresh, and its premise sits in the context before
+that entry. It never looks at how a tree was produced, and it calls
+nothing from inference.
 
 `to_full` performs the rule-by-rule expansion: binder formation rules
 lift both premises to the target universe, application and pairing lift
@@ -27,14 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cumulativity import subtype
-from .inference import (
-    InferOutcome,
-    Trace,
-    TypeCheckError,
-    check_context,
-    infer_type,
-    infer_universe,
-)
+from .inference import InferOutcome, Trace, infer_type, infer_universe
 from .reduction import DEFAULT_FUEL, Fuel
 from .terms import (
     PROP,
@@ -57,9 +54,6 @@ from .terms import (
 
 KERNEL_RULES = frozenset(
     {"Ax", "C", "T", "var", "Pi1", "Pi2", "Sigma", "Lam", "App", "Pair", "Proj1", "Proj2", "Cum"}
-)
-ALG_RULES = frozenset(
-    {"Ax", "C", "T", "var", "Pi1", "Pi2'", "Sigma'", "Lam", "App'", "Pair'", "Proj1", "Proj2", "Conv"}
 )
 
 
@@ -110,21 +104,14 @@ def _contexts_eq(a: Context, b: Context) -> bool:
 def verify(d: Derivation, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     """Accept iff every node is a correct instance of its rule schema."""
     f = Fuel.coerce(fuel)
-    _verify(d, f, "root", set())
+    _verify(d, f, "root")
     return True
 
 
-def _verify(d: Derivation, f: Fuel, path: str, valid_ctxs: set) -> None:
-    ctx = d.conclusion.ctx
-    if ctx not in valid_ctxs:
-        try:
-            check_context(ctx, f)
-        except TypeCheckError as e:
-            raise DerivationError(path, f"invalid context: {e}") from e
-        valid_ctxs.add(ctx)
+def _verify(d: Derivation, f: Fuel, path: str) -> None:
     _check_node(d, f, path)
     for i, p in enumerate(d.premises):
-        _verify(p, f, f"{path}.{i}", valid_ctxs)
+        _verify(p, f, f"{path}.{i}")
 
 
 def _need(cond: bool, path: str, reason: str) -> None:

@@ -165,3 +165,11 @@ def _rename_free(t: Term, old: str, new: str) -> Term:
     from ecckernel import subst
 
     return subst(t, old, Var(new))
+
+
+def _head_depth(t: Term) -> int:
+    match t:
+        case Pi(_, a, b) | Sigma(_, a, b):
+            return 1 + max(_head_depth(a), _head_depth(b))
+        case _:
+            return 0

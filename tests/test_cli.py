@@ -1,8 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from ecckernel import alpha_eq, parse_term, verify
+from ecckernel import PROP, Context, Derivation, Judgment, Type, Var, alpha_eq, parse_term, verify
 from ecckernel.cli import (
     EXIT_FALSE,
     EXIT_FUEL,
@@ -175,3 +179,85 @@ def test_demo_prop3_output(capsys):
     assert out.count("cumLt(") == 3
     assert "= false" not in out
     assert "fuel exhausted" in out
+
+
+def _verify_exit(tmp_path, obj) -> int:
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return run_command(["verify", str(path)])
+
+
+def _validity_chain(g: Context) -> Derivation:
+    # Ax/C chain for g: a Prop entry is typed by the chain itself, any
+    # other entry at Type 0 by a var node, whether or not it is well formed
+    if not g:
+        return Derivation("Ax", Judgment(g, PROP, Type(0)))
+    front, _, entry_ty = g.pop()
+    if entry_ty == PROP:
+        typing = _validity_chain(front)
+    else:
+        typing = Derivation("var", Judgment(front, entry_ty, Type(0)), (_validity_chain(front),))
+    return Derivation("C", Judgment(g, PROP, Type(0)), (typing,))
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        Context.of(("x", Var("zz"))),
+        Context.of(("x", PROP), ("x", PROP)),
+    ],
+    ids=["unbound-entry", "duplicate-name"],
+)
+def test_verify_rejects_ill_formed_contexts(tmp_path, capsys, ctx):
+    name, entry_ty = ctx.entries[-1]
+    root = Derivation("var", Judgment(ctx, Var(name), entry_ty), (_validity_chain(ctx),))
+    assert _verify_exit(tmp_path, derivation_to_dict(root)) == EXIT_REJECTED
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"level": 1', '"level": true'),
+        ('"level": 1', '"level": 1.0'),
+        ('"level": 1', '"level": "1"'),
+        ('"rule": "T"', '"rule": ["T"]'),
+        ('"term": "Type1"', '"term": 5'),
+        ('"type": "Type2"', '"type": ["Type2"]'),
+        ('"name": "A"', '"name": 7'),
+        ('"name": "A", "type": "Type0"', '"name": "A", "type": 0'),
+        ('"ctx": []', '"ctx": ""'),
+        ('"premises": []', '"premises": ""'),
+        ('"premises": []', '"premises": {}'),
+        ('"side": {}', '"side": []'),
+    ],
+)
+def test_verify_rejects_ill_typed_fields(write, tmp_path, capsys, old, new):
+    # T over a one-entry context: a root level of 1, empty-context nodes
+    # below the C node, and an Ax leaf without premises
+    ctx = write("ctx.ecc", "A : Type0")
+    term = write("t.ecc", "Type1")
+    out_path = tmp_path / "t.json"
+    assert run_command(["elab", "--ctx", ctx, term, "--out", str(out_path)]) == EXIT_OK
+    text = json.dumps(json.loads(out_path.read_text(encoding="utf-8")))
+    assert old in text
+    assert _verify_exit(tmp_path, json.loads(text)) == EXIT_OK
+    assert _verify_exit(tmp_path, json.loads(text.replace(old, new))) == EXIT_REJECTED
+
+
+def test_python_dash_m_runs_the_cli(write):
+    term = write("t.ecc", "fn x : Prop . x")
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ecckernel", "infer", term],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK
+    assert done.stdout.strip() == "Pi x : Prop . Prop"
+    bad = write("bad.ecc", "Pi x Prop")
+    done = subprocess.run(
+        [sys.executable, "-m", "ecckernel", "infer", bad],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_PARSE

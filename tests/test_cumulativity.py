@@ -4,6 +4,7 @@ import pytest
 
 from ecckernel import (
     PROP,
+    App,
     Pi,
     Sigma,
     Type,
@@ -14,6 +15,7 @@ from ecckernel import (
     min_subtype_level,
     normalize,
     self_application,
+    step,
     strict_subtype,
     subst,
     subtype,
@@ -118,17 +120,35 @@ def test_monotone_in_level():
 def test_structural_subtype_agrees_with_level_unfolding():
     # oracle: exhaustive search over levels up to the nesting depth
     rng = random.Random(47)
-    from ecckernel.cumulativity import _head_depth
+    from genterms import _head_depth
 
     checked = 0
     for _ in range(300):
         x = normal_type(rng, 2)
         y = normal_type(rng, 2) if rng.random() < 0.5 else strict_above(rng, x) or x
         bound = max(_head_depth(x), _head_depth(y)) + 1
-        oracle = any(subtype_at_level(x, y, i, FUEL) for i in range(bound + 1))
+        levels = [i for i in range(bound + 1) if subtype_at_level(x, y, i, FUEL)]
+        oracle = bool(levels)
         assert subtype(x, y, FUEL) == oracle
+        assert min_subtype_level(x, y, FUEL) == (levels[0] if levels else None)
+        assert strict_subtype(x, y, FUEL) == (oracle and not conv(x, y, FUEL))
         checked += 1
     assert checked == 300
+
+
+def test_strict_part_skips_conversion_of_divergent_neutral_heads():
+    # both sides are stuck applications of a variable whose arguments
+    # diverge; conversion would exhaust the fuel, strictness never asks it
+    loop = self_application()
+    z = Var("z")
+    assert not strict_subtype(App(z, loop), App(z, step(loop)), 1000)
+
+
+def test_min_level_on_the_descending_chain():
+    # level 1 unfolds the shared Sigma head: Prop below Type 0 in the
+    # first component, the same divergent term in the second
+    chain = descending_chain(2)
+    assert min_subtype_level(chain[1], chain[0], 1000) == 1
 
 
 def test_preorder_reflexive_transitive():
