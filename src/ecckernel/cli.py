@@ -1,9 +1,14 @@
 """Command-line driver and the derivation interchange format.
 
 Exit codes: 0 success or relation true, 1 relation false, 2 type error,
-3 fuel exhausted, 4 parse error, 5 derivation rejected. The global
---fuel flag (default 10000) can also be set through the ECC_FUEL
-environment variable; the flag wins.
+3 fuel exhausted, 4 parse error, 5 derivation rejected, 6 input or
+resource error (usage error, unreadable file, input nested too deeply).
+The global --fuel flag (default 10000) can also be set through the
+ECC_FUEL environment variable; the flag wins. Fuel and `--steps` must be
+positive integers and `--level` non-negative, or it is a usage error.
+
+`elab` builds derivations with `elaborate`; `verify` checks them with
+`kernel` alone, which imports nothing from inference or elaboration.
 
 Derivation files are JSON trees; each node carries `rule`, `ctx` (list
 of {name, type}), `term`, `type`, `side`, and `premises`, with all terms
@@ -21,8 +26,9 @@ import sys
 
 from .counterexamples import descending_chain, level_transfer_triple, self_application
 from .cumulativity import min_subtype_level, strict_subtype, subtype, subtype_at_level
+from .elaborate import principal_of
 from .inference import TypeCheckError, check_context, check_type, infer_type
-from .kernel import Derivation, DerivationError, principal_of, verify
+from .kernel import Derivation, DerivationError, verify
 from .reduction import DEFAULT_FUEL, FuelExhausted, conv, normalize, whnf
 from .stratify import classify, measure
 from .surface import ParseError, parse_context, parse_term, print_term
@@ -34,6 +40,7 @@ EXIT_TYPE_ERROR = 2
 EXIT_FUEL = 3
 EXIT_PARSE = 4
 EXIT_REJECTED = 5
+EXIT_INPUT = 6
 
 
 def derivation_to_dict(d: Derivation) -> dict:
@@ -115,15 +122,27 @@ def _bool_line(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     fuel_parent = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a subcommand-less occurrence from being overwritten
     fuel_parent.add_argument(
-        "--fuel", type=int, default=argparse.SUPPRESS, help="reduction step budget"
+        "--fuel", type=_at_least(1), default=argparse.SUPPRESS, help="reduction step budget"
     )
 
     parser = argparse.ArgumentParser(prog="ecc", description="kernel and type inference driver")
-    parser.add_argument("--fuel", type=int, default=None, help="reduction step budget")
+    # argparse passes a string default (ECC_FUEL) through `type` only when no --fuel is given
+    fuel = os.environ.get("ECC_FUEL", DEFAULT_FUEL)
+    parser.add_argument("--fuel", type=_at_least(1), default=fuel, help="reduction step budget")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("infer", parents=[fuel_parent], help="print the principal type")
@@ -144,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sub", parents=[fuel_parent], help="decide the cumulativity relation")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_at_least(0), default=None)
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("minlevel", parents=[fuel_parent], help="least level relating two terms")
@@ -167,19 +186,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", parents=[fuel_parent], help="built-in demonstrations")
     p.add_argument("which", choices=["prop2", "prop3"])
-    p.add_argument("--steps", type=int, default=4)
+    p.add_argument("--steps", type=_at_least(1), default=4)
 
     return parser
 
 
 def run_command(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    fuel = args.fuel
-    if fuel is None:
-        fuel = int(os.environ.get("ECC_FUEL", DEFAULT_FUEL))
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2 on a usage error; 2 means a type error here
+        return EXIT_OK if e.code == 0 else EXIT_INPUT
 
     try:
-        return _dispatch(args, fuel)
+        return _dispatch(args, args.fuel)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -192,6 +212,9 @@ def run_command(argv: list[str] | None = None) -> int:
     except DerivationError as e:
         print(f"derivation rejected: {e}", file=sys.stderr)
         return EXIT_REJECTED
+    except (OSError, RecursionError) as e:
+        print(f"input or resource error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def _dispatch(args: argparse.Namespace, fuel: int) -> int:

@@ -1,29 +1,19 @@
-"""Explicit derivation trees, an independent verifier, and the expansion
-of syntax-directed derivations into full kernel derivations.
+"""Explicit kernel derivation trees and an independent verifier.
 
-Two dialects share the judgment shape. `Derivation` is the declarative
-kernel system: thirteen rules including explicit subsumption (Cum).
-`AlgDerivation` is the syntax-directed restriction produced from
-inference traces; its formation and elimination rules carry cumulativity
-side conditions instead of subsumption nodes, and each conversion node
-embeds a kernel derivation rho typing the conversion target.
+`Derivation` is the declarative kernel system: thirteen rules including
+explicit subsumption (Cum). `verify` re-checks every node against its
+rule schema from scratch: premise conclusions must instantiate the
+schema (compared up to alpha), substitutions are recomputed, and
+universe arithmetic and recorded cumulativity side conditions are
+re-decided semantically. Contexts need no separate check: every rule
+other than Ax and C has a premise whose context is the node's own or
+extends it, so every non-empty context is a prefix of one that some C
+node concludes; a C node checks that its last entry is typed and fresh,
+and its premise sits in the context before that entry.
 
-`verify` re-checks every kernel node against its rule schema from
-scratch: premise conclusions must instantiate the schema (compared up to
-alpha), substitutions are recomputed, and universe arithmetic and recorded
-cumulativity side conditions are re-decided semantically. Contexts need
-no separate check: every rule other than Ax and C has a premise whose
-context is the node's own or extends it, so every non-empty context is a
-prefix of one that some C node concludes; a C node checks that its last
-entry is typed and fresh, and its premise sits in the context before
-that entry. It never looks at how a tree was produced, and it calls
-nothing from inference.
-
-`to_full` performs the rule-by-rule expansion: binder formation rules
-lift both premises to the target universe, application and pairing lift
-the argument sides to the expected types, and each conversion node
-becomes a subsumption node reusing its embedded rho. The conclusion
-judgment of every node is preserved.
+The verifier never looks at how a tree was produced: this module
+depends only on `terms`, `reduction` and `cumulativity`, never on
+inference or on the derivation builder in `elaborate`.
 """
 
 from __future__ import annotations
@@ -31,10 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cumulativity import subtype
-from .inference import InferOutcome, Trace, infer_type, infer_universe
 from .reduction import DEFAULT_FUEL, Fuel
 from .terms import (
-    PROP,
     App,
     Context,
     Judgment,
@@ -67,17 +55,6 @@ class Derivation:
     level: int | None = None
     sub: Term | None = None
     sup: Term | None = None
-
-
-@dataclass(frozen=True)
-class AlgDerivation:
-    """Syntax-directed derivation node; Conv nodes always carry rho."""
-
-    rule: str
-    conclusion: Judgment
-    premises: tuple["AlgDerivation", ...] = ()
-    level: int | None = None
-    rho: Derivation | None = None
 
 
 class DerivationError(Exception):
@@ -355,198 +332,3 @@ def _extension_of(extended: Context, base: Context) -> tuple[str, Term] | None:
     if not _contexts_eq(Context(extended.entries[:-1]), base):
         return None
     return extended.entries[-1]
-
-
-# --- building kernel derivations -------------------------------------------
-
-
-def universe_derivation(g: Context, u: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
-    """Kernel derivation typing a universe in a valid context.
-
-    Prop is typed at Type 0 by the context-formation chain itself; Type j
-    sits at Type j+1 on top of it.
-    """
-    f = Fuel.coerce(fuel)
-    match u:
-        case Prop():
-            return _validity(g, f)
-        case Type(j):
-            return Derivation("T", Judgment(g, u, Type(j + 1)), (_validity(g, f),), level=j)
-    raise ValueError(f"not a universe: {u!r}")
-
-
-def _validity(g: Context, f: Fuel) -> Derivation:
-    # the judgment `g types Prop at Type 0` encodes validity of g
-    if not g:
-        return Derivation("Ax", Judgment(g, PROP, Type(0)))
-    front, _, entry_ty = g.pop()
-    return Derivation("C", Judgment(g, PROP, Type(0)), (_universe_typing(front, entry_ty, f),))
-
-
-def _universe_typing(g: Context, t: Term, f: Fuel) -> Derivation:
-    # kernel derivation of g typing t at the exact universe its principal
-    # type converts to (Prop allowed)
-    tr, _ = infer_universe(g, t, f)
-    return to_full(_materialize(tr, f), f)
-
-
-def type_typing(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
-    """Kernel derivation of g typing t at some Type universe (level >= 0).
-
-    A Prop-level principal type is lifted one cumulativity step.
-    """
-    f = Fuel.coerce(fuel)
-    d = _universe_typing(g, t, f)
-    if isinstance(d.conclusion.type, Type):
-        return d
-    lift = universe_derivation(g, Type(0), f)
-    return Derivation(
-        "Cum", Judgment(g, t, Type(0)), (d, lift), sub=PROP, sup=Type(0)
-    )
-
-
-def trace_to_derivation(outcome: InferOutcome | Trace, fuel: int | Fuel = DEFAULT_FUEL) -> AlgDerivation:
-    """Materialize an inference trace into a syntax-directed derivation.
-
-    Context-validity premises are synthesized for the leaf rules, and
-    each conversion node gets its rho: a kernel derivation typing the
-    conversion target.
-    """
-    tr = outcome.trace if isinstance(outcome, InferOutcome) else outcome
-    return _materialize(tr, Fuel.coerce(fuel))
-
-
-def _materialize(tr: Trace, f: Fuel) -> AlgDerivation:
-    g = tr.judgment.ctx
-    match tr.rule:
-        case "Ax":
-            return AlgDerivation("Ax", tr.judgment)
-        case "C" | "T" | "var":
-            if tr.rule == "C":
-                return _alg_validity(g, f)
-            return AlgDerivation(tr.rule, tr.judgment, (_alg_validity(g, f),), level=tr.level)
-        case "Conv":
-            target = tr.judgment.type
-            if _is_universe(target):
-                rho = universe_derivation(g, target, f)
-            else:
-                rho = type_typing(g, target, f)
-            prems = tuple(_materialize(p, f) for p in tr.premises)
-            return AlgDerivation("Conv", tr.judgment, prems, rho=rho)
-        case _:
-            prems = tuple(_materialize(p, f) for p in tr.premises)
-            return AlgDerivation(tr.rule, tr.judgment, prems, level=tr.level)
-
-
-def _alg_validity(g: Context, f: Fuel) -> AlgDerivation:
-    if not g:
-        return AlgDerivation("Ax", Judgment(g, PROP, Type(0)))
-    front, _, entry_ty = g.pop()
-    entry_tr, _ = infer_universe(front, entry_ty, f)
-    return AlgDerivation("C", Judgment(g, PROP, Type(0)), (_materialize(entry_tr, f),))
-
-
-def to_full(d: AlgDerivation, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
-    """Expand a syntax-directed derivation into a kernel derivation.
-
-    The conclusion judgment of every node is preserved.
-    """
-    return _full(d, Fuel.coerce(fuel))
-
-
-def _full(d: AlgDerivation, f: Fuel) -> Derivation:
-    c = d.conclusion
-    g = c.ctx
-    match d.rule:
-        case "Ax" | "C" | "T" | "var" | "Pi1" | "Lam" | "Proj1" | "Proj2":
-            prems = tuple(_full(p, f) for p in d.premises)
-            return Derivation(d.rule, c, prems, level=d.level)
-
-        case "Pi2'" | "Sigma'":
-            lvl = d.level
-            target = Type(lvl)
-            dom = _lift_to(_full(d.premises[0], f), target, f)
-            body = _lift_to(_full(d.premises[1], f), target, f)
-            rule = "Pi2" if d.rule == "Pi2'" else "Sigma"
-            return Derivation(rule, c, (dom, body), level=lvl)
-
-        case "App'":
-            fn = _full(d.premises[0], f)
-            arg = _full(d.premises[1], f)
-            pi_ty = fn.conclusion.type
-            dom_typing = _domain_typing(g, pi_ty, f)
-            lifted_arg = Derivation(
-                "Cum",
-                Judgment(g, arg.conclusion.subject, pi_ty.domain),
-                (arg, dom_typing),
-                sub=arg.conclusion.type,
-                sup=pi_ty.domain,
-            )
-            return Derivation("App", c, (fn, lifted_arg))
-
-        case "Pair'":
-            first = _full(d.premises[0], f)
-            second = _full(d.premises[1], f)
-            family = _full(d.premises[2], f)
-            ann = c.type
-            dom_typing = type_typing(g, ann.first, f)
-            lifted_first = Derivation(
-                "Cum",
-                Judgment(g, first.conclusion.subject, ann.first),
-                (first, dom_typing),
-                sub=first.conclusion.type,
-                sup=ann.first,
-            )
-            family_at_first = subst(ann.second, ann.var, first.conclusion.subject)
-            fam_typing = type_typing(g, family_at_first, f)
-            lifted_second = Derivation(
-                "Cum",
-                Judgment(g, second.conclusion.subject, family_at_first),
-                (second, fam_typing),
-                sub=second.conclusion.type,
-                sup=family_at_first,
-            )
-            return Derivation("Pair", c, (lifted_first, lifted_second, family), level=d.level)
-
-        case "Conv":
-            inner = _full(d.premises[0], f)
-            return Derivation(
-                "Cum", c, (inner, d.rho), sub=inner.conclusion.type, sup=c.type
-            )
-
-    raise ValueError(f"unknown syntax-directed rule: {d.rule!r}")
-
-
-def _lift_to(dp: Derivation, target: Type, f: Fuel) -> Derivation:
-    g = dp.conclusion.ctx
-    lift = universe_derivation(g, target, f)
-    return Derivation(
-        "Cum",
-        Judgment(g, dp.conclusion.subject, target),
-        (dp, lift),
-        sub=dp.conclusion.type,
-        sup=target,
-    )
-
-
-def _domain_typing(g: Context, pi_ty: Pi, f: Fuel) -> Derivation:
-    # formation derivation of the Pi type; its first premise types the domain
-    _, formation = principal_of(g, pi_ty, f)
-    dom = formation.premises[0]
-    if isinstance(dom.conclusion.type, Type):
-        return dom
-    lift = universe_derivation(g, Type(0), f)
-    return Derivation(
-        "Cum",
-        Judgment(g, dom.conclusion.subject, Type(0)),
-        (dom, lift),
-        sub=dom.conclusion.type,
-        sup=Type(0),
-    )
-
-
-def principal_of(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tuple[Term, Derivation]:
-    """Principal type together with a kernel derivation concluding it."""
-    f = Fuel.coerce(fuel)
-    outcome = infer_type(g, t, f)
-    return outcome.principal, _full(_materialize(outcome.trace, f), f)

@@ -10,6 +10,7 @@ from ecckernel import PROP, Context, Derivation, Judgment, Type, Var, alpha_eq, 
 from ecckernel.cli import (
     EXIT_FALSE,
     EXIT_FUEL,
+    EXIT_INPUT,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_REJECTED,
@@ -261,3 +262,49 @@ def test_python_dash_m_runs_the_cli(write):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "argv, env, expected",
+    [
+        (["--fuel", "0", "verify", "{good}"], {}, EXIT_INPUT),
+        (["--fuel", "5", "verify", "{good}"], {}, EXIT_OK),
+        (["--fuel", "0", "nf", "{term}"], {}, EXIT_INPUT),
+        (["verify", "{good}"], {"ECC_FUEL": "abc"}, EXIT_INPUT),
+        (["nf", "{missing}"], {}, EXIT_INPUT),
+        (["sub", "{deep_term}", "{term}"], {}, EXIT_INPUT),
+        (["verify", "{deep_json}"], {}, EXIT_INPUT),
+        (["sub", "{term}"], {}, EXIT_INPUT),
+        (["sub", "{term}", "{term}", "--level", "-1"], {}, EXIT_INPUT),
+        (["demo", "prop3", "--steps", "0"], {}, EXIT_INPUT),
+        (["--help"], {}, EXIT_OK),
+    ],
+    ids=[
+        "fuel-0-verify",
+        "fuel-5-verify",
+        "fuel-0-nf",
+        "env-fuel-abc",
+        "missing-file",
+        "deep-parens",
+        "deep-json",
+        "missing-argument",
+        "negative-level",
+        "zero-steps",
+        "help",
+    ],
+)
+def test_exit_codes_of_input_and_usage_errors(write, tmp_path, monkeypatch, capsys, argv, env, expected):
+    paths = {
+        "term": write("t.ecc", "fn x : Prop . x"),
+        "deep_term": write("deep.ecc", "(" * 1500 + "Prop" + ")" * 1500),
+        "deep_json": write("deep.json", "[" * 3000 + "]" * 3000),
+        "missing": str(tmp_path / "missing.ecc"),
+        "good": str(tmp_path / "good.json"),
+    }
+    assert run_command(["elab", paths["term"], "--out", paths["good"]]) == EXIT_OK
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    assert run_command([arg.format(**paths) for arg in argv]) == expected
+    if "verify" in argv and expected == EXIT_OK:
+        assert capsys.readouterr().out == "accepted\n"

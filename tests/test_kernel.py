@@ -1,13 +1,17 @@
+import ast
+import pathlib
 import random
 
 import pytest
 
+import ecckernel
 from ecckernel import (
     PROP,
     Context,
     Derivation,
     DerivationError,
     Judgment,
+    Prop,
     Type,
     alpha_eq,
     check_context,
@@ -299,3 +303,52 @@ def test_verifier_checks_node_contexts():
                    (Derivation("Ax", Judgment(Context(), PROP, Type(0))),))
     with pytest.raises(DerivationError):
         verify(d)
+
+
+def _relative_imports(module: str) -> set[str]:
+    path = pathlib.Path(ecckernel.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_kernel_imports_only_terms_reduction_cumulativity():
+    # the trusted base: the verifier and what it imports, transitively
+    trusted = {"terms", "reduction", "cumulativity"}
+    assert _relative_imports("kernel") <= trusted
+    for module in trusted:
+        assert _relative_imports(module) <= trusted
+
+
+def test_app_domain_typing_matches_the_whole_pi_formation():
+    # reference: expand the whole Pi and keep its domain premise, lifted
+    # from Prop to Type 0; the builder expands only the domain premise
+    checked = 0
+    for g, m in typed_corpus():
+        _, d = principal_of(g, m)
+        seen, stack = set(), [d]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.premises)
+            if node.rule != "App":
+                continue
+            ctx = node.conclusion.ctx
+            expected = principal_of(ctx, node.premises[0].conclusion.type)[1].premises[0]
+            if isinstance(expected.conclusion.type, Prop):
+                lift = universe_derivation(ctx, Type(0))
+                expected = Derivation(
+                    "Cum",
+                    Judgment(ctx, expected.conclusion.subject, Type(0)),
+                    (expected, lift),
+                    sub=PROP,
+                    sup=Type(0),
+                )
+            assert node.premises[1].premises[1] == expected
+            checked += 1
+    assert checked >= 20
