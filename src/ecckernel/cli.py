@@ -2,7 +2,9 @@
 
 Exit codes: 0 success or relation true, 1 relation false, 2 type error,
 3 fuel exhausted, 4 parse error, 5 derivation rejected, 6 input or
-resource error (usage error, unreadable file, input nested too deeply).
+resource error (usage error, unreadable file, input that is not UTF-8,
+input nested too deeply). `verify` answers 5 for any file that is not a
+derivation, undecodable ones included.
 The global --fuel flag (default 10000) can also be set through the
 ECC_FUEL environment variable; the flag wins. Fuel and `--steps` must be
 positive integers and `--level` non-negative, or it is a usage error.
@@ -212,7 +214,7 @@ def run_command(argv: list[str] | None = None) -> int:
     except DerivationError as e:
         print(f"derivation rejected: {e}", file=sys.stderr)
         return EXIT_REJECTED
-    except (OSError, RecursionError) as e:
+    except (OSError, RecursionError, UnicodeDecodeError) as e:
         print(f"input or resource error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

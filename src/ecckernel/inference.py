@@ -89,15 +89,20 @@ def infer_universe(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tupl
     Raises NotAUniverse when the principal type has a different head.
     """
     f = Fuel.coerce(fuel)
-    tr = _infer(g, t, f)
-    ty = tr.judgment.type
-    head = whnf(ty, f)
+    tr, head = _exposed(g, t, f)
     lvl = universe_level(head)
     if lvl is None:
         raise TypeCheckError(NOT_A_UNIVERSE, t, "principal type is not a universe")
-    if not alpha_eq(head, ty):
-        tr = Trace("Conv", Judgment(g, t, head), (tr,))
     return tr, lvl
+
+
+def _exposed(g: Context, t: Term, f: Fuel) -> tuple[Trace, Term]:
+    # infer t and weak-head-normalize its type; a changed head is a Conv node
+    tr = _infer(g, t, f)
+    head = whnf(tr.judgment.type, f)
+    if not alpha_eq(head, tr.judgment.type):
+        tr = Trace("Conv", Judgment(g, t, head), (tr,))
+    return tr, head
 
 
 def infer_type(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> InferOutcome:
@@ -146,12 +151,9 @@ def _infer(g: Context, t: Term, f: Fuel) -> Trace:
             return Trace("Lam", Judgment(g, t, pi), (body_tr,))
 
         case App(fn, arg):
-            fn_tr = _infer(g, fn, f)
-            fn_ty = whnf(fn_tr.judgment.type, f)
+            fn_tr, fn_ty = _exposed(g, fn, f)
             if not isinstance(fn_ty, Pi):
                 raise TypeCheckError(NOT_A_FUNCTION, fn, "applied term has no Pi type")
-            if not alpha_eq(fn_ty, fn_tr.judgment.type):
-                fn_tr = Trace("Conv", Judgment(g, fn, fn_ty), (fn_tr,))
             arg_tr = _infer(g, arg, f)
             if not subtype(arg_tr.judgment.type, fn_ty.domain, f):
                 raise TypeCheckError(
@@ -183,26 +185,15 @@ def _infer(g: Context, t: Term, f: Fuel) -> Trace:
                 )
             return Trace("Pair'", Judgment(g, t, ann), (fst_tr, snd_tr, fam_tr), level=k)
 
-        case Proj1(m):
-            m_tr, sig = _sigma_premise(g, m, f)
-            return Trace("Proj1", Judgment(g, t, sig.first), (m_tr,))
-
-        case Proj2(m):
-            m_tr, sig = _sigma_premise(g, m, f)
-            result = subst(sig.second, sig.var, Proj1(m))
-            return Trace("Proj2", Judgment(g, t, result), (m_tr,))
+        case Proj1(m) | Proj2(m):
+            m_tr, sig = _exposed(g, m, f)
+            if not isinstance(sig, Sigma):
+                raise TypeCheckError(NOT_A_PAIR, m, "projected term has no Sigma type")
+            if isinstance(t, Proj1):
+                return Trace("Proj1", Judgment(g, t, sig.first), (m_tr,))
+            return Trace("Proj2", Judgment(g, t, subst(sig.second, sig.var, Proj1(m))), (m_tr,))
 
     raise TypeError(f"not a term: {t!r}")
-
-
-def _sigma_premise(g: Context, m: Term, f: Fuel) -> tuple[Trace, Sigma]:
-    m_tr = _infer(g, m, f)
-    sig = whnf(m_tr.judgment.type, f)
-    if not isinstance(sig, Sigma):
-        raise TypeCheckError(NOT_A_PAIR, m, "projected term has no Sigma type")
-    if not alpha_eq(sig, m_tr.judgment.type):
-        m_tr = Trace("Conv", Judgment(g, m, sig), (m_tr,))
-    return m_tr, sig
 
 
 def check_context(g: Context, fuel: int | Fuel = DEFAULT_FUEL) -> None:

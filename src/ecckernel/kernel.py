@@ -5,11 +5,19 @@ explicit subsumption (Cum). `verify` re-checks every node against its
 rule schema from scratch: premise conclusions must instantiate the
 schema (compared up to alpha), substitutions are recomputed, and
 universe arithmetic and recorded cumulativity side conditions are
-re-decided semantically. Contexts need no separate check: every rule
-other than Ax and C has a premise whose context is the node's own or
-extends it, so every non-empty context is a prefix of one that some C
-node concludes; a C node checks that its last entry is typed and fresh,
-and its premise sits in the context before that entry.
+re-decided semantically.
+
+Arity and premise contexts come from one table, `_PREMISE_CTX`: one
+character per premise, `=` for the node's context, `+` for it plus one
+entry, `-` for it minus its last entry. One loop checks each node
+against its row before the rule's own clauses run, and hands them the
+entry a `+` premise adds; no clause checks arity or contexts by hand.
+
+Contexts need no separate check: every rule other than Ax and C has a
+premise whose context is the node's own or extends it, so every
+non-empty context is a prefix of one that some C node concludes; a C
+node checks that its last entry is typed and fresh, and its premise
+sits in the context before that entry.
 
 The verifier never looks at how a tree was produced: this module
 depends only on `terms`, `reduction` and `cumulativity`, never on
@@ -40,9 +48,11 @@ from .terms import (
     subst,
 )
 
-KERNEL_RULES = frozenset(
-    {"Ax", "C", "T", "var", "Pi1", "Pi2", "Sigma", "Lam", "App", "Pair", "Proj1", "Proj2", "Cum"}
-)
+_PREMISE_CTX = {
+    "Ax": "", "C": "-", "T": "=", "var": "=", "Pi1": "=+", "Pi2": "=+", "Sigma": "=+",
+    "Lam": "+", "App": "==", "Pair": "==+", "Proj1": "=", "Proj2": "=", "Cum": "==",
+}
+KERNEL_RULES = frozenset(_PREMISE_CTX)
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,11 @@ class DerivationError(Exception):
 
 def _is_universe(t: Term) -> bool:
     return isinstance(t, (Prop, Type))
+
+
+def _is_validity(j: Judgment) -> bool:
+    # `G types Prop at Type 0` encodes validity of G
+    return isinstance(j.subject, Prop) and j.type == Type(0)
 
 
 def _contexts_eq(a: Context, b: Context) -> bool:
@@ -102,41 +117,40 @@ _LEVEL_RULES = frozenset({"T", "Pi2", "Sigma", "Pair"})
 def _check_node(d: Derivation, f: Fuel, path: str) -> None:
     c = d.conclusion
     ps = tuple(p.conclusion for p in d.premises)
-    _need(d.rule in KERNEL_RULES, path, f"unknown rule {d.rule!r}")
+    row = _PREMISE_CTX.get(d.rule)
+    _need(row is not None, path, f"unknown rule {d.rule!r}")
     if d.rule not in _LEVEL_RULES:
         _need(d.level is None, path, f"rule {d.rule} carries no universe index")
     if d.rule != "Cum":
         _need(d.sub is None and d.sup is None, path, f"rule {d.rule} carries no side pair")
+    _need(len(ps) == len(row), path, f"rule {d.rule} expects {len(row)} premises, got {len(ps)}")
 
-    def arity(n: int) -> None:
-        _need(len(ps) == n, path, f"rule {d.rule} expects {n} premises, got {len(ps)}")
+    bound = None  # (name, type) added by the "+" premise
+    for i, (at, p) in enumerate(zip(row, ps)):
+        if at == "+":
+            ok = bool(p.ctx) and _contexts_eq(Context(p.ctx.entries[:-1]), c.ctx)
+            bound = p.ctx.entries[-1] if ok else None
+        elif at == "-":
+            ok = bool(c.ctx) and _contexts_eq(p.ctx, Context(c.ctx.entries[:-1]))
+        else:
+            ok = _contexts_eq(p.ctx, c.ctx)
+        if not ok:
+            raise DerivationError(path, f"{d.rule} premise {i} context mismatch")
 
     match d.rule:
         case "Ax":
-            arity(0)
             _need(not c.ctx, path, "Ax requires the empty context")
-            _need(isinstance(c.subject, Prop), path, "Ax concludes Prop")
-            _need(c.type == Type(0), path, "Ax types Prop at Type 0")
+            _need(_is_validity(c), path, "Ax types Prop at Type 0")
 
         case "C":
-            arity(1)
-            _need(bool(c.ctx), path, "C extends a context")
-            front, name, entry_ty = c.ctx.pop()
-            _need(_contexts_eq(ps[0].ctx, front), path, "C premise context mismatch")
+            name, entry_ty = c.ctx.entries[-1]
             _need(alpha_eq(ps[0].subject, entry_ty), path, "C premise must type the new entry")
             _need(_is_universe(ps[0].type), path, "C entry type must live in a universe")
-            _need(name not in front.names(), path, "C entry name must be fresh")
-            _need(isinstance(c.subject, Prop), path, "C concludes Prop")
-            _need(c.type == Type(0), path, "C types Prop at Type 0")
+            _need(name not in ps[0].ctx.names(), path, "C entry name must be fresh")
+            _need(_is_validity(c), path, "C types Prop at Type 0")
 
         case "T":
-            arity(1)
-            _need(_contexts_eq(ps[0].ctx, c.ctx), path, "T premise context mismatch")
-            _need(
-                isinstance(ps[0].subject, Prop) and ps[0].type == Type(0),
-                path,
-                "T premise must be the context validity judgment",
-            )
+            _need(_is_validity(ps[0]), path, "T premise must be the context validity judgment")
             _need(isinstance(c.subject, Type), path, "T concludes a Type universe")
             _need(d.level == c.subject.level, path, "T side index mismatch")
             _need(
@@ -146,40 +160,39 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
             )
 
         case "var":
-            arity(1)
-            _need(_contexts_eq(ps[0].ctx, c.ctx), path, "var premise context mismatch")
-            _need(
-                isinstance(ps[0].subject, Prop) and ps[0].type == Type(0),
-                path,
-                "var premise must be the context validity judgment",
-            )
+            _need(_is_validity(ps[0]), path, "var premise must be the context validity judgment")
             _need(isinstance(c.subject, Var), path, "var concludes a variable")
             entry = c.ctx.lookup(c.subject.name)
             _need(entry is not None, path, "var not bound in the context")
             _need(alpha_eq(c.type, entry), path, "var type must match its context entry")
 
-        case "Pi1":
-            arity(2)
-            self_ty = c.subject
-            _need(isinstance(self_ty, Pi), path, "Pi1 concludes a Pi type")
-            _need(isinstance(c.type, Prop), path, "Pi1 lands in Prop")
-            _check_formation(d, f, path, Pi, expect_prop=True)
-
-        case "Pi2":
-            arity(2)
-            _need(isinstance(c.subject, Pi), path, "Pi2 concludes a Pi type")
-            _check_formation(d, f, path, Pi, expect_prop=False)
-
-        case "Sigma":
-            arity(2)
-            _need(isinstance(c.subject, Sigma), path, "Sigma concludes a Sigma type")
-            _check_formation(d, f, path, Sigma, expect_prop=False)
+        case "Pi1" | "Pi2" | "Sigma":
+            cons = Sigma if d.rule == "Sigma" else Pi
+            _need(isinstance(c.subject, cons), path, f"{d.rule} concludes a {cons.__name__} type")
+            y, dom = bound
+            _need(
+                alpha_eq(dom, ps[0].subject),
+                path,
+                "formation body premise must extend by the domain",
+            )
+            _need(
+                alpha_eq(c.subject, cons(y, dom, ps[1].subject)),
+                path,
+                "formation subject must bind the body premise subject",
+            )
+            if d.rule == "Pi1":
+                _need(isinstance(c.type, Prop), path, "Pi1 lands in Prop")
+                _need(_is_universe(ps[0].type), path, "formation domain must live in a universe")
+                _need(isinstance(ps[1].type, Prop), path, "Pi1 body premise must land in Prop")
+            else:
+                lvl = d.level
+                _need(isinstance(lvl, int) and lvl >= 0, path, "formation side index missing")
+                _need(ps[0].type == Type(lvl), path, "formation domain must land at the index")
+                _need(ps[1].type == Type(lvl), path, "formation body must land at the index")
+                _need(c.type == Type(lvl), path, "formation conclusion must land at the index")
 
         case "Lam":
-            arity(1)
-            ext = _extension_of(ps[0].ctx, c.ctx)
-            _need(ext is not None, path, "Lam premise must extend the context by the binder")
-            y, dom = ext
+            y, dom = bound
             _need(isinstance(c.subject, Lam), path, "Lam concludes an abstraction")
             _need(
                 alpha_eq(c.subject, Lam(y, dom, ps[0].subject)),
@@ -193,9 +206,6 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
             )
 
         case "App":
-            arity(2)
-            _need(_contexts_eq(ps[0].ctx, c.ctx), path, "App premise context mismatch")
-            _need(_contexts_eq(ps[1].ctx, c.ctx), path, "App premise context mismatch")
             fn_ty = ps[0].type
             _need(isinstance(fn_ty, Pi), path, "App function premise must have a Pi type")
             _need(
@@ -216,13 +226,10 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
             )
 
         case "Pair":
-            arity(3)
             _need(isinstance(c.subject, Pair), path, "Pair concludes a pair")
             ann = c.subject.annotation
             _need(isinstance(ann, Sigma), path, "Pair annotation must be a Sigma type")
             _need(alpha_eq(c.type, ann), path, "Pair type must be its annotation")
-            _need(_contexts_eq(ps[0].ctx, c.ctx), path, "Pair premise context mismatch")
-            _need(_contexts_eq(ps[1].ctx, c.ctx), path, "Pair premise context mismatch")
             _need(alpha_eq(ps[0].subject, c.subject.first), path, "Pair first premise mismatch")
             _need(alpha_eq(ps[1].subject, c.subject.second), path, "Pair second premise mismatch")
             _need(
@@ -235,9 +242,7 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
                 path,
                 "Pair second component must be typed at the instantiated family",
             )
-            ext = _extension_of(ps[2].ctx, c.ctx)
-            _need(ext is not None, path, "Pair family premise must extend the context")
-            y, dom = ext
+            y, dom = bound
             _need(
                 alpha_eq(Sigma(y, dom, ps[2].subject), ann),
                 path,
@@ -250,32 +255,18 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
             )
             _need(d.level == ps[2].type.level, path, "Pair side index mismatch")
 
-        case "Proj1":
-            arity(1)
-            _need(_contexts_eq(ps[0].ctx, c.ctx), path, "Proj1 premise context mismatch")
+        case "Proj1" | "Proj2":
             sig = ps[0].type
-            _need(isinstance(sig, Sigma), path, "Proj1 premise must have a Sigma type")
-            _need(isinstance(c.subject, Proj1), path, "Proj1 concludes a first projection")
-            _need(alpha_eq(c.subject.pair, ps[0].subject), path, "Proj1 subject mismatch")
-            _need(alpha_eq(c.type, sig.first), path, "Proj1 type must be the first component")
-
-        case "Proj2":
-            arity(1)
-            _need(_contexts_eq(ps[0].ctx, c.ctx), path, "Proj2 premise context mismatch")
-            sig = ps[0].type
-            _need(isinstance(sig, Sigma), path, "Proj2 premise must have a Sigma type")
-            _need(isinstance(c.subject, Proj2), path, "Proj2 concludes a second projection")
-            _need(alpha_eq(c.subject.pair, ps[0].subject), path, "Proj2 subject mismatch")
-            _need(
-                alpha_eq(c.type, subst(sig.second, sig.var, Proj1(ps[0].subject))),
-                path,
-                "Proj2 type must be the family at the first projection",
-            )
+            _need(isinstance(sig, Sigma), path, f"{d.rule} premise must have a Sigma type")
+            if d.rule == "Proj1":
+                proj, want = Proj1, sig.first
+            else:
+                proj, want = Proj2, subst(sig.second, sig.var, Proj1(ps[0].subject))
+            _need(isinstance(c.subject, proj), path, f"{d.rule} concludes its projection")
+            _need(alpha_eq(c.subject.pair, ps[0].subject), path, f"{d.rule} subject mismatch")
+            _need(alpha_eq(c.type, want), path, f"{d.rule} type must be its component's type")
 
         case "Cum":
-            arity(2)
-            _need(_contexts_eq(ps[0].ctx, c.ctx), path, "Cum premise context mismatch")
-            _need(_contexts_eq(ps[1].ctx, c.ctx), path, "Cum premise context mismatch")
             _need(
                 isinstance(ps[1].type, Type) and ps[1].type.level >= 0,
                 path,
@@ -291,44 +282,3 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
                 path,
                 "Cum side condition fails: not below the target",
             )
-
-
-def _check_formation(d: Derivation, f: Fuel, path: str, cons, expect_prop: bool) -> None:
-    # shared schema for Pi1 / Pi2 / Sigma formation nodes
-    c = d.conclusion
-    ps = tuple(p.conclusion for p in d.premises)
-    _need(_contexts_eq(ps[0].ctx, c.ctx), path, "formation domain premise context mismatch")
-    ext = _extension_of(ps[1].ctx, c.ctx)
-    _need(ext is not None, path, "formation body premise must extend the context")
-    y, dom = ext
-    _need(
-        alpha_eq(dom, ps[0].subject),
-        path,
-        "formation body premise must extend by the domain",
-    )
-    _need(
-        alpha_eq(c.subject, cons(y, dom, ps[1].subject)),
-        path,
-        "formation subject must bind the body premise subject",
-    )
-    if expect_prop:
-        _need(_is_universe(ps[0].type), path, "formation domain must live in a universe")
-        _need(isinstance(ps[1].type, Prop), path, "Pi1 body premise must land in Prop")
-    else:
-        lvl = d.level
-        _need(
-            isinstance(lvl, int) and lvl >= 0,
-            path,
-            "formation side index missing",
-        )
-        _need(ps[0].type == Type(lvl), path, "formation domain premise must land at the index")
-        _need(ps[1].type == Type(lvl), path, "formation body premise must land at the index")
-        _need(c.type == Type(lvl), path, "formation conclusion must land at the index")
-
-
-def _extension_of(extended: Context, base: Context) -> tuple[str, Term] | None:
-    if len(extended) != len(base) + 1:
-        return None
-    if not _contexts_eq(Context(extended.entries[:-1]), base):
-        return None
-    return extended.entries[-1]

@@ -278,6 +278,8 @@ def test_python_dash_m_runs_the_cli(write):
         (["sub", "{term}", "{term}", "--level", "-1"], {}, EXIT_INPUT),
         (["demo", "prop3", "--steps", "0"], {}, EXIT_INPUT),
         (["--help"], {}, EXIT_OK),
+        (["sub", "{undecodable}", "{term}"], {}, EXIT_INPUT),
+        (["verify", "{undecodable}"], {}, EXIT_REJECTED),
     ],
     ids=[
         "fuel-0-verify",
@@ -291,6 +293,8 @@ def test_python_dash_m_runs_the_cli(write):
         "negative-level",
         "zero-steps",
         "help",
+        "undecodable-sub",
+        "undecodable-verify",
     ],
 )
 def test_exit_codes_of_input_and_usage_errors(write, tmp_path, monkeypatch, capsys, argv, env, expected):
@@ -300,7 +304,9 @@ def test_exit_codes_of_input_and_usage_errors(write, tmp_path, monkeypatch, caps
         "deep_json": write("deep.json", "[" * 3000 + "]" * 3000),
         "missing": str(tmp_path / "missing.ecc"),
         "good": str(tmp_path / "good.json"),
+        "undecodable": str(tmp_path / "bin.ecc"),
     }
+    (tmp_path / "bin.ecc").write_bytes(b"\xff\xfe\x00")
     assert run_command(["elab", paths["term"], "--out", paths["good"]]) == EXIT_OK
     for name, value in env.items():
         monkeypatch.setenv(name, value)

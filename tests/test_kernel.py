@@ -26,6 +26,7 @@ from ecckernel import (
     universe_derivation,
     verify,
 )
+from ecckernel.kernel import KERNEL_RULES
 
 from corpus import typed_corpus
 from genterms import strict_above
@@ -352,3 +353,40 @@ def test_app_domain_typing_matches_the_whole_pi_formation():
             assert node.premises[1].premises[1] == expected
             checked += 1
     assert checked >= 20
+
+
+def _first_node_of_each_rule(d: Derivation) -> dict[str, tuple[tuple[int, ...], Derivation]]:
+    # pre-order, the order in which the verifier checks nodes
+    first, stack = {}, [((), d)]
+    while stack:
+        path, node = stack.pop()
+        first.setdefault(node.rule, (path, node))
+        stack.extend((path + (i,), p) for i, p in reversed(list(enumerate(node.premises))))
+    return first
+
+
+def test_every_rule_checks_its_premise_contexts_and_arity():
+    axiom = Derivation("Ax", Judgment(Context(), PROP, Type(0)))
+    rules, variants = set(), 0
+    for g, m in typed_corpus():
+        _, d = principal_of(g, m)
+        for rule, (path, node) in _first_node_of_each_rule(d).items():
+            rules.add(rule)
+            ps = node.premises
+            mutants = []
+            for i, p in enumerate(ps):
+                c = p.conclusion
+                moved = Derivation(p.rule, Judgment(c.ctx.extend("zz", PROP), c.subject, c.type),
+                                   p.premises, p.level, p.sub, p.sup)
+                mutants.append(ps[:i] + (moved,) + ps[i + 1 :])
+            if ps:
+                mutants.append(ps[:-1])
+            mutants.append(ps + (axiom,))
+            for premises in mutants:
+                bad = Derivation(node.rule, node.conclusion, premises, node.level, node.sub, node.sup)
+                with pytest.raises(DerivationError) as err:
+                    verify(_replace_first(d, node, bad))
+                assert err.value.path == ".".join(("root",) + tuple(map(str, path)))
+                variants += 1
+    assert rules == KERNEL_RULES
+    assert variants >= 1000
