@@ -52,10 +52,7 @@ def universe_derivation(g: Context, u: Term, fuel: int | Fuel = DEFAULT_FUEL) ->
 
 def _validity(g: Context, f: Fuel) -> Derivation:
     # the judgment `g types Prop at Type 0` encodes validity of g
-    if not g:
-        return Derivation("Ax", Judgment(g, PROP, Type(0)))
-    front, _, entry_ty = g.pop()
-    return Derivation("C", Judgment(g, PROP, Type(0)), (_typing(front, entry_ty, f),))
+    return _full(_alg_validity(g, f), f)
 
 
 def _typing(g: Context, t: Term, f: Fuel) -> Derivation:
@@ -103,11 +100,9 @@ def trace_to_derivation(outcome: InferOutcome | Trace, fuel: int | Fuel = DEFAUL
 def _materialize(tr: Trace, f: Fuel) -> AlgDerivation:
     g = tr.judgment.ctx
     match tr.rule:
-        case "Ax":
-            return AlgDerivation("Ax", tr.judgment)
-        case "C" | "T" | "var":
-            if tr.rule == "C":
-                return _alg_validity(g, f)
+        case "Ax" | "C":
+            return _alg_validity(g, f)
+        case "T" | "var":
             return AlgDerivation(tr.rule, tr.judgment, (_alg_validity(g, f),), level=tr.level)
         case "Conv":
             rho = type_typing(g, tr.judgment.type, f)

@@ -12,7 +12,8 @@ Grammar (whitespace insignificant, line comments start with --):
     NAT     := [0-9]+                      -- "Type0" and "Type 0" both lex
 
 Binder bodies extend to the right. Context files are newline-separated
-entries of the form `IDENT : term`.
+entries of the form `IDENT : term`. A `ParseError` gives a 1-based line
+and column in the whole input, context files included.
 
 Printing is deterministic and re-parses to an alpha-equal term. Binder
 and pair atoms are parenthesized where the grammar demands an atom, and
@@ -22,7 +23,7 @@ binder-shaped domains are parenthesized for readability.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import (
     PROP,
@@ -48,97 +49,81 @@ class ParseError(Exception):
         super().__init__(f"{message} (line {line}, column {col})")
 
 
-@dataclass(frozen=True)
-class _Tok:
+def _error(message: str, text: str, pos: int) -> ParseError:
+    # 1-based line and column of offset pos in the whole input
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
+class _Tok(NamedTuple):
     kind: str
     value: object
-    line: int
-    col: int
+    pos: int
+
+    def shown(self) -> str:
+        return "end of input" if self.kind == "eof" else repr(self.value)
 
 
-_WORD = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*")
-_NAT = re.compile(r"[0-9]+")
+# whitespace and comments match as no named group and are skipped
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|--[^\n]*"
+    r"|Type(?P<type>[0-9]+)(?![a-zA-Z0-9_'])"
+    r"|(?P<word>[a-zA-Z][a-zA-Z0-9_']*)"
+    r"|(?P<nat>[0-9]+)"
+    r"|(?P<sym>[()<>,:.])"
+)
 _SYMBOLS = {"(": "lparen", ")": "rparen", "<": "langle", ">": "rangle", ",": "comma", ":": "colon", ".": "dot"}
-_KEYWORDS = {"Prop": "prop", "Pi": "pi", "Sig": "sig", "fn": "fn", "fst": "fst", "snd": "snd"}
-_TYPE_WORD = re.compile(r"Type([0-9]+)\Z")
+_KEYWORDS = {"Prop": "prop", "Type": "typekw", "Pi": "pi", "Sig": "sig", "fn": "fn", "fst": "fst", "snd": "snd"}
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _scan(text: str, pos: int, end: int) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Tok(_SYMBOLS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _WORD.match(text, i)
-        if m:
-            word = m.group(0)
-            fused = _TYPE_WORD.match(word)
-            if fused:
-                toks.append(_Tok("type", int(fused.group(1)), line, col))
-            elif word == "Type":
-                toks.append(_Tok("typekw", word, line, col))
-            elif word in _KEYWORDS:
-                toks.append(_Tok(_KEYWORDS[word], word, line, col))
-            else:
-                toks.append(_Tok("ident", word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        m = _NAT.match(text, i)
-        if m:
-            toks.append(_Tok("nat", int(m.group(0)), line, col))
-            i = m.end()
-            col += len(m.group(0))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", None, line, col))
+    while pos < end:
+        m = _TOKEN.match(text, pos, end)
+        if m is None:
+            raise _error(f"unexpected character {text[pos]!r}", text, pos)
+        kind = m.lastgroup
+        if kind == "word":
+            toks.append(_Tok(_KEYWORDS.get(m.group(), "ident"), m.group(), pos))
+        elif kind == "sym":
+            toks.append(_Tok(_SYMBOLS[m.group()], m.group(), pos))
+        elif kind is not None:
+            toks.append(_Tok(kind, int(m.group(kind)), pos))
+        pos = m.end()
+    toks.append(_Tok("eof", None, end))
     return toks
 
 
 _ATOM_START = {"prop", "type", "typekw", "fst", "snd", "langle", "ident", "lparen"}
-_BINDER_START = {"pi", "sig", "fn"}
+_BINDERS = {"pi": Pi, "sig": Sigma, "fn": Lam}
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.pos = 0
+    def __init__(self, text: str, pos: int, end: int):
+        self.text = text
+        self.toks = _scan(text, pos, end)
+        self.i = 0
 
     def peek(self) -> _Tok:
-        return self.toks[self.pos]
+        return self.toks[self.i]
 
     def advance(self) -> _Tok:
-        tok = self.toks[self.pos]
-        self.pos += 1
+        tok = self.toks[self.i]
+        self.i += 1
         return tok
 
     def expect(self, kind: str, what: str) -> _Tok:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.value!r}", tok.line, tok.col)
-        return self.advance()
+            raise _error(f"expected {what}, found {tok.shown()}", self.text, tok.pos)
+        return tok
+
+    def end(self, where: str) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise _error(f"trailing input {tok.shown()}{where}", self.text, tok.pos)
 
     def term(self) -> Term:
-        if self.peek().kind in _BINDER_START:
+        if self.peek().kind in _BINDERS:
             return self.binder()
         return self.app()
 
@@ -148,12 +133,7 @@ class _Parser:
         self.expect("colon", "':'")
         left = self.term()
         self.expect("dot", "'.'")
-        right = self.term()
-        if kw.kind == "pi":
-            return Pi(name.value, left, right)
-        if kw.kind == "sig":
-            return Sigma(name.value, left, right)
-        return Lam(name.value, left, right)
+        return _BINDERS[kw.kind](name.value, left, self.term())
 
     def app(self) -> Term:
         t = self.atom()
@@ -162,71 +142,57 @@ class _Parser:
         return t
 
     def atom(self) -> Term:
-        tok = self.peek()
+        tok = self.advance()
         match tok.kind:
             case "prop":
-                self.advance()
                 return PROP
             case "type":
-                self.advance()
                 return Type(tok.value)
             case "typekw":
-                self.advance()
-                nat = self.expect("nat", "a universe level")
-                return Type(nat.value)
+                return Type(self.expect("nat", "a universe level").value)
             case "fst":
-                self.advance()
                 return Proj1(self.atom())
             case "snd":
-                self.advance()
                 return Proj2(self.atom())
             case "ident":
-                self.advance()
                 return Var(tok.value)
             case "lparen":
-                self.advance()
                 t = self.term()
                 self.expect("rparen", "')'")
                 return t
             case "langle":
-                self.advance()
                 first = self.term()
                 self.expect("comma", "','")
                 second = self.term()
                 self.expect("rangle", "'>'")
                 self.expect("colon", "':'")
-                if self.peek().kind in _BINDER_START:
-                    ann = self.binder()
-                else:
-                    ann = self.atom()
-                return Pair(first, second, ann)
-        raise ParseError(f"expected a term, found {tok.value!r}", tok.line, tok.col)
+                return Pair(first, second, self.binder() if self.peek().kind in _BINDERS else self.atom())
+        raise _error(f"expected a term, found {tok.shown()}", self.text, tok.pos)
 
 
 def parse_term(text: str) -> Term:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text, 0, len(text))
     t = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+    parser.end("")
     return t
 
 
 def parse_context(text: str) -> Context:
     entries: list[tuple[str, Term]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("--", 1)[0].strip()
-        if not stripped:
-            continue
-        toks = _tokenize(stripped)
-        parser = _Parser(toks)
-        name = parser.expect("ident", "an entry name")
-        parser.expect("colon", "':'")
-        ty = parser.term()
-        tok = parser.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.value!r} in context entry", lineno, tok.col)
-        entries.append((name.value, ty))
+    line_start = 0
+    for line in text.splitlines(keepends=True):
+        # the entry is the part of the line before any comment, trimmed
+        entry = line.partition("--")[0]
+        pos = line_start + len(entry) - len(entry.lstrip())
+        end = line_start + len(entry.rstrip())
+        line_start += len(line)
+        if pos < end:
+            parser = _Parser(text, pos, end)
+            name = parser.expect("ident", "an entry name")
+            parser.expect("colon", "':'")
+            ty = parser.term()
+            parser.end(" in context entry")
+            entries.append((name.value, ty))
     return Context(tuple(entries))
 
 
@@ -281,9 +247,7 @@ def _p_element(t: Term) -> str:
         case Proj2(m):
             return f"snd {_p_element(m)}"
         case Pair(m, n, ann):
-            # parenthesize a binder-shaped annotation so the pair stays one atom
-            if isinstance(ann, (Pi, Sigma, Lam)):
-                return f"< {_p_term(m)} , {_p_term(n)} > : ({_p_term(ann)})"
+            # a binder-shaped annotation is parenthesized, so the pair stays one atom
             return f"< {_p_term(m)} , {_p_term(n)} > : {_p_element(ann)}"
         case _:
             return f"({_p_term(t)})"

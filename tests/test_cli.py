@@ -50,9 +50,14 @@ def test_infer_type_error_exit(write, capsys):
     assert run_command(["infer", term]) == EXIT_TYPE_ERROR
 
 
-def test_infer_parse_error_exit(write):
+def test_infer_parse_error_exit(write, capsys):
     term = write("t.ecc", "Pi x Prop")
     assert run_command(["infer", term]) == EXIT_PARSE
+    # an error in a context file names its line in that file
+    ctx = write("bad.ctx", "A : Type0\nx : (A")
+    capsys.readouterr()
+    assert run_command(["infer", "--ctx", ctx, write("a.ecc", "A")]) == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_check_true_false(write, capsys):

@@ -84,7 +84,7 @@ def test_parse_errors_carry_location():
         parse_term("Pi x Prop . x")
     assert err.value.line == 1
     assert err.value.col > 1
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^expected '\)', found end of input \(line 1, column 6\)$"):
         parse_term("(Prop")
     with pytest.raises(ParseError):
         parse_term("Prop Prop)")
@@ -98,6 +98,13 @@ def test_parse_error_reports_later_lines():
     with pytest.raises(ParseError) as err:
         parse_term("Pi x : Prop .\n  .")
     assert err.value.line == 2
+    # context files count lines and columns in the whole file
+    with pytest.raises(ParseError) as err:
+        parse_context("A : Type0\n-- a comment line\nx : (A")
+    assert (err.value.line, err.value.col) == (3, 7)
+    with pytest.raises(ParseError) as err:
+        parse_context("A : Type0\n  x : Pi y Prop . y")
+    assert (err.value.line, err.value.col) == (2, 12)
 
 
 def test_context_files():
