@@ -12,16 +12,21 @@ positive integers and `--level` non-negative, or it is a usage error.
 `elab` builds derivations with `elaborate`; `verify` checks them with
 `kernel` alone, which imports nothing from inference or elaboration.
 
-Derivation files are JSON trees; each node carries `rule`, `ctx` (list
-of {name, type}), `term`, `type`, `side`, and `premises`, with all terms
-in surface syntax so a verifier re-parses and re-checks from scratch. A
-field of the wrong JSON type (a `true` or `1.0` level, a numeric term, a
-string where a list belongs) rejects the file rather than being coerced.
+Derivation files are JSON; each node carries `rule`, `ctx` (list of
+{name, type}), `term`, `type`, `side`, and `premises`, with all terms in
+surface syntax so a verifier re-parses and re-checks from scratch. A
+premise may be the number of an earlier node, counted in post-order:
+`save_derivation` writes each distinct node once, in compact JSON, and a
+tree without numbers (`derivation_to_dict`) loads the same way. A field
+of the wrong JSON type (a `true` or `1.0` level or premise, a numeric
+term, a string where a list belongs) or a number that names no earlier
+node rejects the file rather than being coerced.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,7 +39,7 @@ from .kernel import Derivation, DerivationError, verify
 from .reduction import DEFAULT_FUEL, FuelExhausted, conv, normalize, whnf
 from .stratify import classify, measure
 from .surface import ParseError, parse_context, parse_term, print_term
-from .terms import Context, Judgment
+from .terms import Context, Judgment, Term
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -45,7 +50,7 @@ EXIT_REJECTED = 5
 EXIT_INPUT = 6
 
 
-def derivation_to_dict(d: Derivation) -> dict:
+def _node_fields(d: Derivation) -> dict:
     side: dict = {}
     if d.level is not None:
         side["level"] = d.level
@@ -59,8 +64,31 @@ def derivation_to_dict(d: Derivation) -> dict:
         "term": print_term(d.conclusion.subject),
         "type": print_term(d.conclusion.type),
         "side": side,
-        "premises": [derivation_to_dict(p) for p in d.premises],
     }
+
+
+def derivation_to_dict(d: Derivation) -> dict:
+    """The tree form: every premise written out in full."""
+    return {**_node_fields(d), "premises": [derivation_to_dict(p) for p in d.premises]}
+
+
+def _shared_dict(d: Derivation) -> dict:
+    # a node equal by value (printed fields, premise numbers) to an earlier one is
+    # written as its post-order number; `keys` only spares re-printing an object
+    numbers, keys = {}, {}
+
+    def encode(node: Derivation) -> dict | int:
+        if id(node) not in keys:
+            premises = [encode(p) for p in node.premises]
+            fields = _node_fields(node)
+            numbered = tuple(numbers[keys[id(p)]] for p in node.premises)
+            key = keys[id(node)] = (json.dumps(fields), numbered)
+            if key not in numbers:
+                numbers[key] = len(numbers)
+                return {**fields, "premises": premises}
+        return numbers[keys[id(node)]]
+
+    return encode(d)
 
 
 def _field(value, kind: type, what: str):
@@ -70,34 +98,52 @@ def _field(value, kind: type, what: str):
     return value
 
 
-def _term_field(value, what: str):
-    return parse_term(_field(value, str, what))
-
-
 def derivation_from_dict(obj: dict) -> Derivation:
-    try:
-        ctx = Context(tuple(
-            (_field(e["name"], str, "ctx name"), _term_field(e["type"], "ctx type"))
+    """Read the tree or the shared form; an integer premise is a back-reference."""
+    nodes: list[Derivation] = []  # in post-order
+    terms: dict[str, Term] = {}
+    contexts: dict[tuple, Context] = {}
+
+    def term(value, what: str) -> Term:
+        text = _field(value, str, what)
+        if text not in terms:
+            terms[text] = parse_term(text)
+        return terms[text]
+
+    def earlier(number) -> Derivation:
+        if not 0 <= _field(number, int, "premise") < len(nodes):
+            raise TypeError(f"premise {number} is not the number of an earlier node")
+        return nodes[number]
+
+    def node(obj: dict) -> Derivation:
+        listed = _field(obj["premises"], list, "premises")
+        premises = tuple(node(p) if isinstance(p, dict) else earlier(p) for p in listed)
+        entries = tuple(
+            (_field(e["name"], str, "ctx name"), _field(e["type"], str, "ctx type"))
             for e in _field(obj["ctx"], list, "ctx")
-        ))
-        conclusion = Judgment(ctx, _term_field(obj["term"], "term"), _term_field(obj["type"], "type"))
-        side = _field(obj.get("side", {}), dict, "side")
-        return Derivation(
-            rule=_field(obj["rule"], str, "rule"),
-            conclusion=conclusion,
-            premises=tuple(derivation_from_dict(p) for p in _field(obj["premises"], list, "premises")),
-            level=_field(side["level"], int, "side level") if "level" in side else None,
-            sub=_term_field(side["sub"], "side sub") if "sub" in side else None,
-            sup=_term_field(side["sup"], "side sup") if "sup" in side else None,
         )
+        if entries not in contexts:
+            contexts[entries] = Context(tuple((n, term(t, "ctx type")) for n, t in entries))
+        side = _field(obj.get("side", {}), dict, "side")
+        nodes.append(Derivation(
+            rule=_field(obj["rule"], str, "rule"),
+            conclusion=Judgment(contexts[entries], term(obj["term"], "term"), term(obj["type"], "type")),
+            premises=premises,
+            level=_field(side["level"], int, "side level") if "level" in side else None,
+            sub=term(side["sub"], "side sub") if "sub" in side else None,
+            sup=term(side["sup"], "side sup") if "sup" in side else None,
+        ))
+        return nodes[-1]
+
+    try:
+        return node(obj)
     except (KeyError, TypeError, AttributeError) as e:
         raise DerivationError("file", f"malformed derivation node: {e!r}") from e
 
 
 def save_derivation(d: Derivation, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(derivation_to_dict(d), handle, indent=1)
-        handle.write("\n")
+        handle.write(json.dumps(_shared_dict(d), separators=(",", ":")) + "\n")
 
 
 def load_derivation(path: str) -> Derivation:
@@ -134,6 +180,7 @@ def _at_least(low: int):
     return integer
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     fuel_parent = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a subcommand-less occurrence from being overwritten
@@ -142,9 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     parser = argparse.ArgumentParser(prog="ecc", description="kernel and type inference driver")
-    # argparse passes a string default (ECC_FUEL) through `type` only when no --fuel is given
-    fuel = os.environ.get("ECC_FUEL", DEFAULT_FUEL)
-    parser.add_argument("--fuel", type=_at_least(1), default=fuel, help="reduction step budget")
+    parser.add_argument("--fuel", type=_at_least(1), help="reduction step budget")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("infer", parents=[fuel_parent], help="print the principal type")
@@ -194,8 +239,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    # ECC_FUEL is read on every call; argparse checks a string default only without --fuel
+    parser.set_defaults(fuel=os.environ.get("ECC_FUEL", DEFAULT_FUEL))
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 0 after --help and 2 on a usage error; 2 means a type error here
         return EXIT_OK if e.code == 0 else EXIT_INPUT

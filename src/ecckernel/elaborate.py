@@ -12,6 +12,8 @@ the argument sides to the expected types, and each conversion node
 becomes a subsumption node reusing its embedded rho. The conclusion
 judgment of every node is preserved. Nothing here is trusted:
 `kernel.verify` re-checks what it builds.
+
+Each public call builds equal subderivations once, as one object.
 """
 
 from __future__ import annotations
@@ -35,30 +37,41 @@ class AlgDerivation:
     rho: Derivation | None = None
 
 
+class _Build(dict):
+    """One public call's fuel and memo. The memo makes equal subderivations one
+    object: hash-consing (Filliatre and Conchon, 2006) restricted to the call."""
+
+    def __init__(self, fuel: int | Fuel):
+        self.fuel = Fuel.coerce(fuel)
+
+    def __missing__(self, key):
+        built = self[key] = key[0](*key[1:], self)
+        return built
+
+
+def _shared(build):
+    # build once per call and arguments: the last argument is the call's _Build
+    return lambda *args: args[-1][(build, *args[:-1])]
+
+
 def universe_derivation(g: Context, u: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
     """Kernel derivation typing a universe in a valid context.
 
     Prop is typed at Type 0 by the context-formation chain itself; Type j
     sits at Type j+1 on top of it.
     """
-    f = Fuel.coerce(fuel)
+    return _universe(g, u, _Build(fuel))
+
+
+@_shared
+def _universe(g: Context, u: Term, b: _Build) -> Derivation:
     match u:
         case Prop():
-            return _validity(g, f)
+            # the judgment `g types Prop at Type 0` encodes validity of g
+            return _full(_alg_validity(g, b), b)
         case Type(j):
-            return Derivation("T", Judgment(g, u, Type(j + 1)), (_validity(g, f),), level=j)
+            return Derivation("T", Judgment(g, u, Type(j + 1)), (_universe(g, PROP, b),), level=j)
     raise ValueError(f"not a universe: {u!r}")
-
-
-def _validity(g: Context, f: Fuel) -> Derivation:
-    # the judgment `g types Prop at Type 0` encodes validity of g
-    return _full(_alg_validity(g, f), f)
-
-
-def _typing(g: Context, t: Term, f: Fuel) -> Derivation:
-    # g types t at the exact universe its principal type converts to (Prop allowed)
-    tr, _ = infer_universe(g, t, f)
-    return _full(_materialize(tr, f), f)
 
 
 def type_typing(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
@@ -66,15 +79,21 @@ def type_typing(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivat
 
     A Prop-level principal type is lifted one cumulativity step.
     """
-    f = Fuel.coerce(fuel)
-    return _at_type(_typing(g, t, f), f)
+    return _type_typing(g, t, _Build(fuel))
 
 
-def _at_type(d: Derivation, f: Fuel) -> Derivation:
+@_shared
+def _type_typing(g: Context, t: Term, b: _Build) -> Derivation:
+    # g types t at the exact universe its principal type converts to, Prop lifted
+    tr, _ = infer_universe(g, t, b.fuel)
+    return _at_type(_full(_materialize(tr, b), b), b)
+
+
+def _at_type(d: Derivation, b: _Build) -> Derivation:
     # lift a typing at Prop to Type 0; one at a Type universe stays
     if isinstance(d.conclusion.type, Type):
         return d
-    return _cum(d, universe_derivation(d.conclusion.ctx, Type(0), f))
+    return _cum(d, _universe(d.conclusion.ctx, Type(0), b))
 
 
 def _cum(d: Derivation, target_typing: Derivation) -> Derivation:
@@ -94,31 +113,32 @@ def trace_to_derivation(outcome: InferOutcome | Trace, fuel: int | Fuel = DEFAUL
     conversion target.
     """
     tr = outcome.trace if isinstance(outcome, InferOutcome) else outcome
-    return _materialize(tr, Fuel.coerce(fuel))
+    return _materialize(tr, _Build(fuel))
 
 
-def _materialize(tr: Trace, f: Fuel) -> AlgDerivation:
+def _materialize(tr: Trace, b: _Build) -> AlgDerivation:
     g = tr.judgment.ctx
     match tr.rule:
         case "Ax" | "C":
-            return _alg_validity(g, f)
+            return _alg_validity(g, b)
         case "T" | "var":
-            return AlgDerivation(tr.rule, tr.judgment, (_alg_validity(g, f),), level=tr.level)
+            return AlgDerivation(tr.rule, tr.judgment, (_alg_validity(g, b),), level=tr.level)
         case "Conv":
-            rho = type_typing(g, tr.judgment.type, f)
-            prems = tuple(_materialize(p, f) for p in tr.premises)
+            rho = _type_typing(g, tr.judgment.type, b)
+            prems = tuple(_materialize(p, b) for p in tr.premises)
             return AlgDerivation("Conv", tr.judgment, prems, rho=rho)
         case _:
-            prems = tuple(_materialize(p, f) for p in tr.premises)
+            prems = tuple(_materialize(p, b) for p in tr.premises)
             return AlgDerivation(tr.rule, tr.judgment, prems, level=tr.level)
 
 
-def _alg_validity(g: Context, f: Fuel) -> AlgDerivation:
+@_shared
+def _alg_validity(g: Context, b: _Build) -> AlgDerivation:
     if not g:
         return AlgDerivation("Ax", Judgment(g, PROP, Type(0)))
     front, _, entry_ty = g.pop()
-    entry_tr, _ = infer_universe(front, entry_ty, f)
-    return AlgDerivation("C", Judgment(g, PROP, Type(0)), (_materialize(entry_tr, f),))
+    entry_tr, _ = infer_universe(front, entry_ty, b.fuel)
+    return AlgDerivation("C", Judgment(g, PROP, Type(0)), (_materialize(entry_tr, b),))
 
 
 def to_full(d: AlgDerivation, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
@@ -126,60 +146,68 @@ def to_full(d: AlgDerivation, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
 
     The conclusion judgment of every node is preserved.
     """
-    return _full(d, Fuel.coerce(fuel))
+    return _full(d, _Build(fuel))
 
 
-def _full(d: AlgDerivation, f: Fuel) -> Derivation:
+def _full(d: AlgDerivation, b: _Build) -> Derivation:
+    # keyed by identity, as hashing by value walks the whole tree; the entry keeps d alive
+    if id(d) not in b:
+        b[id(d)] = (d, _expand(d, b))
+    return b[id(d)][1]
+
+
+def _expand(d: AlgDerivation, b: _Build) -> Derivation:
     c = d.conclusion
     g = c.ctx
     match d.rule:
         case "Ax" | "C" | "T" | "var" | "Pi1" | "Lam" | "Proj1" | "Proj2":
-            prems = tuple(_full(p, f) for p in d.premises)
+            prems = tuple(_full(p, b) for p in d.premises)
             return Derivation(d.rule, c, prems, level=d.level)
 
         case "Pi2'" | "Sigma'":
-            dom, body = (_lift_to(_full(p, f), d.level, f) for p in d.premises)
+            dom, body = (_lift_to(_full(p, b), d.level, b) for p in d.premises)
             rule = "Pi2" if d.rule == "Pi2'" else "Sigma"
             return Derivation(rule, c, (dom, body), level=d.level)
 
         case "App'":
-            fn = _full(d.premises[0], f)
-            arg = _full(d.premises[1], f)
-            return Derivation("App", c, (fn, _cum(arg, _domain_typing(g, fn.conclusion.type, f))))
+            fn = _full(d.premises[0], b)
+            arg = _full(d.premises[1], b)
+            return Derivation("App", c, (fn, _cum(arg, _domain_typing(g, fn.conclusion.type, b))))
 
         case "Pair'":
-            first = _full(d.premises[0], f)
-            second = _full(d.premises[1], f)
-            family = _full(d.premises[2], f)
+            first = _full(d.premises[0], b)
+            second = _full(d.premises[1], b)
+            family = _full(d.premises[2], b)
             ann = c.type
             family_at_first = subst(ann.second, ann.var, first.conclusion.subject)
-            lifted_first = _cum(first, type_typing(g, ann.first, f))
-            lifted_second = _cum(second, type_typing(g, family_at_first, f))
+            lifted_first = _cum(first, _type_typing(g, ann.first, b))
+            lifted_second = _cum(second, _type_typing(g, family_at_first, b))
             return Derivation("Pair", c, (lifted_first, lifted_second, family), level=d.level)
 
         case "Conv":
-            return _cum(_full(d.premises[0], f), d.rho)
+            return _cum(_full(d.premises[0], b), d.rho)
 
     raise ValueError(f"unknown syntax-directed rule: {d.rule!r}")
 
 
-def _lift_to(d: Derivation, level: int, f: Fuel) -> Derivation:
+def _lift_to(d: Derivation, level: int, b: _Build) -> Derivation:
     # the body premise sits in the extended context, so lift each premise in its own
-    return _cum(d, universe_derivation(d.conclusion.ctx, Type(level), f))
+    return _cum(d, _universe(d.conclusion.ctx, Type(level), b))
 
 
-def _domain_typing(g: Context, pi_ty: Pi, f: Fuel) -> Derivation:
+@_shared
+def _domain_typing(g: Context, pi_ty: Pi, b: _Build) -> Derivation:
     # the domain premise of the Pi's formation, as `_full` would expand it,
     # at a Type universe; the codomain premise is never expanded
-    formation = infer_type(g, pi_ty, f).trace
-    dom = _full(_materialize(formation.premises[0], f), f)
+    formation = infer_type(g, pi_ty, b.fuel).trace
+    dom = _full(_materialize(formation.premises[0], b), b)
     if formation.rule == "Pi2'":
-        dom = _lift_to(dom, formation.level, f)
-    return _at_type(dom, f)
+        dom = _lift_to(dom, formation.level, b)
+    return _at_type(dom, b)
 
 
 def principal_of(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tuple[Term, Derivation]:
     """Principal type together with a kernel derivation concluding it."""
-    f = Fuel.coerce(fuel)
-    outcome = infer_type(g, t, f)
-    return outcome.principal, _full(_materialize(outcome.trace, f), f)
+    b = _Build(fuel)
+    outcome = infer_type(g, t, b.fuel)
+    return outcome.principal, _full(_materialize(outcome.trace, b), b)

@@ -1,4 +1,4 @@
-"""Explicit kernel derivation trees and an independent verifier.
+"""Explicit kernel derivations and an independent verifier.
 
 `Derivation` is the declarative kernel system: thirteen rules including
 explicit subsumption (Cum). `verify` re-checks every node against its
@@ -86,24 +86,26 @@ def _is_validity(j: Judgment) -> bool:
 
 
 def _contexts_eq(a: Context, b: Context) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(
+    return a is b or len(a) == len(b) and all(
         na == nb and alpha_eq(ta, tb) for (na, ta), (nb, tb) in zip(a.entries, b.entries)
     )
 
 
 def verify(d: Derivation, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
-    """Accept iff every node is a correct instance of its rule schema."""
+    """Accept iff every node is a correct instance of its rule schema.
+
+    A check reads only the node and its premises' conclusions, so a node object
+    on several paths is checked once, at its first path in pre-order.
+    """
     f = Fuel.coerce(fuel)
-    _verify(d, f, "root")
+    checked, stack = set(), [(d, "root")]
+    while stack:
+        node, path = stack.pop()
+        if id(node) not in checked:
+            checked.add(id(node))
+            _check_node(node, f, path)
+            stack.extend((p, f"{path}.{i}") for i, p in reversed(tuple(enumerate(node.premises))))
     return True
-
-
-def _verify(d: Derivation, f: Fuel, path: str) -> None:
-    _check_node(d, f, path)
-    for i, p in enumerate(d.premises):
-        _verify(p, f, f"{path}.{i}")
 
 
 def _need(cond: bool, path: str, reason: str) -> None:

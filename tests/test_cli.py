@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pathlib
@@ -6,7 +7,21 @@ import sys
 
 import pytest
 
-from ecckernel import PROP, Context, Derivation, Judgment, Type, Var, alpha_eq, parse_term, verify
+from ecckernel import (
+    PROP,
+    Context,
+    Derivation,
+    DerivationError,
+    Judgment,
+    Type,
+    Var,
+    alpha_eq,
+    parse_context,
+    parse_term,
+    principal_of,
+    verify,
+)
+from ecckernel import kernel
 from ecckernel.cli import (
     EXIT_FALSE,
     EXIT_FUEL,
@@ -19,7 +34,10 @@ from ecckernel.cli import (
     derivation_to_dict,
     load_derivation,
     run_command,
+    save_derivation,
 )
+
+from corpus import typed_corpus
 
 
 @pytest.fixture
@@ -319,3 +337,136 @@ def test_exit_codes_of_input_and_usage_errors(write, tmp_path, monkeypatch, caps
     assert run_command([arg.format(**paths) for arg in argv]) == expected
     if "verify" in argv and expected == EXIT_OK:
         assert capsys.readouterr().out == "accepted\n"
+
+
+def _post_order(obj: dict) -> list[dict]:
+    # the nodes written out in a derivation file, in the order back-references number them
+    nodes = []
+
+    def walk(node):
+        for p in node["premises"]:
+            if isinstance(p, dict):
+                walk(p)
+        nodes.append(node)
+
+    walk(obj)
+    return nodes
+
+
+def _back_references(obj: dict) -> int:
+    return sum(isinstance(p, int) for node in _post_order(obj) for p in node["premises"])
+
+
+def _expanded(obj: dict) -> dict:
+    # the same derivation as a tree: each back-reference replaced by a copy of its node
+    nodes = _post_order(obj)
+
+    def copy_of(node):
+        return {**node, "premises": [copy_of(nodes[p] if isinstance(p, int) else p) for p in node["premises"]]}
+
+    return copy_of(obj)
+
+
+def _json_path(obj: dict, target: dict, path: str = "root") -> str | None:
+    if obj is target:
+        return path
+    for i, p in enumerate(obj["premises"]):
+        found = isinstance(p, dict) and _json_path(p, target, f"{path}.{i}")
+        if found:
+            return found
+    return None
+
+
+def test_saved_derivations_load_equal_by_value(tmp_path):
+    path = str(tmp_path / "d.json")
+    references = 0
+    for g, m in typed_corpus():
+        _, d = principal_of(g, m)
+        save_derivation(d, path)
+        assert load_derivation(path) == d
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        assert text.count("\n") == 1  # compact: one line
+        references += _back_references(json.loads(text))
+    assert references > 0
+
+
+@pytest.mark.parametrize("bad", ["out-of-range", "negative", "forward", "self", "true", "float", "string"])
+def test_verify_rejects_bad_back_references(write, tmp_path, capsys, bad):
+    ctx = write("ctx.ecc", "f : Pi x : Type1 . Prop")
+    term = write("t.ecc", "f Prop")
+    out_path = tmp_path / "elab.json"
+    assert run_command(["elab", "--ctx", ctx, term, "--out", str(out_path)]) == EXIT_OK
+    obj = json.loads(out_path.read_text(encoding="utf-8"))
+    nodes = _post_order(obj)
+    number, holder = next(
+        (k, n) for k, n in enumerate(nodes) if any(isinstance(p, int) for p in n["premises"])
+    )
+    i, ref = next((i, p) for i, p in enumerate(holder["premises"]) if isinstance(p, int))
+    assert holder is not obj
+    holder["premises"][i] = {
+        "out-of-range": len(nodes),
+        "negative": -1,
+        "forward": len(nodes) - 1,  # the root, written last
+        "self": number,
+        "true": True,
+        "float": float(ref),
+        "string": str(ref),
+    }[bad]
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
+    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation node")
+
+
+def test_a_shared_node_is_rejected_at_its_first_path_in_pre_order(tmp_path):
+    g = parse_context("f : Pi x : Type1 . Prop")
+    _, d = principal_of(g, parse_term("f Prop"))
+    path = tmp_path / "d.json"
+    save_derivation(d, str(path))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    referenced = sorted({p for n in _post_order(obj) for p in n["premises"] if isinstance(p, int)})
+    assert referenced
+    for number in referenced:
+        mutant = copy.deepcopy(obj)
+        node = _post_order(mutant)[number]
+        node["rule"] = "App" if node["rule"] == "Pair" else "Pair"  # wrong arity
+        # a node is written out where it first occurs in pre-order; later occurrences refer to it
+        expected = _json_path(mutant, node)
+        with pytest.raises(DerivationError) as shared:
+            verify(derivation_from_dict(mutant))
+        with pytest.raises(DerivationError) as tree:
+            verify(derivation_from_dict(_expanded(mutant)))
+        assert shared.value.path == tree.value.path == expected
+
+
+def test_a_tree_of_2_to_the_64_nodes_verifies_once_per_object(tmp_path, monkeypatch):
+    # V_k, validity of x1 : Prop, ..., xk : Prop, is a C node over a Cum that
+    # lifts Prop from Type0 to Type1; both of the Cum's premises rest on V_(k-1)
+    v = Derivation("Ax", Judgment(Context(), PROP, Type(0)))
+    g = Context()
+    for k in range(1, 65):
+        lift = Derivation("T", Judgment(g, Type(1), Type(2)), (v,), level=1)
+        cum = Derivation("Cum", Judgment(g, PROP, Type(1)), (v, lift), sub=Type(0), sup=Type(1))
+        g = g.extend(f"x{k}", PROP)
+        v = Derivation("C", Judgment(g, PROP, Type(0)), (cum,))
+    path = tmp_path / "chain.json"
+    save_derivation(v, str(path))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert _back_references(obj) == 64
+
+    checked = []
+    check_node = kernel._check_node
+
+    def counted(node, f, at):
+        checked.append(at)
+        check_node(node, f, at)
+
+    monkeypatch.setattr(kernel, "_check_node", counted)
+    assert verify(load_derivation(str(path)))
+    assert len(checked) == len(_post_order(obj)) == 3 * 64 + 1
+
+    # the Ax leaf ends every path; with a side index it fails at the first
+    _post_order(obj)[0]["side"] = {"level": 3}
+    with pytest.raises(DerivationError) as err:
+        verify(derivation_from_dict(obj))
+    assert err.value.path == "root" + ".0" * 128
+    assert "universe index" in err.value.reason

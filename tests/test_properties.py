@@ -1,4 +1,10 @@
-"""Property tests of the surface syntax (seeded, so every run checks the same examples)."""
+"""Property tests of the surface syntax and of `ecc verify` (seeded, so every
+run checks the same examples)."""
+
+import functools
+import json
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +24,11 @@ from ecckernel import (
     alpha_eq,
     parse_context,
     parse_term,
+    principal_of,
     print_term,
 )
+from ecckernel.cli import EXIT_OK, EXIT_REJECTED, derivation_to_dict, run_command, save_derivation
+from ecckernel.kernel import KERNEL_RULES
 
 seeded = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -67,3 +76,70 @@ def test_printed_terms_parse_back(t):
     back = parse_term(printed)
     assert alpha_eq(back, t)
     assert print_term(back) == printed
+
+
+@functools.cache
+def _derivation_files() -> tuple[str, ...]:
+    # each derivation as a tree (v1) and in the shared form `ecc elab` writes
+    files = []
+    for ctx, subject in [
+        ("f : Pi x : Type1 . Prop", "f Prop"),
+        ("", "< Prop , Type0 > : Sig x : Type1 . Type1"),
+        ("p2 : Sig g : Type0 . (fn Y : Type1 . Pi Z : Y . Prop) Type0", "snd p2 Prop"),
+    ]:
+        _, d = principal_of(parse_context(ctx), parse_term(subject))
+        files.append(json.dumps(derivation_to_dict(d)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.json")
+            save_derivation(d, path)
+            with open(path, encoding="utf-8") as handle:
+                files.append(handle.read())
+    return tuple(files)
+
+
+def _nodes(obj) -> list[dict]:
+    # pre-order, including nodes a back-reference would number
+    found, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        stack.extend(p for p in node["premises"] if isinstance(p, dict))
+    return found
+
+
+FIELDS = ["rule", "ctx", "term", "type", "side", "premises"]
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 60)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+    | st.sampled_from(sorted(KERNEL_RULES) + ["Prop", "Type0", "Type1", "f", "Pi x : Type1 . Prop"]),
+    lambda sub: st.lists(sub, max_size=3) | st.dictionaries(st.sampled_from(FIELDS + ["level", "name"]), sub),
+    max_leaves=6,
+)
+edits = st.tuples(st.integers(0, 10**4), st.sampled_from(FIELDS + ["premise", "drop"]), json_values)
+
+
+@seeded
+@given(st.integers(0, 5), st.lists(edits, max_size=3), st.none() | st.integers(0, 10**6))
+def test_verify_answers_accepted_or_rejected_on_fuzzed_files(base, changes, cut):
+    obj = json.loads(_derivation_files()[base])
+    nodes = _nodes(obj)
+    for at, field, value in changes:
+        node = nodes[at % len(nodes)]
+        premises = node.get("premises")
+        if field == "premise" and isinstance(premises, list) and premises:
+            premises[at % len(premises)] = value  # an in- or out-of-range, or ill-typed, back-reference
+        elif field == "drop":
+            node.pop(FIELDS[at % len(FIELDS)], None)
+        elif field != "premise":
+            node[field] = value
+    text = json.dumps(obj)
+    if cut is not None:
+        text = text[: cut % (len(text) + 1)]  # truncated JSON
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert run_command(["verify", path]) in (EXIT_OK, EXIT_REJECTED)
