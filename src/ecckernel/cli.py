@@ -142,8 +142,10 @@ def derivation_from_dict(obj: dict) -> Derivation:
 
 
 def save_derivation(d: Derivation, path: str) -> None:
+    # encode before opening: a failed encode leaves a file at path as it was
+    text = json.dumps(_shared_dict(d), separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(_shared_dict(d), separators=(",", ":")) + "\n")
+        handle.write(text)
 
 
 def load_derivation(path: str) -> Derivation:

@@ -7,10 +7,9 @@ inclusion (Prop below every Type level), codomain covariance for Pi
 components. A strict Pi sits one level above its codomain, a strict
 Sigma one level above the higher of its components. The walk never
 normalizes a whole term, so the strict part of the descending-chain demo
-is decided on raw non-normalizing terms.
-
-`subtype_at_level` is kept apart as the literal level-indexed unfolding
-of the same relation, the definition the walk's least level answers to.
+is decided on raw non-normalizing terms. `subtype_at_level`, the
+level-indexed unfolding of the relation, compares the least level with
+its index.
 """
 
 from __future__ import annotations
@@ -94,31 +93,10 @@ def subtype_at_level(a: Term, b: Term, level: int, fuel: int | Fuel = DEFAULT_FU
     Level 0 is conversion plus universe inclusion; each further level
     additionally unfolds one shared Pi head (convertible domains,
     codomains compared one level down) or one shared Sigma head (both
-    components compared one level down).
+    components compared one level down). So a is below b at level i
+    exactly when the least level relating them is at most i.
     """
     if level < 0:
         raise ValueError("level must be non-negative")
-    return _at_level(a, b, level, Fuel.coerce(fuel))
-
-
-def _at_level(a: Term, b: Term, i: int, f: Fuel) -> bool:
-    if conv(a, b, f):
-        return True
-    ha, hb = whnf(a, f), whnf(b, f)
-    la, lb = universe_level(ha), universe_level(hb)
-    if la is not None and lb is not None and la <= lb:
-        return True
-    if i == 0:
-        return False
-    match ha, hb:
-        case (Pi(x, a1, b1), Pi(y, a2, b2)):
-            if not conv(a1, a2, f):
-                return False
-            c1, c2 = _opened(x, b1, y, b2)
-            return _at_level(c1, c2, i - 1, f)
-        case (Sigma(x, a1, b1), Sigma(y, a2, b2)):
-            if not _at_level(a1, a2, i - 1, f):
-                return False
-            c1, c2 = _opened(x, b1, y, b2)
-            return _at_level(c1, c2, i - 1, f)
-    return False
+    least = min_subtype_level(a, b, fuel)
+    return least is not None and least <= level

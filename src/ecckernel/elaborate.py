@@ -7,8 +7,9 @@ each conversion node embeds a kernel derivation rho typing the
 conversion target.
 
 `to_full` performs the rule-by-rule expansion: binder formation rules
-lift both premises to the target universe, application and pairing lift
-the argument sides to the expected types, and each conversion node
+lift a premise to the target universe, and application and pairing lift
+the argument sides to the expected types, each only when its type
+differs; the lifted type is typed by `type_typing`. Each conversion node
 becomes a subsumption node reusing its embedded rho. The conclusion
 judgment of every node is preserved. Nothing here is trusted:
 `kernel.verify` re-checks what it builds.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .inference import InferOutcome, Trace, infer_type, infer_universe
 from .kernel import Derivation
 from .reduction import DEFAULT_FUEL, Fuel
-from .terms import PROP, Context, Judgment, Pi, Prop, Term, Type, subst
+from .terms import PROP, Context, Judgment, Prop, Term, Type, alpha_eq, subst
 
 
 @dataclass(frozen=True)
@@ -60,18 +61,9 @@ def universe_derivation(g: Context, u: Term, fuel: int | Fuel = DEFAULT_FUEL) ->
     Prop is typed at Type 0 by the context-formation chain itself; Type j
     sits at Type j+1 on top of it.
     """
-    return _universe(g, u, _Build(fuel))
-
-
-@_shared
-def _universe(g: Context, u: Term, b: _Build) -> Derivation:
-    match u:
-        case Prop():
-            # the judgment `g types Prop at Type 0` encodes validity of g
-            return _full(_alg_validity(g, b), b)
-        case Type(j):
-            return Derivation("T", Judgment(g, u, Type(j + 1)), (_universe(g, PROP, b),), level=j)
-    raise ValueError(f"not a universe: {u!r}")
+    if not isinstance(u, (Prop, Type)):
+        raise ValueError(f"not a universe: {u!r}")
+    return type_typing(g, u, fuel)
 
 
 def type_typing(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
@@ -85,15 +77,15 @@ def type_typing(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivat
 @_shared
 def _type_typing(g: Context, t: Term, b: _Build) -> Derivation:
     # g types t at the exact universe its principal type converts to, Prop lifted
-    tr, _ = infer_universe(g, t, b.fuel)
-    return _at_type(_full(_materialize(tr, b), b), b)
+    tr, lvl = infer_universe(g, t, b.fuel)
+    return _lift(_full(_materialize(tr, b), b), Type(max(lvl, 0)), b)
 
 
-def _at_type(d: Derivation, b: _Build) -> Derivation:
-    # lift a typing at Prop to Type 0; one at a Type universe stays
-    if isinstance(d.conclusion.type, Type):
+def _lift(d: Derivation, target: Term, b: _Build) -> Derivation:
+    # d's typing at target: d itself when its type already is target, else one Cum
+    if alpha_eq(d.conclusion.type, target):
         return d
-    return _cum(d, _universe(d.conclusion.ctx, Type(0), b))
+    return _cum(d, _type_typing(d.conclusion.ctx, target, b))
 
 
 def _cum(d: Derivation, target_typing: Derivation) -> Derivation:
@@ -158,21 +150,20 @@ def _full(d: AlgDerivation, b: _Build) -> Derivation:
 
 def _expand(d: AlgDerivation, b: _Build) -> Derivation:
     c = d.conclusion
-    g = c.ctx
     match d.rule:
         case "Ax" | "C" | "T" | "var" | "Pi1" | "Lam" | "Proj1" | "Proj2":
             prems = tuple(_full(p, b) for p in d.premises)
             return Derivation(d.rule, c, prems, level=d.level)
 
         case "Pi2'" | "Sigma'":
-            dom, body = (_lift_to(_full(p, b), d.level, b) for p in d.premises)
+            dom, body = (_lift(_full(p, b), Type(d.level), b) for p in d.premises)
             rule = "Pi2" if d.rule == "Pi2'" else "Sigma"
             return Derivation(rule, c, (dom, body), level=d.level)
 
         case "App'":
             fn = _full(d.premises[0], b)
             arg = _full(d.premises[1], b)
-            return Derivation("App", c, (fn, _cum(arg, _domain_typing(g, fn.conclusion.type, b))))
+            return Derivation("App", c, (fn, _lift(arg, fn.conclusion.type.domain, b)))
 
         case "Pair'":
             first = _full(d.premises[0], b)
@@ -180,30 +171,13 @@ def _expand(d: AlgDerivation, b: _Build) -> Derivation:
             family = _full(d.premises[2], b)
             ann = c.type
             family_at_first = subst(ann.second, ann.var, first.conclusion.subject)
-            lifted_first = _cum(first, _type_typing(g, ann.first, b))
-            lifted_second = _cum(second, _type_typing(g, family_at_first, b))
-            return Derivation("Pair", c, (lifted_first, lifted_second, family), level=d.level)
+            lifted = (_lift(first, ann.first, b), _lift(second, family_at_first, b))
+            return Derivation("Pair", c, (*lifted, family), level=d.level)
 
         case "Conv":
             return _cum(_full(d.premises[0], b), d.rho)
 
     raise ValueError(f"unknown syntax-directed rule: {d.rule!r}")
-
-
-def _lift_to(d: Derivation, level: int, b: _Build) -> Derivation:
-    # the body premise sits in the extended context, so lift each premise in its own
-    return _cum(d, _universe(d.conclusion.ctx, Type(level), b))
-
-
-@_shared
-def _domain_typing(g: Context, pi_ty: Pi, b: _Build) -> Derivation:
-    # the domain premise of the Pi's formation, as `_full` would expand it,
-    # at a Type universe; the codomain premise is never expanded
-    formation = infer_type(g, pi_ty, b.fuel).trace
-    dom = _full(_materialize(formation.premises[0], b), b)
-    if formation.rule == "Pi2'":
-        dom = _lift_to(dom, formation.level, b)
-    return _at_type(dom, b)
 
 
 def principal_of(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tuple[Term, Derivation]:

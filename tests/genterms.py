@@ -5,6 +5,10 @@ test runs are reproducible. Generated pairs come with their relation
 guaranteed by construction (bumps only touch covariant positions,
 expansions only insert redexes that contract away), independently of the
 decision procedures under test.
+
+`at_level` is the oracle for `subtype_at_level`: the literal
+level-indexed unfolding, recursing on the level, that the structural
+walk's least level answers to.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import random
 from ecckernel import (
     PROP,
     App,
+    Fuel,
     Lam,
     Pair,
     Pi,
@@ -24,7 +29,11 @@ from ecckernel import (
     Term,
     Type,
     Var,
+    conv,
+    universe_level,
+    whnf,
 )
+from ecckernel.cumulativity import _opened
 
 
 def rand_universe(rng: random.Random, max_level: int = 3) -> Term:
@@ -173,3 +182,31 @@ def _head_depth(t: Term) -> int:
             return 1 + max(_head_depth(a), _head_depth(b))
         case _:
             return 0
+
+
+def at_level(a: Term, b: Term, i: int, fuel: int) -> bool:
+    """Oracle: the literal level-indexed unfolding of the preorder, level i."""
+    return _at_level(a, b, i, Fuel(fuel))
+
+
+def _at_level(a: Term, b: Term, i: int, f: Fuel) -> bool:
+    if conv(a, b, f):
+        return True
+    ha, hb = whnf(a, f), whnf(b, f)
+    la, lb = universe_level(ha), universe_level(hb)
+    if la is not None and lb is not None and la <= lb:
+        return True
+    if i == 0:
+        return False
+    match ha, hb:
+        case (Pi(x, a1, b1), Pi(y, a2, b2)):
+            if not conv(a1, a2, f):
+                return False
+            c1, c2 = _opened(x, b1, y, b2)
+            return _at_level(c1, c2, i - 1, f)
+        case (Sigma(x, a1, b1), Sigma(y, a2, b2)):
+            if not _at_level(a1, a2, i - 1, f):
+                return False
+            c1, c2 = _opened(x, b1, y, b2)
+            return _at_level(c1, c2, i - 1, f)
+    return False

@@ -470,3 +470,14 @@ def test_a_tree_of_2_to_the_64_nodes_verifies_once_per_object(tmp_path, monkeypa
         verify(derivation_from_dict(obj))
     assert err.value.path == "root" + ".0" * 128
     assert "universe index" in err.value.reason
+
+
+def test_a_failed_save_leaves_the_file_as_it_was(tmp_path):
+    d = Derivation("Ax", Judgment(Context(), PROP, Type(0)))
+    for i in range(5000):
+        d = Derivation("T", Judgment(Context(), Type(i), Type(i + 1)), (d,), level=i)
+    path = tmp_path / "d.json"
+    path.write_bytes(b"earlier output\n")
+    with pytest.raises(RecursionError):
+        save_derivation(d, str(path))
+    assert path.read_bytes() == b"earlier output\n"

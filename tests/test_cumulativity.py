@@ -23,7 +23,7 @@ from ecckernel import (
     universe_level,
 )
 
-from genterms import expand, normal_type, strict_above
+from genterms import at_level, expand, normal_type, strict_above
 
 FUEL = 10**4
 
@@ -112,8 +112,9 @@ def test_monotone_in_level():
     for lo, hi in pairs:
         held = False
         for i in range(6):
-            now = subtype_at_level(lo, hi, i, FUEL)
+            now = at_level(lo, hi, i, FUEL)
             assert not (held and not now), "level-indexed relation must be monotone"
+            assert subtype_at_level(lo, hi, i, FUEL) == now
             held = held or now
 
 
@@ -127,7 +128,8 @@ def test_structural_subtype_agrees_with_level_unfolding():
         x = normal_type(rng, 2)
         y = normal_type(rng, 2) if rng.random() < 0.5 else strict_above(rng, x) or x
         bound = max(_head_depth(x), _head_depth(y)) + 1
-        levels = [i for i in range(bound + 1) if subtype_at_level(x, y, i, FUEL)]
+        levels = [i for i in range(bound + 1) if at_level(x, y, i, FUEL)]
+        assert [i for i in range(bound + 1) if subtype_at_level(x, y, i, FUEL)] == levels
         oracle = bool(levels)
         assert subtype(x, y, FUEL) == oracle
         assert min_subtype_level(x, y, FUEL) == (levels[0] if levels else None)
