@@ -19,8 +19,9 @@ premise may be the number of an earlier node, counted in post-order:
 `save_derivation` writes each distinct node once, in compact JSON, and a
 tree without numbers (`derivation_to_dict`) loads the same way. A field
 of the wrong JSON type (a `true` or `1.0` level or premise, a numeric
-term, a string where a list belongs) or a number that names no earlier
-node rejects the file rather than being coerced.
+term, a string where a list belongs), a `side` key other than `level`,
+`sub` and `sup`, or a number that names no earlier node rejects the file
+rather than being coerced or ignored.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ def derivation_from_dict(obj: dict) -> Derivation:
         if entries not in contexts:
             contexts[entries] = Context(tuple((n, term(t, "ctx type")) for n, t in entries))
         side = _field(obj.get("side", {}), dict, "side")
+        unknown = side.keys() - {"level", "sub", "sup"}
+        if unknown:
+            raise TypeError(f"unknown side keys {sorted(unknown)}")
         nodes.append(Derivation(
             rule=_field(obj["rule"], str, "rule"),
             conclusion=Judgment(contexts[entries], term(obj["term"], "term"), term(obj["type"], "type")),

@@ -4,9 +4,14 @@ The only contractions are beta and pair projection. Everything is
 fuel-bounded: raw terms of this calculus can diverge (see
 counterexamples.self_application), so exhaustion is reported, never a
 silent loop. One fuel unit is spent per contracted redex.
+
+`whnf` and `normalize` return their input when no redex fires, and
+otherwise keep every part that no contraction touched as the same object.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .terms import (
     App,
@@ -108,6 +113,7 @@ def whnf(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
 
 
 def _whnf(t: Term, f: Fuel) -> Term:
+    start, budget = t, f.remaining
     spine: list[Term] = []  # enclosing eliminations, innermost last
     while True:
         match t:
@@ -130,6 +136,8 @@ def _whnf(t: Term, f: Fuel) -> Term:
                 t = second
             case _:
                 break
+    if f.remaining == budget:  # no contraction fired: each spends one unit
+        return start
     for frame in reversed(spine):
         t = App(t, frame.arg) if isinstance(frame, App) else type(frame)(t)
     return t
@@ -146,22 +154,24 @@ def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     """
     f = Fuel.coerce(fuel)
     done: list[Term] = []
-    todo: list[tuple[bool, Term]] = [(False, t)]
+    todo: list[tuple[Term, tuple[Term, ...] | None]] = [(t, None)]  # parts once whnf-stable
     while todo:
-        built, u = todo.pop()
-        if not built:
-            u = _whnf(u, f)
-            todo.append((True, u))
-            for part in reversed(_parts(u)):
-                todo.append((False, part))
-        else:
+        u, parts = todo.pop()
+        if parts is None:
+            if isinstance(u, (App, Proj1, Proj2)):  # the only possible head redexes
+                u = _whnf(u, f)
             parts = _parts(u)
-            if parts:
-                vals = tuple(done[len(done) - len(parts) :])
-                del done[len(done) - len(parts) :]
-                done.append(_rebuild(u, vals))
-            else:
+            if not parts:
                 done.append(u)
+                continue
+            todo.append((u, parts))
+            for part in reversed(parts):
+                todo.append((part, None))
+        else:
+            vals = tuple(done[-len(parts) :])
+            del done[-len(parts) :]
+            # a node whose parts all came back unchanged is kept as it is
+            done.append(u if all(map(operator.is_, vals, parts)) else _rebuild(u, vals))
     return done[0]
 
 

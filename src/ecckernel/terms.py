@@ -3,6 +3,11 @@
 Terms are immutable values. Binding is by name, with capture-avoiding
 substitution; bound names are freshened deterministically (numeric
 suffixes) so printing is reproducible.
+
+Operations keep what they do not change. `free_vars` is computed once
+per term object and kept on it, outside the dataclass fields, so
+equality, hashing and printing never see it. `subst` returns a subterm
+in which the variable is not free as that same object.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ from dataclasses import dataclass
 
 class Term:
     """Base class for all term constructors."""
+
+    # free_vars' per-object cache; an unannotated class attribute, so no
+    # dataclass field
+    _free_vars = None
 
 
 @dataclass(frozen=True)
@@ -131,20 +140,26 @@ class Judgment:
 
 
 def free_vars(t: Term) -> frozenset[str]:
+    fv = getattr(t, "_free_vars", None)
+    if fv is not None:
+        return fv
     match t:
         case Var(x):
-            return frozenset((x,))
+            fv = frozenset((x,))
         case Prop() | Type():
-            return frozenset()
+            fv = frozenset()
         case Pi(x, a, b) | Sigma(x, a, b) | Lam(x, a, b):
-            return free_vars(a) | (free_vars(b) - {x})
+            fv = free_vars(a) | (free_vars(b) - {x})
         case App(f, a):
-            return free_vars(f) | free_vars(a)
+            fv = free_vars(f) | free_vars(a)
         case Pair(m, n, ann):
-            return free_vars(m) | free_vars(n) | free_vars(ann)
+            fv = free_vars(m) | free_vars(n) | free_vars(ann)
         case Proj1(m) | Proj2(m):
-            return free_vars(m)
-    raise TypeError(f"not a term: {t!r}")
+            fv = free_vars(m)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_free_vars", fv)
+    return fv
 
 
 def fresh_name(stem: str, avoid: frozenset[str] | set[str]) -> str:
@@ -157,12 +172,15 @@ def fresh_name(stem: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 def subst(t: Term, name: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution of replacement for the free variable."""
+    """Capture-avoiding substitution of replacement for the free variable.
+
+    Returns t itself when the variable is not free in it.
+    """
+    if name not in free_vars(t):
+        return t
     match t:
-        case Var(x):
-            return replacement if x == name else t
-        case Prop() | Type():
-            return t
+        case Var(_):
+            return replacement
         case App(f, a):
             return App(subst(f, name, replacement), subst(a, name, replacement))
         case Pair(m, n, ann):
@@ -201,7 +219,8 @@ def _subst_under(binder: str, body: Term, name: str, replacement: Term):
 
 def alpha_eq(a: Term, b: Term) -> bool:
     """Equality up to renaming of bound variables."""
-    return _alpha(a, b, {}, {}, 0)
+    # only at the top: inside _alpha the two environments may differ
+    return a is b or _alpha(a, b, {}, {}, 0)
 
 
 def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:

@@ -9,6 +9,12 @@ decision procedures under test.
 `at_level` is the oracle for `subtype_at_level`: the literal
 level-indexed unfolding, recursing on the level, that the structural
 walk's least level answers to.
+
+`oracle_free_vars`, `oracle_subst`, `oracle_whnf` and `oracle_normalize`
+are the term operations as they were before they learned to keep
+unchanged subterms: every call walks and rebuilds the whole term, and
+`free_vars` is computed afresh each time. The sharing versions must give
+equal results and spend the same fuel.
 """
 
 from __future__ import annotations
@@ -30,10 +36,12 @@ from ecckernel import (
     Type,
     Var,
     conv,
+    fresh_name,
     universe_level,
     whnf,
 )
 from ecckernel.cumulativity import _opened
+from ecckernel.reduction import DEFAULT_FUEL, _parts, _rebuild
 
 
 def rand_universe(rng: random.Random, max_level: int = 3) -> Term:
@@ -210,3 +218,119 @@ def _at_level(a: Term, b: Term, i: int, f: Fuel) -> bool:
             c1, c2 = _opened(x, b1, y, b2)
             return _at_level(c1, c2, i - 1, f)
     return False
+
+
+def oracle_free_vars(t: Term) -> frozenset[str]:
+    match t:
+        case Var(x):
+            return frozenset((x,))
+        case Prop() | Type():
+            return frozenset()
+        case Pi(x, a, b) | Sigma(x, a, b) | Lam(x, a, b):
+            return oracle_free_vars(a) | (oracle_free_vars(b) - {x})
+        case App(f, a):
+            return oracle_free_vars(f) | oracle_free_vars(a)
+        case Pair(m, n, ann):
+            return oracle_free_vars(m) | oracle_free_vars(n) | oracle_free_vars(ann)
+        case Proj1(m) | Proj2(m):
+            return oracle_free_vars(m)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def oracle_subst(t: Term, name: str, replacement: Term) -> Term:
+    """Capture-avoiding substitution of replacement for the free variable."""
+    match t:
+        case Var(x):
+            return replacement if x == name else t
+        case Prop() | Type():
+            return t
+        case App(f, a):
+            return App(oracle_subst(f, name, replacement), oracle_subst(a, name, replacement))
+        case Pair(m, n, ann):
+            return Pair(
+                oracle_subst(m, name, replacement),
+                oracle_subst(n, name, replacement),
+                oracle_subst(ann, name, replacement),
+            )
+        case Proj1(m):
+            return Proj1(oracle_subst(m, name, replacement))
+        case Proj2(m):
+            return Proj2(oracle_subst(m, name, replacement))
+        case Pi(x, a, b):
+            x2, b2 = _oracle_subst_under(x, b, name, replacement)
+            return Pi(x2, oracle_subst(a, name, replacement), b2)
+        case Sigma(x, a, b):
+            x2, b2 = _oracle_subst_under(x, b, name, replacement)
+            return Sigma(x2, oracle_subst(a, name, replacement), b2)
+        case Lam(x, a, b):
+            x2, b2 = _oracle_subst_under(x, b, name, replacement)
+            return Lam(x2, oracle_subst(a, name, replacement), b2)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _oracle_subst_under(binder: str, body: Term, name: str, replacement: Term):
+    if binder == name:
+        # the binder shadows the substituted variable
+        return binder, body
+    if binder in oracle_free_vars(replacement) and name in oracle_free_vars(body):
+        avoid = oracle_free_vars(body) | oracle_free_vars(replacement) | {name, binder}
+        renamed = fresh_name(binder, avoid)
+        body = oracle_subst(body, binder, Var(renamed))
+        binder = renamed
+    return binder, oracle_subst(body, name, replacement)
+
+
+def oracle_whnf(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
+    """Reduce head redexes until the head constructor is stable."""
+    return _oracle_whnf(t, Fuel.coerce(fuel))
+
+
+def _oracle_whnf(t: Term, f: Fuel) -> Term:
+    spine: list[Term] = []  # enclosing eliminations, innermost last
+    while True:
+        match t:
+            case App(fn, _):
+                spine.append(t)
+                t = fn
+            case Proj1(m) | Proj2(m):
+                spine.append(t)
+                t = m
+            case Lam(x, _, body) if spine and isinstance(spine[-1], App):
+                f.spend()
+                t = oracle_subst(body, x, spine.pop().arg)
+            case Pair(first, _, _) if spine and isinstance(spine[-1], Proj1):
+                f.spend()
+                spine.pop()
+                t = first
+            case Pair(_, second, _) if spine and isinstance(spine[-1], Proj2):
+                f.spend()
+                spine.pop()
+                t = second
+            case _:
+                break
+    for frame in reversed(spine):
+        t = App(t, frame.arg) if isinstance(frame, App) else type(frame)(t)
+    return t
+
+
+def oracle_normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
+    """Full normal form under leftmost-outermost reduction."""
+    f = Fuel.coerce(fuel)
+    done: list[Term] = []
+    todo: list[tuple[bool, Term]] = [(False, t)]
+    while todo:
+        built, u = todo.pop()
+        if not built:
+            u = _oracle_whnf(u, f)
+            todo.append((True, u))
+            for part in reversed(_parts(u)):
+                todo.append((False, part))
+        else:
+            parts = _parts(u)
+            if parts:
+                vals = tuple(done[len(done) - len(parts) :])
+                del done[len(done) - len(parts) :]
+                done.append(_rebuild(u, vals))
+            else:
+                done.append(u)
+    return done[0]

@@ -253,6 +253,7 @@ def test_verify_rejects_ill_formed_contexts(tmp_path, capsys, ctx):
         ('"premises": []', '"premises": ""'),
         ('"premises": []', '"premises": {}'),
         ('"side": {}', '"side": []'),
+        ('"side": {}', '"side": {"lvl": 1}'),
     ],
 )
 def test_verify_rejects_ill_typed_fields(write, tmp_path, capsys, old, new):
@@ -268,23 +269,37 @@ def test_verify_rejects_ill_typed_fields(write, tmp_path, capsys, old, new):
     assert _verify_exit(tmp_path, json.loads(text.replace(old, new))) == EXIT_REJECTED
 
 
-def test_python_dash_m_runs_the_cli(write):
-    term = write("t.ecc", "fn x : Prop . x")
+def _python_dash_m(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "ecckernel", "infer", term],
+    return subprocess.run(
+        [sys.executable, "-m", "ecckernel", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli(write):
+    done = _python_dash_m("infer", write("t.ecc", "fn x : Prop . x"))
     assert done.returncode == EXIT_OK
     assert done.stdout.strip() == "Pi x : Prop . Prop"
-    bad = write("bad.ecc", "Pi x Prop")
-    done = subprocess.run(
-        [sys.executable, "-m", "ecckernel", "infer", bad],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = _python_dash_m("infer", write("bad.ecc", "Pi x Prop"))
     assert done.returncode == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("nf", "(fn y : Type0 . " + "".join(f"fn x{i} : Prop . " for i in range(450)) + "y) Prop"),
+        ("infer", "".join(f"Pi x{i} : Prop . " for i in range(325)) + "Prop"),
+    ],
+    ids=["nf-450-binder-redex", "infer-325-binder-pi"],
+)
+def test_deep_terms_under_the_recursion_limit_answer(write, command, text):
+    # in a fresh interpreter, so the runner's own stack does not count;
+    # about 500 and 330 binders exit 6, so an operation that takes more
+    # interpreter frames per level fails here
+    assert _python_dash_m(command, write("deep.ecc", text)).returncode == EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,156 @@
+"""Term operations keep what they do not change.
+
+The sharing `free_vars`, `subst`, `whnf` and `normalize` are checked
+against the oracles in `genterms`, which walk and rebuild the whole term:
+equal results, the same fuel left and exhaustion at the same budgets.
+Then the sharing itself, and the invisibility of the free-variable cache.
+"""
+
+import copy
+import dataclasses
+import pickle
+import random
+
+import pytest
+
+from ecckernel import (
+    PROP,
+    App,
+    Fuel,
+    FuelExhausted,
+    Lam,
+    Pi,
+    Type,
+    Var,
+    descending_chain,
+    free_vars,
+    normalize,
+    print_term,
+    self_application,
+    subst,
+    whnf,
+)
+from ecckernel.reduction import _parts
+
+from genterms import (
+    expand,
+    normal_type,
+    oracle_free_vars,
+    oracle_normalize,
+    oracle_subst,
+    oracle_whnf,
+    strict_above,
+)
+
+# free names that collide with the generator's binders force renaming
+NAMES = ("u", "a", "b", "w7", "zz")
+REPLACEMENTS = (PROP, Var("a"), Var("b"), Var("u"), Pi("a", Var("b"), Var("a")), App(Var("c"), Var("u")))
+BUDGETS = (1, 2, 3, 5, 8, 13, 100)
+
+
+def _terms(seed: int) -> list:
+    """Generated normal pairs, their expansions and the descending chain; fresh objects per call."""
+    rng = random.Random(seed)
+    out = []
+    for depth in range(6):
+        for _ in range(20):
+            a = normal_type(rng, depth, ("u", "a", "b"))
+            b = strict_above(rng, a)
+            out += [a, expand(rng, a)]
+            if b is not None:
+                out += [b, expand(rng, b)]
+    return out + descending_chain(16)
+
+
+def _subterms(t):
+    yield t
+    for part in _parts(t):
+        yield from _subterms(part)
+
+
+def _run(op, t, budget):
+    f = Fuel(budget)
+    try:
+        return op(t, f), f.remaining
+    except FuelExhausted:
+        return FuelExhausted, f.remaining
+
+
+def test_free_vars_and_subst_equal_the_oracles():
+    for t in _terms(53):
+        for s in _subterms(t):
+            assert free_vars(s) == oracle_free_vars(s)
+        for name in NAMES:
+            for r in REPLACEMENTS:
+                assert subst(t, name, r) == oracle_subst(t, name, r)
+
+
+def test_whnf_and_normalize_equal_the_oracles_in_result_and_fuel():
+    outcomes = set()
+    for t in _terms(59):
+        for budget in BUDGETS:
+            for op, oracle in ((whnf, oracle_whnf), (normalize, oracle_normalize)):
+                got = _run(op, t, budget)
+                assert got == _run(oracle, t, budget)
+                outcomes.add(got[0] is FuelExhausted)
+    assert outcomes == {True, False}
+
+
+def test_divergent_normalize_exhausts_at_the_same_budgets_as_the_oracle():
+    for budget in [*range(1, 51), 10_000]:
+        got = _run(normalize, self_application(), budget)
+        assert got == _run(oracle_normalize, self_application(), budget) == (FuelExhausted, 0)
+        assert _run(whnf, self_application(), budget) == _run(oracle_whnf, self_application(), budget)
+
+
+def test_operations_return_what_they_do_not_change():
+    rng = random.Random(61)
+    head_normal = 0
+    for t in _terms(67):
+        for name in NAMES:
+            if name not in free_vars(t):
+                for r in REPLACEMENTS:
+                    assert subst(t, name, r) is t
+        f = Fuel(10_000)
+        oracle_whnf(t, f)
+        if f.remaining == 10_000:  # no head redex
+            head_normal += 1
+            assert whnf(t) is t
+    assert head_normal > 100
+    for depth in range(6):
+        for _ in range(20):
+            a = normal_type(rng, depth, ("u", "a", "b"))
+            assert normalize(a) is a
+            assert whnf(a) is a
+    # a contraction in one part leaves the other parts as they were
+    a = normal_type(rng, 4, ("u",))
+    redex = App(Lam("x", PROP, Var("x")), Type(0))
+    reduced = normalize(Pi("y", a, redex))
+    assert reduced == Pi("y", a, Type(0)) and reduced.domain is a
+
+
+def _observed(t) -> tuple:
+    return (
+        repr(t),
+        hash(t),
+        print_term(t),
+        copy.deepcopy(t),
+        pickle.loads(pickle.dumps(t)),
+        dataclasses.fields(t),
+        type(t).__match_args__,
+    )
+
+
+def test_the_free_variable_cache_is_invisible():
+    for t in _terms(71):
+        before = _observed(t)
+        fv = free_vars(t)
+        assert vars(t).keys() - {f.name for f in dataclasses.fields(t)}  # the cache is there
+        assert _observed(t) == before
+        assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
+        assert free_vars(copy.deepcopy(t)) == fv == free_vars(pickle.loads(pickle.dumps(t)))
+    for not_a_term in ("x", None, ("x",)):
+        with pytest.raises(TypeError):
+            free_vars(not_a_term)
+        with pytest.raises(TypeError):
+            subst(not_a_term, "x", PROP)
