@@ -12,16 +12,21 @@ positive integers and `--level` non-negative, or it is a usage error.
 `elab` builds derivations with `elaborate`; `verify` checks them with
 `kernel` alone, which imports nothing from inference or elaboration.
 
-Derivation files are JSON; each node carries `rule`, `ctx` (list of
-{name, type}), `term`, `type`, `side`, and `premises`, with all terms in
-surface syntax so a verifier re-parses and re-checks from scratch. A
-premise may be the number of an earlier node, counted in post-order:
-`save_derivation` writes each distinct node once, in compact JSON, and a
-tree without numbers (`derivation_to_dict`) loads the same way. A field
-of the wrong JSON type (a `true` or `1.0` level or premise, a numeric
-term, a string where a list belongs), a `side` key other than `level`,
-`sub` and `sup`, or a number that names no earlier node rejects the file
-rather than being coerced or ignored.
+Derivation files are JSON tables, all terms in surface syntax so a
+verifier re-parses and re-checks from scratch. `save_derivation` writes
+one compact object `{"terms": [...], "contexts": [...], "nodes": [...]}`:
+`terms` lists each distinct printed term once; context row k, a list
+`[parent, name, term]`, is context number k + 1, the context `parent`
+extended by one entry, where context 0 is the empty one; node row k is
+`[rule, ctx, term, type, premises, side]`, with `side` holding `level`
+or the Cum pair `sub`/`sup` as term numbers. Every number names a term,
+an earlier context or an earlier node; the root is the last node row.
+The tree form (`derivation_to_dict`: `ctx` as a list of {name, type},
+premises written out in full) loads the same way. A field of the wrong
+JSON type (a `true` or `1.0` level or number, a string where a list or
+number belongs), a row with the wrong number of cells, a `side` key
+other than `level`, `sub` and `sup`, or a number that names no term or
+earlier row rejects the file rather than being coerced or ignored.
 """
 
 from __future__ import annotations
@@ -51,57 +56,125 @@ EXIT_REJECTED = 5
 EXIT_INPUT = 6
 
 
-def _node_fields(d: Derivation) -> dict:
+def _side(d: Derivation, term) -> dict:
     side: dict = {}
     if d.level is not None:
         side["level"] = d.level
     if d.sub is not None:
-        side["sub"] = print_term(d.sub)
+        side["sub"] = term(d.sub)
     if d.sup is not None:
-        side["sup"] = print_term(d.sup)
+        side["sup"] = term(d.sup)
+    return side
+
+
+def derivation_to_dict(d: Derivation) -> dict:
+    """The tree form: every premise written out in full."""
     return {
         "rule": d.rule,
         "ctx": [{"name": n, "type": print_term(t)} for n, t in d.conclusion.ctx],
         "term": print_term(d.conclusion.subject),
         "type": print_term(d.conclusion.type),
-        "side": side,
+        "side": _side(d, print_term),
+        "premises": [derivation_to_dict(p) for p in d.premises],
     }
 
 
-def derivation_to_dict(d: Derivation) -> dict:
-    """The tree form: every premise written out in full."""
-    return {**_node_fields(d), "premises": [derivation_to_dict(p) for p in d.premises]}
+def _table(d: Derivation) -> dict:
+    # each table maps a row to its number, so equal rows get one number; the
+    # id-keyed maps only spare printing a term or walking a context object twice
+    terms: dict[str, int] = {}
+    contexts: dict[tuple, int] = {}  # (parent, name, term); context 0 is the empty one
+    nodes: dict[tuple, int] = {}
+    term_of, context_of, node_of = {}, {}, {}
 
+    def term(t: Term) -> int:
+        if id(t) not in term_of:
+            term_of[id(t)] = terms.setdefault(print_term(t), len(terms))
+        return term_of[id(t)]
 
-def _shared_dict(d: Derivation) -> dict:
-    # a node equal by value (printed fields, premise numbers) to an earlier one is
-    # written as its post-order number; `keys` only spares re-printing an object
-    numbers, keys = {}, {}
+    def context(g: Context) -> int:
+        if id(g) not in context_of:
+            k = 0
+            for name, t in g.entries:
+                k = contexts.setdefault((k, name, term(t)), len(contexts) + 1)
+            context_of[id(g)] = k
+        return context_of[id(g)]
 
-    def encode(node: Derivation) -> dict | int:
-        if id(node) not in keys:
-            premises = [encode(p) for p in node.premises]
-            fields = _node_fields(node)
-            numbered = tuple(numbers[keys[id(p)]] for p in node.premises)
-            key = keys[id(node)] = (json.dumps(fields), numbered)
-            if key not in numbers:
-                numbers[key] = len(numbers)
-                return {**fields, "premises": premises}
-        return numbers[keys[id(node)]]
-
-    return encode(d)
+    stack = [(d, False)]  # a node is numbered once its premises are
+    while stack:
+        node, premises_done = stack.pop()
+        if id(node) in node_of:
+            continue
+        if not premises_done:
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node.premises))
+            continue
+        c = node.conclusion
+        row = (
+            node.rule, context(c.ctx), term(c.subject), term(c.type),
+            tuple(node_of[id(p)] for p in node.premises), tuple(_side(node, term).items()),
+        )
+        node_of[id(node)] = nodes.setdefault(row, len(nodes))
+    return {
+        "terms": list(terms),
+        "contexts": [list(row) for row in contexts],
+        "nodes": [[*row[:4], list(row[4]), dict(row[5])] for row in nodes],
+    }
 
 
 def _field(value, kind: type, what: str):
-    # bool is an int subclass; a JSON `true` is never a universe level
+    # bool is an int subclass; a JSON `true` is never a universe level or a number
     if not isinstance(value, kind) or isinstance(value, bool):
         raise TypeError(f"{what} must be a {kind.__name__}, got {value!r}")
     return value
 
 
-def derivation_from_dict(obj: dict) -> Derivation:
-    """Read the tree or the shared form; an integer premise is a back-reference."""
-    nodes: list[Derivation] = []  # in post-order
+def _cells(row, count: int, what: str) -> list:
+    if len(_field(row, list, what)) != count:
+        raise TypeError(f"{what} must have {count} cells, got {row!r}")
+    return row
+
+
+def _earlier(rows: list, number, what: str):
+    if not 0 <= _field(number, int, what) < len(rows):
+        raise TypeError(f"{what} {number} names no earlier row")
+    return rows[number]
+
+
+def _read_side(side, term) -> dict:
+    unknown = _field(side, dict, "side").keys() - {"level", "sub", "sup"}
+    if unknown:
+        raise TypeError(f"unknown side keys {sorted(unknown)}")
+    return {
+        "level": _field(side["level"], int, "side level") if "level" in side else None,
+        "sub": term(side["sub"], "side sub") if "sub" in side else None,
+        "sup": term(side["sup"], "side sup") if "sup" in side else None,
+    }
+
+
+def _from_table(obj: dict) -> Derivation:
+    terms = [parse_term(_field(text, str, "term")) for text in _field(obj["terms"], list, "terms")]
+    term = functools.partial(_earlier, terms)
+    contexts = [Context()]
+    for row in _field(obj["contexts"], list, "contexts"):
+        parent, name, entry_ty = _cells(row, 3, "context row")
+        entry = (_field(name, str, "ctx name"), term(entry_ty, "ctx type"))
+        contexts.append(Context(_earlier(contexts, parent, "context parent").entries + (entry,)))
+    nodes: list[Derivation] = []
+    for row in _field(obj["nodes"], list, "nodes"):
+        rule, ctx, subject, ty, premises, side = _cells(row, 6, "node row")
+        nodes.append(Derivation(
+            rule=_field(rule, str, "rule"),
+            conclusion=Judgment(_earlier(contexts, ctx, "ctx"), term(subject, "term"), term(ty, "type")),
+            premises=tuple(_earlier(nodes, p, "premise") for p in _field(premises, list, "premises")),
+            **_read_side(side, term),
+        ))
+    if not nodes:
+        raise TypeError("no nodes")
+    return nodes[-1]
+
+
+def _from_tree(obj: dict) -> Derivation:
     terms: dict[str, Term] = {}
     contexts: dict[tuple, Context] = {}
 
@@ -111,43 +184,37 @@ def derivation_from_dict(obj: dict) -> Derivation:
             terms[text] = parse_term(text)
         return terms[text]
 
-    def earlier(number) -> Derivation:
-        if not 0 <= _field(number, int, "premise") < len(nodes):
-            raise TypeError(f"premise {number} is not the number of an earlier node")
-        return nodes[number]
-
-    def node(obj: dict) -> Derivation:
-        listed = _field(obj["premises"], list, "premises")
-        premises = tuple(node(p) if isinstance(p, dict) else earlier(p) for p in listed)
+    def node(obj) -> Derivation:
+        premises = tuple(node(p) for p in _field(_field(obj, dict, "node")["premises"], list, "premises"))
         entries = tuple(
             (_field(e["name"], str, "ctx name"), _field(e["type"], str, "ctx type"))
             for e in _field(obj["ctx"], list, "ctx")
         )
         if entries not in contexts:
             contexts[entries] = Context(tuple((n, term(t, "ctx type")) for n, t in entries))
-        side = _field(obj.get("side", {}), dict, "side")
-        unknown = side.keys() - {"level", "sub", "sup"}
-        if unknown:
-            raise TypeError(f"unknown side keys {sorted(unknown)}")
-        nodes.append(Derivation(
+        return Derivation(
             rule=_field(obj["rule"], str, "rule"),
             conclusion=Judgment(contexts[entries], term(obj["term"], "term"), term(obj["type"], "type")),
             premises=premises,
-            level=_field(side["level"], int, "side level") if "level" in side else None,
-            sub=term(side["sub"], "side sub") if "sub" in side else None,
-            sup=term(side["sup"], "side sup") if "sup" in side else None,
-        ))
-        return nodes[-1]
+            **_read_side(obj.get("side", {}), term),
+        )
 
+    return node(obj)
+
+
+def derivation_from_dict(obj) -> Derivation:
+    """Read the table form `save_derivation` writes, or the tree form."""
     try:
-        return node(obj)
-    except (KeyError, TypeError, AttributeError) as e:
-        raise DerivationError("file", f"malformed derivation node: {e!r}") from e
+        if isinstance(obj, dict) and "nodes" in obj:
+            return _from_table(obj)
+        return _from_tree(obj)
+    except (KeyError, TypeError) as e:
+        raise DerivationError("file", f"malformed derivation file: {e!r}") from e
 
 
 def save_derivation(d: Derivation, path: str) -> None:
     # encode before opening: a failed encode leaves a file at path as it was
-    text = json.dumps(_shared_dict(d), separators=(",", ":")) + "\n"
+    text = json.dumps(_table(d), separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

@@ -109,6 +109,8 @@ def step(t: Term) -> Term | None:
 
 def whnf(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     """Reduce head redexes until the head constructor is stable."""
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
     return _whnf(t, Fuel.coerce(fuel))
 
 
@@ -152,6 +154,8 @@ def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     create a new head redex, so the contraction order still matches
     iterating `step`.
     """
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
     f = Fuel.coerce(fuel)
     done: list[Term] = []
     todo: list[tuple[Term, tuple[Term, ...] | None]] = [(t, None)]  # parts once whnf-stable

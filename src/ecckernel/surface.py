@@ -249,5 +249,6 @@ def _p_element(t: Term) -> str:
         case Pair(m, n, ann):
             # a binder-shaped annotation is parenthesized, so the pair stays one atom
             return f"< {_p_term(m)} , {_p_term(n)} > : {_p_element(ann)}"
-        case _:
+        case Pi() | Sigma() | Lam() | App():
             return f"({_p_term(t)})"
+    raise TypeError(f"not a term: {t!r}")

@@ -1,5 +1,8 @@
+import collections
 import copy
+import functools
 import json
+import operator
 import os
 import pathlib
 import subprocess
@@ -13,6 +16,7 @@ from ecckernel import (
     Derivation,
     DerivationError,
     Judgment,
+    Proj1,
     Type,
     Var,
     alpha_eq,
@@ -38,6 +42,7 @@ from ecckernel.cli import (
 )
 
 from corpus import typed_corpus
+from derivation_files import CTX, PREMISES, RULE, SIDE, TERM, TYPE, as_tree, first_paths, repeated_references, saved
 
 
 @pytest.fixture
@@ -169,7 +174,7 @@ def test_verify_rejects_tampered_rule(write, tmp_path, capsys):
     out_path = str(tmp_path / "d.json")
     assert run_command(["elab", term, "--out", out_path]) == EXIT_OK
     obj = json.loads(open(out_path).read())
-    obj["rule"] = "App"
+    obj["nodes"][-1][RULE] = "App"  # the root
     (tmp_path / "bad.json").write_text(json.dumps(obj))
     assert run_command(["verify", str(tmp_path / "bad.json")]) == EXIT_REJECTED
 
@@ -238,35 +243,59 @@ def test_verify_rejects_ill_formed_contexts(tmp_path, capsys, ctx):
     assert _verify_exit(tmp_path, derivation_to_dict(root)) == EXIT_REJECTED
 
 
+DROP = object()
+
+
 @pytest.mark.parametrize(
-    "old, new",
+    "where, new",
+    # the ids name the field of the tree form that each case once edited
     [
-        ('"level": 1', '"level": true'),
-        ('"level": 1', '"level": 1.0'),
-        ('"level": 1', '"level": "1"'),
-        ('"rule": "T"', '"rule": ["T"]'),
-        ('"term": "Type1"', '"term": 5'),
-        ('"type": "Type2"', '"type": ["Type2"]'),
-        ('"name": "A"', '"name": 7'),
-        ('"name": "A", "type": "Type0"', '"name": "A", "type": 0'),
-        ('"ctx": []', '"ctx": ""'),
-        ('"premises": []', '"premises": ""'),
-        ('"premises": []', '"premises": {}'),
-        ('"side": {}', '"side": []'),
-        ('"side": {}', '"side": {"lvl": 1}'),
+        pytest.param(("nodes", -1, SIDE, "level"), True, id='"level": 1-"level": true'),
+        pytest.param(("nodes", -1, SIDE, "level"), 1.0, id='"level": 1-"level": 1.0'),
+        pytest.param(("nodes", -1, SIDE, "level"), "1", id='"level": 1-"level": "1"'),
+        pytest.param(("nodes", -1, RULE), ["T"], id='"rule": "T"-"rule": ["T"]'),
+        pytest.param(("terms", 2), 5, id='"term": "Type1"-"term": 5'),
+        pytest.param(("nodes", -1, TYPE), [3], id='"type": "Type2"-"type": ["Type2"]'),
+        pytest.param(("contexts", 0, 1), 7, id='"name": "A"-"name": 7'),
+        pytest.param(("contexts", 0, 2), "Type0", id='"name": "A", "type": "Type0"-"name": "A", "type": 0'),
+        pytest.param(("nodes", 0, CTX), "", id='"ctx": []-"ctx": ""'),
+        pytest.param(("nodes", 0, PREMISES), "", id='"premises": []-"premises": ""'),
+        pytest.param(("nodes", 0, PREMISES), {}, id='"premises": []-"premises": {}'),
+        pytest.param(("nodes", 0, SIDE), [], id='"side": {}-"side": []'),
+        pytest.param(("nodes", 0, SIDE), {"lvl": 1}, id='"side": {}-"side": {"lvl": 1}'),
+        pytest.param(("nodes", -1, TERM), "Type1", id="term-number-as-text"),
+        pytest.param(("nodes", -1, TERM), 2.0, id="term-number-as-float"),
+        pytest.param(("nodes", -1, SIDE, "sub"), "Type1", id="side-sub-as-text"),
+        pytest.param(("terms",), "Prop", id="terms-not-a-list"),
+        pytest.param(("contexts",), {}, id="contexts-not-a-list"),
+        pytest.param(("contexts", 0), "A", id="context-row-not-a-list"),
+        pytest.param(("contexts", 0, 2), DROP, id="context-row-of-two-cells"),
+        pytest.param(("nodes", 0), "Ax", id="node-row-not-a-list"),
+        pytest.param(("nodes", -1, SIDE), DROP, id="node-row-of-five-cells"),
+        pytest.param(("nodes",), [], id="no-node-rows"),
+        pytest.param(("nodes",), DROP, id="no-nodes-table"),
     ],
 )
-def test_verify_rejects_ill_typed_fields(write, tmp_path, capsys, old, new):
-    # T over a one-entry context: a root level of 1, empty-context nodes
-    # below the C node, and an Ax leaf without premises
+def test_verify_rejects_ill_typed_fields(write, tmp_path, capsys, where, new):
+    # T over a one-entry context: the root, at level 1, is the last node
+    # row; the Ax leaf, with no premises and an empty side, is the first
     ctx = write("ctx.ecc", "A : Type0")
     term = write("t.ecc", "Type1")
     out_path = tmp_path / "t.json"
     assert run_command(["elab", "--ctx", ctx, term, "--out", str(out_path)]) == EXIT_OK
-    text = json.dumps(json.loads(out_path.read_text(encoding="utf-8")))
-    assert old in text
-    assert _verify_exit(tmp_path, json.loads(text)) == EXIT_OK
-    assert _verify_exit(tmp_path, json.loads(text.replace(old, new))) == EXIT_REJECTED
+    obj = json.loads(out_path.read_text(encoding="utf-8"))
+    assert obj["terms"][2] == "Type1" and obj["contexts"] == [[0, "A", 1]]
+    assert obj["nodes"][0] == ["Ax", 0, 0, 1, [], {}] and obj["nodes"][-1][SIDE] == {"level": 1}
+    assert _verify_exit(tmp_path, obj) == EXIT_OK
+    *path, last = where
+    holder = functools.reduce(operator.getitem, path, obj)
+    if new is DROP:
+        del holder[last]
+    else:
+        holder[last] = new
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
+    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
 
 
 def _python_dash_m(*argv: str) -> subprocess.CompletedProcess:
@@ -354,103 +383,108 @@ def test_exit_codes_of_input_and_usage_errors(write, tmp_path, monkeypatch, caps
         assert capsys.readouterr().out == "accepted\n"
 
 
-def _post_order(obj: dict) -> list[dict]:
-    # the nodes written out in a derivation file, in the order back-references number them
-    nodes = []
-
-    def walk(node):
-        for p in node["premises"]:
-            if isinstance(p, dict):
-                walk(p)
-        nodes.append(node)
-
-    walk(obj)
-    return nodes
-
-
-def _back_references(obj: dict) -> int:
-    return sum(isinstance(p, int) for node in _post_order(obj) for p in node["premises"])
-
-
-def _expanded(obj: dict) -> dict:
-    # the same derivation as a tree: each back-reference replaced by a copy of its node
-    nodes = _post_order(obj)
-
-    def copy_of(node):
-        return {**node, "premises": [copy_of(nodes[p] if isinstance(p, int) else p) for p in node["premises"]]}
-
-    return copy_of(obj)
-
-
-def _json_path(obj: dict, target: dict, path: str = "root") -> str | None:
-    if obj is target:
-        return path
-    for i, p in enumerate(obj["premises"]):
-        found = isinstance(p, dict) and _json_path(p, target, f"{path}.{i}")
-        if found:
-            return found
-    return None
-
-
 def test_saved_derivations_load_equal_by_value(tmp_path):
-    path = str(tmp_path / "d.json")
-    references = 0
+    path = tmp_path / "d.json"
+    shared = 0
     for g, m in typed_corpus():
         _, d = principal_of(g, m)
-        save_derivation(d, path)
-        assert load_derivation(path) == d
-        text = pathlib.Path(path).read_text(encoding="utf-8")
-        assert text.count("\n") == 1  # compact: one line
-        references += _back_references(json.loads(text))
-    assert references > 0
+        table = saved(d, path)
+        assert load_derivation(str(path)) == d
+        assert path.read_text(encoding="utf-8").count("\n") == 1  # compact: one line
+        # each term string, context row and node row is written once
+        for name in ("terms", "contexts", "nodes"):
+            rows = [json.dumps(row) for row in table[name]]
+            assert len(set(rows)) == len(rows), name
+        shared += repeated_references(table)
+    assert shared > 0
 
 
-@pytest.mark.parametrize("bad", ["out-of-range", "negative", "forward", "self", "true", "float", "string"])
-def test_verify_rejects_bad_back_references(write, tmp_path, capsys, bad):
+def _bad_number(bad: str, ref: int, rows: int, own: int | None = None, later: int | None = None):
+    # ref is the number written in the file, own the number of the row that holds it
+    return {
+        "out-of-range": rows,
+        "negative": -1,
+        "forward": later,
+        "self": own,
+        "true": True,
+        "float": float(ref),
+        "string": str(ref),
+    }[bad]
+
+
+KINDS = ["out-of-range", "negative", "forward", "self", "true", "float", "string"]
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [pytest.param("premise", bad, id=bad) for bad in KINDS]
+    + [pytest.param("context parent", bad, id=f"context-parent-{bad}") for bad in KINDS]
+    # a term number names no row of its own table, so it cannot point forward or at itself
+    + [pytest.param("term", bad, id=f"term-{bad}") for bad in KINDS if bad not in ("forward", "self")],
+)
+def test_verify_rejects_bad_back_references(write, tmp_path, capsys, where, bad):
     ctx = write("ctx.ecc", "f : Pi x : Type1 . Prop")
     term = write("t.ecc", "f Prop")
     out_path = tmp_path / "elab.json"
     assert run_command(["elab", "--ctx", ctx, term, "--out", str(out_path)]) == EXIT_OK
     obj = json.loads(out_path.read_text(encoding="utf-8"))
-    nodes = _post_order(obj)
-    number, holder = next(
-        (k, n) for k, n in enumerate(nodes) if any(isinstance(p, int) for p in n["premises"])
-    )
-    i, ref = next((i, p) for i, p in enumerate(holder["premises"]) if isinstance(p, int))
-    assert holder is not obj
-    holder["premises"][i] = {
-        "out-of-range": len(nodes),
-        "negative": -1,
-        "forward": len(nodes) - 1,  # the root, written last
-        "self": number,
-        "true": True,
-        "float": float(ref),
-        "string": str(ref),
-    }[bad]
+    nodes, contexts = obj["nodes"], obj["contexts"]
+    if where == "premise":
+        # the first row with a premise is not the root, so the root is a forward reference
+        number = next(k for k, row in enumerate(nodes) if row[PREMISES])
+        assert number < len(nodes) - 1
+        premises = nodes[number][PREMISES]
+        premises[0] = _bad_number(bad, premises[0], len(nodes), number, len(nodes) - 1)
+    elif where == "context parent":
+        # row 0 is context 1; context 2 comes later
+        assert len(contexts) >= 2 and contexts[0][0] == 0
+        contexts[0][0] = _bad_number(bad, 0, len(contexts) + 1, 1, 2)
+    else:
+        root = nodes[-1]
+        root[TERM] = _bad_number(bad, root[TERM], len(obj["terms"]))
     capsys.readouterr()
     assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
-    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation node")
+    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
+
+
+def test_the_nested_form_with_numbered_premises_is_rejected(tmp_path, capsys):
+    # earlier versions wrote a node equal to one written before it as that
+    # node's post-order number; only the table form and plain trees load now
+    _, d = principal_of(parse_context("f : Pi x : Type1 . Prop"), parse_term("f Prop"))
+    tree = derivation_to_dict(d)
+    order = []
+
+    def walk(node):
+        for p in node["premises"]:
+            walk(p)
+        order.append(node)
+
+    walk(tree)
+    later = next(k for k, node in enumerate(order) if node in order[:k])
+    holder = next(node for node in order if any(p is order[later] for p in node["premises"]))
+    holder["premises"] = [order.index(order[later]) if p is order[later] else p for p in holder["premises"]]
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, tree) == EXIT_REJECTED
+    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
 
 
 def test_a_shared_node_is_rejected_at_its_first_path_in_pre_order(tmp_path):
     g = parse_context("f : Pi x : Type1 . Prop")
     _, d = principal_of(g, parse_term("f Prop"))
-    path = tmp_path / "d.json"
-    save_derivation(d, str(path))
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    referenced = sorted({p for n in _post_order(obj) for p in n["premises"] if isinstance(p, int)})
-    assert referenced
-    for number in referenced:
-        mutant = copy.deepcopy(obj)
-        node = _post_order(mutant)[number]
-        node["rule"] = "App" if node["rule"] == "Pair" else "Pair"  # wrong arity
-        # a node is written out where it first occurs in pre-order; later occurrences refer to it
-        expected = _json_path(mutant, node)
-        with pytest.raises(DerivationError) as shared:
+    table = saved(d, tmp_path / "d.json")
+    uses = collections.Counter(p for row in table["nodes"] for p in row[PREMISES])
+    shared = sorted(number for number, count in uses.items() if count > 1)
+    assert shared
+    paths = first_paths(table)
+    for number in shared:
+        mutant = copy.deepcopy(table)
+        row = mutant["nodes"][number]
+        row[RULE] = "App" if row[RULE] == "Pair" else "Pair"  # wrong arity
+        with pytest.raises(DerivationError) as from_table:
             verify(derivation_from_dict(mutant))
-        with pytest.raises(DerivationError) as tree:
-            verify(derivation_from_dict(_expanded(mutant)))
-        assert shared.value.path == tree.value.path == expected
+        with pytest.raises(DerivationError) as from_tree:
+            verify(derivation_from_dict(as_tree(mutant)))
+        assert from_table.value.path == from_tree.value.path == paths[number]
 
 
 def test_a_tree_of_2_to_the_64_nodes_verifies_once_per_object(tmp_path, monkeypatch):
@@ -464,9 +498,8 @@ def test_a_tree_of_2_to_the_64_nodes_verifies_once_per_object(tmp_path, monkeypa
         g = g.extend(f"x{k}", PROP)
         v = Derivation("C", Judgment(g, PROP, Type(0)), (cum,))
     path = tmp_path / "chain.json"
-    save_derivation(v, str(path))
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    assert _back_references(obj) == 64
+    table = saved(v, path)
+    assert repeated_references(table) == 64
 
     checked = []
     check_node = kernel._check_node
@@ -477,20 +510,36 @@ def test_a_tree_of_2_to_the_64_nodes_verifies_once_per_object(tmp_path, monkeypa
 
     monkeypatch.setattr(kernel, "_check_node", counted)
     assert verify(load_derivation(str(path)))
-    assert len(checked) == len(_post_order(obj)) == 3 * 64 + 1
+    assert len(checked) == len(table["nodes"]) == 3 * 64 + 1
 
     # the Ax leaf ends every path; with a side index it fails at the first
-    _post_order(obj)[0]["side"] = {"level": 3}
+    assert table["nodes"][0][RULE] == "Ax"
+    table["nodes"][0][SIDE] = {"level": 3}
     with pytest.raises(DerivationError) as err:
-        verify(derivation_from_dict(obj))
+        verify(derivation_from_dict(table))
     assert err.value.path == "root" + ".0" * 128
     assert "universe index" in err.value.reason
 
 
+@pytest.mark.parametrize("k", [4, 8, 16, 32])
+def test_context_chain_files_grow_linearly(tmp_path, k):
+    # A0 : Type0, h_i : Pi x : A0 . A0 for i < k: each node used to print
+    # its whole context, so the file grew with nodes times context length
+    g = parse_context("\n".join(["A0 : Type0"] + [f"h{i} : Pi x : A0 . A0" for i in range(k)]))
+    _, d = principal_of(g, parse_term(f"h{k - 1}"))
+    path = tmp_path / "chain.json"
+    table = saved(d, path)
+    assert [len(table[name]) for name in ("terms", "contexts", "nodes")] == [6, 2 * k + 1, 5 * k + 4]
+    assert path.stat().st_size <= 150 * k + 200  # 4,913 bytes at k = 32
+    assert verify(load_derivation(str(path)))
+
+
 def test_a_failed_save_leaves_the_file_as_it_was(tmp_path):
-    d = Derivation("Ax", Judgment(Context(), PROP, Type(0)))
-    for i in range(5000):
-        d = Derivation("T", Judgment(Context(), Type(i), Type(i + 1)), (d,), level=i)
+    # a subject too deep to print: the save fails before the file is opened
+    deep = PROP
+    for _ in range(5000):
+        deep = Proj1(deep)
+    d = Derivation("Ax", Judgment(Context(), deep, Type(0)))
     path = tmp_path / "d.json"
     path.write_bytes(b"earlier output\n")
     with pytest.raises(RecursionError):

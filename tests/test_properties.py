@@ -27,8 +27,10 @@ from ecckernel import (
     principal_of,
     print_term,
 )
-from ecckernel.cli import EXIT_OK, EXIT_REJECTED, derivation_to_dict, run_command, save_derivation
+from ecckernel.cli import EXIT_OK, EXIT_REJECTED, derivation_to_dict, run_command
 from ecckernel.kernel import KERNEL_RULES
+
+from derivation_files import saved, slots
 
 seeded = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -80,7 +82,7 @@ def test_printed_terms_parse_back(t):
 
 @functools.cache
 def _derivation_files() -> tuple[str, ...]:
-    # each derivation as a tree (v1) and in the shared form `ecc elab` writes
+    # each derivation as a tree and as the table `ecc elab` writes
     files = []
     for ctx, subject in [
         ("f : Pi x : Type1 . Prop", "f Prop"),
@@ -90,51 +92,39 @@ def _derivation_files() -> tuple[str, ...]:
         _, d = principal_of(parse_context(ctx), parse_term(subject))
         files.append(json.dumps(derivation_to_dict(d)))
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "d.json")
-            save_derivation(d, path)
-            with open(path, encoding="utf-8") as handle:
-                files.append(handle.read())
+            files.append(json.dumps(saved(d, os.path.join(tmp, "d.json"))))
     return tuple(files)
 
 
-def _nodes(obj) -> list[dict]:
-    # pre-order, including nodes a back-reference would number
-    found, stack = [], [obj]
-    while stack:
-        node = stack.pop()
-        found.append(node)
-        stack.extend(p for p in node["premises"] if isinstance(p, dict))
-    return found
-
-
-FIELDS = ["rule", "ctx", "term", "type", "side", "premises"]
+FIELDS = ["rule", "ctx", "term", "type", "side", "premises", "level", "name", "sub", "sup"]
 json_values = st.recursive(
     st.none()
     | st.booleans()
-    | st.integers(-3, 60)
+    | st.integers(-3, 60)  # in and out of range as a term, context or node number
     | st.floats(allow_nan=False)
     | st.text(max_size=6)
     | st.sampled_from(sorted(KERNEL_RULES) + ["Prop", "Type0", "Type1", "f", "Pi x : Type1 . Prop"]),
-    lambda sub: st.lists(sub, max_size=3) | st.dictionaries(st.sampled_from(FIELDS + ["level", "name"]), sub),
-    max_leaves=6,
+    lambda sub: st.lists(sub, max_size=6) | st.dictionaries(st.sampled_from(FIELDS), sub),
+    max_leaves=8,
 )
-edits = st.tuples(st.integers(0, 10**4), st.sampled_from(FIELDS + ["premise", "drop"]), json_values)
+# replace, drop or empty one list item or dict value anywhere in the file:
+# a tree node's field or premise, a term string, a cell of a context or node
+# row, a whole row, a number in a row, a side entry, or a whole table
+edits = st.tuples(st.integers(0, 10**4), st.sampled_from(["set", "drop", "zero"]), json_values)
 
 
 @seeded
 @given(st.integers(0, 5), st.lists(edits, max_size=3), st.none() | st.integers(0, 10**6))
 def test_verify_answers_accepted_or_rejected_on_fuzzed_files(base, changes, cut):
     obj = json.loads(_derivation_files()[base])
-    nodes = _nodes(obj)
-    for at, field, value in changes:
-        node = nodes[at % len(nodes)]
-        premises = node.get("premises")
-        if field == "premise" and isinstance(premises, list) and premises:
-            premises[at % len(premises)] = value  # an in- or out-of-range, or ill-typed, back-reference
-        elif field == "drop":
-            node.pop(FIELDS[at % len(FIELDS)], None)
-        elif field != "premise":
-            node[field] = value
+    for at, how, value in changes:
+        places = slots(obj)
+        if places:
+            container, key = places[at % len(places)]
+            if how == "drop":
+                del container[key]
+            else:  # "zero" gives the value of the same JSON type: 0, "", [], {}
+                container[key] = type(container[key])() if how == "zero" else value
     text = json.dumps(obj)
     if cut is not None:
         text = text[: cut % (len(text) + 1)]  # truncated JSON

@@ -19,7 +19,9 @@ from ecckernel import (
     Fuel,
     FuelExhausted,
     Lam,
+    Pair,
     Pi,
+    Proj1,
     Type,
     Var,
     descending_chain,
@@ -150,7 +152,10 @@ def test_the_free_variable_cache_is_invisible():
         assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
         assert free_vars(copy.deepcopy(t)) == fv == free_vars(pickle.loads(pickle.dumps(t)))
     for not_a_term in ("x", None, ("x",)):
+        for operation in (free_vars, lambda t: subst(t, "x", PROP), whnf, normalize, print_term):
+            with pytest.raises(TypeError):
+                operation(not_a_term)
+    # a non-term inside a term, where the printer wants an atom
+    for holder in (App(Var("f"), None), Proj1("x"), Pair(PROP, PROP, None)):
         with pytest.raises(TypeError):
-            free_vars(not_a_term)
-        with pytest.raises(TypeError):
-            subst(not_a_term, "x", PROP)
+            print_term(holder)
