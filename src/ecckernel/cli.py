@@ -22,11 +22,13 @@ extended by one entry, where context 0 is the empty one; node row k is
 or the Cum pair `sub`/`sup` as term numbers. Every number names a term,
 an earlier context or an earlier node; the root is the last node row.
 The tree form (`derivation_to_dict`: `ctx` as a list of {name, type},
-premises written out in full) loads the same way. A field of the wrong
-JSON type (a `true` or `1.0` level or number, a string where a list or
-number belongs), a row with the wrong number of cells, a `side` key
-other than `level`, `sub` and `sup`, or a number that names no term or
-earlier row rejects the file rather than being coerced or ignored.
+premises written out in full) is read as the same rows, one node row per
+occurrence and one context row per entry, so one set of checks covers
+both forms. A field of the wrong JSON type (a `true` or `1.0` level or
+number, a string where a list or number belongs), a row with the wrong
+number of cells, a `side` key other than `level`, `sub` and `sup`, or a
+number that names no term or earlier row rejects the file rather than
+being coerced or ignored.
 """
 
 from __future__ import annotations
@@ -174,40 +176,35 @@ def _from_table(obj: dict) -> Derivation:
     return nodes[-1]
 
 
-def _from_tree(obj: dict) -> Derivation:
-    terms: dict[str, Term] = {}
-    contexts: dict[tuple, Context] = {}
+def _tree_rows(tree) -> dict:
+    # the table rows of a tree-form file, in post-order: one node row per node
+    # object, one context row per ctx entry and one term row per term string
+    terms, contexts, nodes = [], [], []
 
-    def term(value, what: str) -> Term:
-        text = _field(value, str, what)
-        if text not in terms:
-            terms[text] = parse_term(text)
-        return terms[text]
+    def term(text) -> int:
+        terms.append(text)
+        return len(terms) - 1
 
-    def node(obj) -> Derivation:
-        premises = tuple(node(p) for p in _field(_field(obj, dict, "node")["premises"], list, "premises"))
-        entries = tuple(
-            (_field(e["name"], str, "ctx name"), _field(e["type"], str, "ctx type"))
-            for e in _field(obj["ctx"], list, "ctx")
-        )
-        if entries not in contexts:
-            contexts[entries] = Context(tuple((n, term(t, "ctx type")) for n, t in entries))
-        return Derivation(
-            rule=_field(obj["rule"], str, "rule"),
-            conclusion=Judgment(contexts[entries], term(obj["term"], "term"), term(obj["type"], "type")),
-            premises=premises,
-            **_read_side(obj.get("side", {}), term),
-        )
+    def node(obj) -> int:
+        # a non-object node fails at obj["premises"] with a TypeError
+        premises = [node(p) for p in _field(obj["premises"], list, "premises")]
+        ctx = 0
+        for entry in _field(obj["ctx"], list, "ctx"):
+            contexts.append([ctx, entry["name"], term(entry["type"])])
+            ctx = len(contexts)
+        side = _field(obj.get("side", {}), dict, "side")
+        side = {key: term(v) if key in ("sub", "sup") else v for key, v in side.items()}
+        nodes.append([obj["rule"], ctx, term(obj["term"]), term(obj["type"]), premises, side])
+        return len(nodes) - 1
 
-    return node(obj)
+    node(tree)
+    return {"terms": terms, "contexts": contexts, "nodes": nodes}
 
 
 def derivation_from_dict(obj) -> Derivation:
-    """Read the table form `save_derivation` writes, or the tree form."""
+    """Read the table form `save_derivation` writes, or the tree form as the same rows."""
     try:
-        if isinstance(obj, dict) and "nodes" in obj:
-            return _from_table(obj)
-        return _from_tree(obj)
+        return _from_table(obj if isinstance(obj, dict) and "nodes" in obj else _tree_rows(obj))
     except (KeyError, TypeError) as e:
         raise DerivationError("file", f"malformed derivation file: {e!r}") from e
 
@@ -233,10 +230,10 @@ def _read_term(path: str):
     return parse_term(_read(path))
 
 
-def _read_ctx(path: str | None) -> Context:
-    if path is None:
-        return Context()
-    return parse_context(_read(path))
+def _read_ctx(path: str | None, fuel: int) -> Context:
+    ctx = Context() if path is None else parse_context(_read(path))
+    check_context(ctx, fuel)
+    return ctx
 
 
 def _bool_line(value: bool) -> str:
@@ -343,15 +340,12 @@ def run_command(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace, fuel: int) -> int:
     match args.cmd:
         case "infer":
-            ctx = _read_ctx(args.ctx)
-            check_context(ctx, fuel)
-            outcome = infer_type(ctx, _read_term(args.termfile), fuel)
+            outcome = infer_type(_read_ctx(args.ctx, fuel), _read_term(args.termfile), fuel)
             print(print_term(outcome.principal))
             return EXIT_OK
 
         case "check":
-            ctx = _read_ctx(args.ctx)
-            check_context(ctx, fuel)
+            ctx = _read_ctx(args.ctx, fuel)
             ok = check_type(ctx, _read_term(args.termfile), _read_term(args.typefile), fuel)
             print(_bool_line(ok))
             return EXIT_OK if ok else EXIT_FALSE
@@ -395,9 +389,7 @@ def _dispatch(args: argparse.Namespace, fuel: int) -> int:
             return EXIT_OK
 
         case "elab":
-            ctx = _read_ctx(args.ctx)
-            check_context(ctx, fuel)
-            _, derivation = principal_of(ctx, _read_term(args.termfile), fuel)
+            _, derivation = principal_of(_read_ctx(args.ctx, fuel), _read_term(args.termfile), fuel)
             verify(derivation, fuel)
             save_derivation(derivation, args.out)
             print(f"wrote {args.out}")

@@ -125,23 +125,17 @@ def _infer(g: Context, t: Term, f: Fuel) -> Trace:
                 raise TypeCheckError(UNBOUND_VARIABLE, t, f"variable {x!r} is not bound")
             return Trace("var", Judgment(g, t, ty))
 
-        case Pi(x, dom, cod):
-            dom_tr, j = infer_universe(g, dom, f)
-            g2, _, cod2 = _extend(g, x, dom, cod)
-            cod_tr, k = infer_universe(g2, cod2, f)
-            if k == -1:
+        case Pi(x, a, b) | Sigma(x, a, b):
+            a_tr, j = infer_universe(g, a, f)
+            g2, _, b2 = _extend(g, x, a, b)
+            b_tr, k = infer_universe(g2, b2, f)
+            if k == -1 and isinstance(t, Pi):
                 # impredicativity: the codomain lives in Prop, so the Pi does
-                return Trace("Pi1", Judgment(g, t, PROP), (dom_tr, cod_tr))
+                return Trace("Pi1", Judgment(g, t, PROP), (a_tr, b_tr))
+            # a Prop-level Sigma component contributes -1 and is absorbed by the 0
             lvl = max(j, k, 0)
-            return Trace("Pi2'", Judgment(g, t, Type(lvl)), (dom_tr, cod_tr), level=lvl)
-
-        case Sigma(x, first, second):
-            fst_tr, j = infer_universe(g, first, f)
-            g2, _, second2 = _extend(g, x, first, second)
-            snd_tr, k = infer_universe(g2, second2, f)
-            # a Prop-level component contributes -1 and is absorbed by the 0
-            lvl = max(j, k, 0)
-            return Trace("Sigma'", Judgment(g, t, Type(lvl)), (fst_tr, snd_tr), level=lvl)
+            rule = "Pi2'" if isinstance(t, Pi) else "Sigma'"
+            return Trace(rule, Judgment(g, t, Type(lvl)), (a_tr, b_tr), level=lvl)
 
         case Lam(x, ann, body):
             infer_universe(g, ann, f)  # the annotation must be a type

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cumulativity import subtype
+from .cumulativity import subtype, universe_level
 from .reduction import DEFAULT_FUEL, Fuel
 from .terms import (
     App,
@@ -55,9 +55,14 @@ _PREMISE_CTX = {
 KERNEL_RULES = frozenset(_PREMISE_CTX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
-    """Kernel derivation node; side data: universe index, Cum pair."""
+    """Kernel derivation node; side data: universe index, Cum pair.
+
+    Equal by value. A derivation shares subderivations, so `==` compares each
+    pair of node objects once rather than walking the tree, and the hash reads
+    only the node itself.
+    """
 
     rule: str
     conclusion: Judgment
@@ -65,6 +70,25 @@ class Derivation:
     level: int | None = None
     sub: Term | None = None
     sup: Term | None = None
+
+    def _own(self) -> tuple:
+        return self.rule, self.level, len(self.premises), self.conclusion, self.sub, self.sup
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        seen, stack = set(), [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b and (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                if a._own() != b._own():
+                    return False
+                stack.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self._own()[:3])
 
 
 class DerivationError(Exception):
@@ -74,10 +98,6 @@ class DerivationError(Exception):
         self.path = path
         self.reason = reason
         super().__init__(f"{path}: {reason}")
-
-
-def _is_universe(t: Term) -> bool:
-    return isinstance(t, (Prop, Type))
 
 
 def _is_validity(j: Judgment) -> bool:
@@ -147,7 +167,7 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
         case "C":
             name, entry_ty = c.ctx.entries[-1]
             _need(alpha_eq(ps[0].subject, entry_ty), path, "C premise must type the new entry")
-            _need(_is_universe(ps[0].type), path, "C entry type must live in a universe")
+            _need(universe_level(ps[0].type) is not None, path, "C entry type must live in a universe")
             _need(name not in ps[0].ctx.names(), path, "C entry name must be fresh")
             _need(_is_validity(c), path, "C types Prop at Type 0")
 
@@ -184,7 +204,7 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
             )
             if d.rule == "Pi1":
                 _need(isinstance(c.type, Prop), path, "Pi1 lands in Prop")
-                _need(_is_universe(ps[0].type), path, "formation domain must live in a universe")
+                _need(universe_level(ps[0].type) is not None, path, "formation domain must live in a universe")
                 _need(isinstance(ps[1].type, Prop), path, "Pi1 body premise must land in Prop")
             else:
                 lvl = d.level

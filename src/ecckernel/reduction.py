@@ -72,22 +72,10 @@ def _parts(t: Term) -> tuple[Term, ...]:
 
 
 def _rebuild(t: Term, parts: tuple[Term, ...]) -> Term:
-    match t:
-        case Pi(x, _, _):
-            return Pi(x, parts[0], parts[1])
-        case Sigma(x, _, _):
-            return Sigma(x, parts[0], parts[1])
-        case Lam(x, _, _):
-            return Lam(x, parts[0], parts[1])
-        case App(_, _):
-            return App(parts[0], parts[1])
-        case Pair(_, _, _):
-            return Pair(parts[0], parts[1], parts[2])
-        case Proj1(_):
-            return Proj1(parts[0])
-        case Proj2(_):
-            return Proj2(parts[0])
-    raise TypeError(f"not a composite term: {t!r}")
+    # a binder keeps its variable; every other field is a part, in field order
+    if isinstance(t, (Pi, Sigma, Lam)):
+        return type(t)(t.var, *parts)
+    return type(t)(*parts)
 
 
 def step(t: Term) -> Term | None:

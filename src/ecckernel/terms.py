@@ -193,28 +193,16 @@ def subst(t: Term, name: str, replacement: Term) -> Term:
             return Proj1(subst(m, name, replacement))
         case Proj2(m):
             return Proj2(subst(m, name, replacement))
-        case Pi(x, a, b):
-            x2, b2 = _subst_under(x, b, name, replacement)
-            return Pi(x2, subst(a, name, replacement), b2)
-        case Sigma(x, a, b):
-            x2, b2 = _subst_under(x, b, name, replacement)
-            return Sigma(x2, subst(a, name, replacement), b2)
-        case Lam(x, a, b):
-            x2, b2 = _subst_under(x, b, name, replacement)
-            return Lam(x2, subst(a, name, replacement), b2)
+        case Pi(x, a, b) | Sigma(x, a, b) | Lam(x, a, b):
+            a2 = subst(a, name, replacement)
+            if x == name:
+                # the binder shadows the substituted variable
+                return type(t)(x, a2, b)
+            if x in free_vars(replacement) and name in free_vars(b):
+                renamed = fresh_name(x, free_vars(b) | free_vars(replacement) | {name, x})
+                b, x = subst(b, x, Var(renamed)), renamed
+            return type(t)(x, a2, subst(b, name, replacement))
     raise TypeError(f"not a term: {t!r}")
-
-
-def _subst_under(binder: str, body: Term, name: str, replacement: Term):
-    if binder == name:
-        # the binder shadows the substituted variable
-        return binder, body
-    if binder in free_vars(replacement) and name in free_vars(body):
-        avoid = free_vars(body) | free_vars(replacement) | {name, binder}
-        renamed = fresh_name(binder, avoid)
-        body = subst(body, binder, Var(renamed))
-        binder = renamed
-    return binder, subst(body, name, replacement)
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

@@ -41,7 +41,7 @@ from ecckernel.cli import (
     save_derivation,
 )
 
-from corpus import typed_corpus
+from corpus import context_chain, typed_corpus
 from derivation_files import CTX, PREMISES, RULE, SIDE, TERM, TYPE, as_tree, first_paths, repeated_references, saved
 
 
@@ -386,7 +386,7 @@ def test_exit_codes_of_input_and_usage_errors(write, tmp_path, monkeypatch, caps
 def test_saved_derivations_load_equal_by_value(tmp_path):
     path = tmp_path / "d.json"
     shared = 0
-    for g, m in typed_corpus():
+    for g, m in typed_corpus() + [context_chain(k) for k in (4, 8, 16, 32)]:
         _, d = principal_of(g, m)
         table = saved(d, path)
         assert load_derivation(str(path)) == d
@@ -397,6 +397,34 @@ def test_saved_derivations_load_equal_by_value(tmp_path):
             assert len(set(rows)) == len(rows), name
         shared += repeated_references(table)
     assert shared > 0
+
+
+def test_tree_and_table_forms_load_equal(tmp_path):
+    for g, m in typed_corpus():
+        _, d = principal_of(g, m)
+        tree = derivation_to_dict(d)
+        assert derivation_from_dict(tree) == d == derivation_from_dict(saved(d, tmp_path / "d.json"))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda tree: tree.update(side=[]), id="side-as-a-list"),
+        pytest.param(lambda tree: tree["ctx"].__setitem__(0, "f"), id="ctx-entry-as-a-string"),
+        pytest.param(lambda tree: tree.update(ctx={}), id="ctx-as-a-dict"),
+        pytest.param(lambda tree: tree.update(premises={}), id="premises-as-a-dict"),
+        pytest.param(lambda tree: tree["premises"][0].update(term=0), id="term-as-a-number"),
+        pytest.param(lambda tree: tree["side"].update(lvl=1), id="unknown-side-key"),
+    ],
+)
+def test_verify_rejects_ill_typed_tree_fields(tmp_path, capsys, edit):
+    _, d = principal_of(parse_context("f : Pi x : Type1 . Prop"), parse_term("f Prop"))
+    tree = derivation_to_dict(d)
+    assert tree["ctx"] and tree["premises"] and _verify_exit(tmp_path, tree) == EXIT_OK
+    edit(tree)
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, tree) == EXIT_REJECTED
+    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
 
 
 def _bad_number(bad: str, ref: int, rows: int, own: int | None = None, later: int | None = None):
@@ -525,8 +553,7 @@ def test_a_tree_of_2_to_the_64_nodes_verifies_once_per_object(tmp_path, monkeypa
 def test_context_chain_files_grow_linearly(tmp_path, k):
     # A0 : Type0, h_i : Pi x : A0 . A0 for i < k: each node used to print
     # its whole context, so the file grew with nodes times context length
-    g = parse_context("\n".join(["A0 : Type0"] + [f"h{i} : Pi x : A0 . A0" for i in range(k)]))
-    _, d = principal_of(g, parse_term(f"h{k - 1}"))
+    _, d = principal_of(*context_chain(k))
     path = tmp_path / "chain.json"
     table = saved(d, path)
     assert [len(table[name]) for name in ("terms", "contexts", "nodes")] == [6, 2 * k + 1, 5 * k + 4]

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 import random
 
@@ -28,7 +29,7 @@ from ecckernel import (
 )
 from ecckernel.kernel import KERNEL_RULES
 
-from corpus import typed_corpus
+from corpus import context_chain, typed_corpus
 from genterms import strict_above
 
 
@@ -401,3 +402,31 @@ def test_every_rule_checks_its_premise_contexts_and_arity():
                 variants += 1
     assert rules == KERNEL_RULES
     assert variants >= 1000
+
+
+def _replaced(d: Derivation, old: Derivation, new: Derivation) -> Derivation:
+    # a new object for every node of d, one per node object, with new for old
+    built = {id(old): new}
+
+    def rebuild(node):
+        if id(node) not in built:
+            built[id(node)] = dataclasses.replace(node, premises=tuple(map(rebuild, node.premises)))
+        return built[id(node)]
+
+    return rebuild(d)
+
+
+def test_equality_compares_each_pair_of_node_objects_once():
+    # the k = 32 chain's derivation is a tree of 38,654,705,659 nodes over a
+    # few hundred objects; walked as a tree, one comparison would never end
+    d, again = principal_of(*context_chain(32))[1], principal_of(*context_chain(32))[1]
+    assert d is not again and d == again and hash(d) == hash(again)
+    leaf = d.premises[0]
+    while leaf.premises:
+        leaf = leaf.premises[-1]
+    assert leaf.rule == "Ax"  # under every context entry's typing, shared by all of them
+    copy = _replaced(d, leaf, dataclasses.replace(leaf))
+    assert copy is not d and copy == d and hash(copy) == hash(d)
+    changed = _replaced(d, leaf, dataclasses.replace(leaf, level=0))
+    assert changed != d and d != changed
+    assert d != d.conclusion

@@ -22,6 +22,7 @@ from ecckernel import (
     Pair,
     Pi,
     Proj1,
+    Sigma,
     Type,
     Var,
     descending_chain,
@@ -85,6 +86,18 @@ def test_free_vars_and_subst_equal_the_oracles():
         for name in NAMES:
             for r in REPLACEMENTS:
                 assert subst(t, name, r) == oracle_subst(t, name, r)
+
+
+@pytest.mark.parametrize("binder", [Pi, Sigma, Lam])
+def test_subst_renames_under_every_binder_as_the_oracle_does(binder):
+    # a is free in each replacement and u in the body, so the binder a is renamed
+    for t in _terms(71):
+        under = binder("a", t, App(App(Var("u"), Var("a")), t))
+        for r in (Var("a"), App(Var("c"), Var("a")), Pi("b", Var("a"), Var("b"))):
+            got = subst(under, "u", r)
+            assert got == oracle_subst(under, "u", r)
+            assert type(got) is binder and got.var != "a"
+            assert subst(Pi("y", PROP, under), "u", r) == oracle_subst(Pi("y", PROP, under), "u", r)
 
 
 def test_whnf_and_normalize_equal_the_oracles_in_result_and_fuel():
