@@ -22,13 +22,13 @@ extended by one entry, where context 0 is the empty one; node row k is
 or the Cum pair `sub`/`sup` as term numbers. Every number names a term,
 an earlier context or an earlier node; the root is the last node row.
 The tree form (`derivation_to_dict`: `ctx` as a list of {name, type},
-premises written out in full) is read as the same rows, one node row per
-occurrence and one context row per entry, so one set of checks covers
-both forms. A field of the wrong JSON type (a `true` or `1.0` level or
-number, a string where a list or number belongs), a row with the wrong
-number of cells, a `side` key other than `level`, `sub` and `sup`, or a
-number that names no term or earlier row rejects the file rather than
-being coerced or ignored.
+premises written out in full, refused above TREE_NODE_LIMIT nodes) is
+read as the same rows, one node row per occurrence and one context row
+per entry, so one set of checks covers both forms. A field of the wrong
+JSON type (a `true` or `1.0` level or number, a string where a list or
+number belongs), a row with the wrong number of cells, a `side` key
+other than `level`, `sub` and `sup`, or a number that names no term or
+earlier row rejects the file rather than being coerced or ignored.
 """
 
 from __future__ import annotations
@@ -69,15 +69,36 @@ def _side(d: Derivation, term) -> dict:
     return side
 
 
+TREE_NODE_LIMIT = 100_000
+
+
 def derivation_to_dict(d: Derivation) -> dict:
-    """The tree form: every premise written out in full."""
+    """The tree form: every premise written out in full.
+
+    A shared subderivation is written at each use, so the tree can be
+    exponentially larger than the derivation: ValueError when it would have
+    more than TREE_NODE_LIMIT nodes (the table form writes each node once).
+    """
+    sizes: dict[int, int] = {}  # tree size per node object
+
+    def size(n: Derivation) -> int:
+        if id(n) not in sizes:
+            sizes[id(n)] = 1 + sum(map(size, n.premises))
+        return sizes[id(n)]
+
+    if size(d) > TREE_NODE_LIMIT:
+        raise ValueError(f"tree form has {size(d)} nodes, over the limit of {TREE_NODE_LIMIT}")
+    return _tree(d)
+
+
+def _tree(d: Derivation) -> dict:
     return {
         "rule": d.rule,
         "ctx": [{"name": n, "type": print_term(t)} for n, t in d.conclusion.ctx],
         "term": print_term(d.conclusion.subject),
         "type": print_term(d.conclusion.type),
         "side": _side(d, print_term),
-        "premises": [derivation_to_dict(p) for p in d.premises],
+        "premises": [_tree(p) for p in d.premises],
     }
 
 

@@ -20,13 +20,10 @@ from .terms import Pi, Prop, Sigma, Term, Type, Var, alpha_eq, free_vars, fresh_
 
 def universe_level(t: Term) -> int | None:
     """Level of a universe term, with Prop below Type 0; None otherwise."""
-    match t:
-        case Prop():
-            return -1
-        case Type(j):
-            return j
-        case _:
-            return None
+    cls = type(t)
+    if cls is Prop:
+        return -1
+    return t.level if cls is Type else None
 
 
 def _opened(x: str, b1: Term, y: str, b2: Term) -> tuple[Term, Term]:
@@ -68,21 +65,23 @@ def _relate(a: Term, b: Term, f: Fuel, strict_only: bool = False) -> tuple[int, 
         if la is None or lb is None or la > lb:
             return None
         return 0, la < lb
-    match ha, hb:
-        case (Pi(x, a1, b1), Pi(y, a2, b2)):
-            if not conv(a1, a2, f):
-                return None
-            codomain = _relate(*_opened(x, b1, y, b2), f, strict_only)
-            if codomain is None or not codomain[1]:
-                return codomain
-            return 1 + codomain[0], True
-        case (Sigma(x, a1, b1), Sigma(y, a2, b2)):
-            first = _relate(a1, a2, f)
-            second = None if first is None else _relate(*_opened(x, b1, y, b2), f)
-            if second is None or not (first[1] or second[1]):
-                return second
-            return 1 + max(first[0], second[0]), True
-    if type(ha) is type(hb) and not strict_only and conv(ha, hb, f):
+    cls = type(ha)
+    if cls is not type(hb):
+        return None
+    if cls is Pi:
+        if not conv(ha.domain, hb.domain, f):
+            return None
+        codomain = _relate(*_opened(ha.var, ha.codomain, hb.var, hb.codomain), f, strict_only)
+        if codomain is None or not codomain[1]:
+            return codomain
+        return 1 + codomain[0], True
+    if cls is Sigma:
+        first = _relate(ha.first, hb.first, f)
+        second = None if first is None else _relate(*_opened(ha.var, ha.second, hb.var, hb.second), f)
+        if second is None or not (first[1] or second[1]):
+            return second
+        return 1 + max(first[0], second[0]), True
+    if not strict_only and conv(ha, hb, f):
         return 0, False
     return None
 

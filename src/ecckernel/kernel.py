@@ -105,9 +105,10 @@ def _is_validity(j: Judgment) -> bool:
     return isinstance(j.subject, Prop) and j.type == Type(0)
 
 
-def _contexts_eq(a: Context, b: Context) -> bool:
-    return a is b or len(a) == len(b) and all(
-        na == nb and alpha_eq(ta, tb) for (na, ta), (nb, tb) in zip(a.entries, b.entries)
+def _extends(a: Context, b: Context, extra: int) -> bool:
+    # a is b followed by `extra` more entries, compared up to alpha
+    return len(a) == len(b) + extra and (
+        a is b or all(na == nb and alpha_eq(ta, tb) for (na, ta), (nb, tb) in zip(a.entries, b.entries))
     )
 
 
@@ -118,46 +119,48 @@ def verify(d: Derivation, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     on several paths is checked once, at its first path in pre-order.
     """
     f = Fuel.coerce(fuel)
-    checked, stack = set(), [(d, "root")]
+    # a path is (node, parent's path, premise index), spelled out only for a
+    # node that fails
+    checked, stack = set(), [(d, None, 0)]
     while stack:
-        node, path = stack.pop()
+        path = stack.pop()
+        node = path[0]
         if id(node) not in checked:
             checked.add(id(node))
             _check_node(node, f, path)
-            stack.extend((p, f"{path}.{i}") for i, p in reversed(tuple(enumerate(node.premises))))
+            stack.extend((p, path, i) for i, p in reversed(tuple(enumerate(node.premises))))
     return True
 
 
-def _need(cond: bool, path: str, reason: str) -> None:
+def _need(cond: bool, path: tuple, reason: str, *args) -> None:
+    # the path and the reason are formatted only when the check fails
     if not cond:
-        raise DerivationError(path, reason)
+        steps = []
+        while path[1] is not None:
+            steps.append(str(path[2]))
+            path = path[1]
+        raise DerivationError(".".join(["root", *reversed(steps)]), reason % args if args else reason)
 
 
 _LEVEL_RULES = frozenset({"T", "Pi2", "Sigma", "Pair"})
 
 
-def _check_node(d: Derivation, f: Fuel, path: str) -> None:
+def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
     c = d.conclusion
     ps = tuple(p.conclusion for p in d.premises)
     row = _PREMISE_CTX.get(d.rule)
-    _need(row is not None, path, f"unknown rule {d.rule!r}")
+    _need(row is not None, path, "unknown rule %r", d.rule)
     if d.rule not in _LEVEL_RULES:
-        _need(d.level is None, path, f"rule {d.rule} carries no universe index")
+        _need(d.level is None, path, "rule %s carries no universe index", d.rule)
     if d.rule != "Cum":
-        _need(d.sub is None and d.sup is None, path, f"rule {d.rule} carries no side pair")
-    _need(len(ps) == len(row), path, f"rule {d.rule} expects {len(row)} premises, got {len(ps)}")
+        _need(d.sub is None and d.sup is None, path, "rule %s carries no side pair", d.rule)
+    _need(len(ps) == len(row), path, "rule %s expects %d premises, got %d", d.rule, len(row), len(ps))
 
-    bound = None  # (name, type) added by the "+" premise
     for i, (at, p) in enumerate(zip(row, ps)):
+        ok = _extends(c.ctx, p.ctx, 1) if at == "-" else _extends(p.ctx, c.ctx, int(at == "+"))
+        _need(ok, path, "%s premise %d context mismatch", d.rule, i)
         if at == "+":
-            ok = bool(p.ctx) and _contexts_eq(Context(p.ctx.entries[:-1]), c.ctx)
-            bound = p.ctx.entries[-1] if ok else None
-        elif at == "-":
-            ok = bool(c.ctx) and _contexts_eq(p.ctx, Context(c.ctx.entries[:-1]))
-        else:
-            ok = _contexts_eq(p.ctx, c.ctx)
-        if not ok:
-            raise DerivationError(path, f"{d.rule} premise {i} context mismatch")
+            bound = p.ctx.entries[-1]  # (name, type) the premise adds; read only by rules with one
 
     match d.rule:
         case "Ax":
@@ -190,7 +193,7 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
 
         case "Pi1" | "Pi2" | "Sigma":
             cons = Sigma if d.rule == "Sigma" else Pi
-            _need(isinstance(c.subject, cons), path, f"{d.rule} concludes a {cons.__name__} type")
+            _need(isinstance(c.subject, cons), path, "%s concludes a %s type", d.rule, cons.__name__)
             y, dom = bound
             _need(
                 alpha_eq(dom, ps[0].subject),
@@ -279,14 +282,14 @@ def _check_node(d: Derivation, f: Fuel, path: str) -> None:
 
         case "Proj1" | "Proj2":
             sig = ps[0].type
-            _need(isinstance(sig, Sigma), path, f"{d.rule} premise must have a Sigma type")
+            _need(isinstance(sig, Sigma), path, "%s premise must have a Sigma type", d.rule)
             if d.rule == "Proj1":
                 proj, want = Proj1, sig.first
             else:
                 proj, want = Proj2, subst(sig.second, sig.var, Proj1(ps[0].subject))
-            _need(isinstance(c.subject, proj), path, f"{d.rule} concludes its projection")
-            _need(alpha_eq(c.subject.pair, ps[0].subject), path, f"{d.rule} subject mismatch")
-            _need(alpha_eq(c.type, want), path, f"{d.rule} type must be its component's type")
+            _need(isinstance(c.subject, proj), path, "%s concludes its projection", d.rule)
+            _need(alpha_eq(c.subject.pair, ps[0].subject), path, "%s subject mismatch", d.rule)
+            _need(alpha_eq(c.type, want), path, "%s type must be its component's type", d.rule)
 
         case "Cum":
             _need(

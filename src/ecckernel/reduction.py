@@ -7,26 +7,19 @@ silent loop. One fuel unit is spent per contracted redex.
 
 `whnf` and `normalize` return their input when no redex fires, and
 otherwise keep every part that no contraction touched as the same object.
+Both switch on `type(t)`. `normalize` takes a node apart and rebuilds it
+through the shape table in `terms`, so it rejects a non-term anywhere in
+its input; `whnf` rejects one where it reads: the head it stops at.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .terms import (
-    App,
-    Lam,
-    Pair,
-    Pi,
-    Proj1,
-    Proj2,
-    Sigma,
-    Term,
-    alpha_eq,
-    subst,
-)
+from .terms import BINDERS, SHAPES, App, Lam, Pair, Proj1, Proj2, Term, alpha_eq, subst, subterms
 
 DEFAULT_FUEL = 10000
+_ELIMINATIONS = frozenset((App, Proj1, Proj2))
 
 
 class FuelExhausted(Exception):
@@ -57,37 +50,20 @@ class Fuel:
         self.remaining -= 1
 
 
-def _parts(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Pi(_, a, b) | Sigma(_, a, b) | Lam(_, a, b):
-            return (a, b)
-        case App(f, a):
-            return (f, a)
-        case Pair(m, n, ann):
-            return (m, n, ann)
-        case Proj1(m) | Proj2(m):
-            return (m,)
-        case _:
-            return ()
-
-
 def _rebuild(t: Term, parts: tuple[Term, ...]) -> Term:
     # a binder keeps its variable; every other field is a part, in field order
-    if isinstance(t, (Pi, Sigma, Lam)):
-        return type(t)(t.var, *parts)
-    return type(t)(*parts)
+    cls = type(t)
+    return cls(t.var, *parts) if cls in BINDERS else cls(*parts)
 
 
 def step(t: Term) -> Term | None:
     """Contract the leftmost-outermost redex; None when t is normal."""
-    match t:
-        case App(Lam(x, _, body), arg):
-            return subst(body, x, arg)
-        case Proj1(Pair(first, _, _)):
-            return first
-        case Proj2(Pair(_, second, _)):
-            return second
-    parts = _parts(t)
+    cls = type(t)
+    if cls is App and type(t.fn) is Lam:
+        return subst(t.fn.body, t.fn.var, t.arg)
+    if (cls is Proj1 or cls is Proj2) and type(t.pair) is Pair:
+        return t.pair.first if cls is Proj1 else t.pair.second
+    parts = subterms(t)
     for i, part in enumerate(parts):
         reduced = step(part)
         if reduced is not None:
@@ -97,39 +73,31 @@ def step(t: Term) -> Term | None:
 
 def whnf(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     """Reduce head redexes until the head constructor is stable."""
-    if not isinstance(t, Term):
-        raise TypeError(f"not a term: {t!r}")
-    return _whnf(t, Fuel.coerce(fuel))
-
-
-def _whnf(t: Term, f: Fuel) -> Term:
+    f = Fuel.coerce(fuel)
     start, budget = t, f.remaining
     spine: list[Term] = []  # enclosing eliminations, innermost last
     while True:
-        match t:
-            case App(fn, _):
-                spine.append(t)
-                t = fn
-            case Proj1(m) | Proj2(m):
-                spine.append(t)
-                t = m
-            case Lam(x, _, body) if spine and isinstance(spine[-1], App):
-                f.spend()
-                t = subst(body, x, spine.pop().arg)
-            case Pair(first, _, _) if spine and isinstance(spine[-1], Proj1):
-                f.spend()
-                spine.pop()
-                t = first
-            case Pair(_, second, _) if spine and isinstance(spine[-1], Proj2):
-                f.spend()
-                spine.pop()
-                t = second
-            case _:
-                break
+        cls = type(t)
+        if cls is App:
+            spine.append(t)
+            t = t.fn
+        elif cls is Proj1 or cls is Proj2:
+            spine.append(t)
+            t = t.pair
+        elif cls is Lam and spine and type(spine[-1]) is App:
+            f.spend()
+            t = subst(t.body, t.var, spine.pop().arg)
+        elif cls is Pair and spine and type(spine[-1]) is not App:
+            f.spend()
+            t = t.first if type(spine.pop()) is Proj1 else t.second
+        elif cls in SHAPES:
+            break
+        else:
+            raise TypeError(f"not a term: {t!r}")
     if f.remaining == budget:  # no contraction fired: each spends one unit
         return start
     for frame in reversed(spine):
-        t = App(t, frame.arg) if isinstance(frame, App) else type(frame)(t)
+        t = App(t, frame.arg) if type(frame) is App else type(frame)(t)
     return t
 
 
@@ -142,17 +110,15 @@ def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     create a new head redex, so the contraction order still matches
     iterating `step`.
     """
-    if not isinstance(t, Term):
-        raise TypeError(f"not a term: {t!r}")
     f = Fuel.coerce(fuel)
     done: list[Term] = []
     todo: list[tuple[Term, tuple[Term, ...] | None]] = [(t, None)]  # parts once whnf-stable
     while todo:
         u, parts = todo.pop()
         if parts is None:
-            if isinstance(u, (App, Proj1, Proj2)):  # the only possible head redexes
-                u = _whnf(u, f)
-            parts = _parts(u)
+            if type(u) in _ELIMINATIONS:  # the only possible head redexes
+                u = whnf(u, f)
+            parts = subterms(u)  # which also rejects a non-term
             if not parts:
                 done.append(u)
                 continue

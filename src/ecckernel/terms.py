@@ -4,6 +4,13 @@ Terms are immutable values. Binding is by name, with capture-avoiding
 substitution; bound names are freshened deterministically (numeric
 suffixes) so printing is reproducible.
 
+Each constructor's subterm fields sit in one table, `SHAPES`.
+`free_vars`, `subst` and alpha-equivalence switch on `type(t)`: variables
+and binders have their own case, every other constructor one case that
+reads the table, and each recurses directly, one interpreter frame per
+level. A non-term has no entry: `free_vars` and `subst` reject it with
+TypeError wherever it sits.
+
 Operations keep what they do not change. `free_vars` is computed once
 per term object and kept on it, outside the dataclass fields, so
 equality, hashing and printing never see it. `subst` returns a subterm
@@ -92,6 +99,25 @@ class Proj2(Term):
 
 PROP = Prop()
 
+# Each constructor's immediate subterms, in field order. The binders Pi,
+# Sigma and Lam also carry their `var`, bound in the second of their two
+# parts; every other field is a subterm.
+SHAPES: dict[type, tuple[str, ...]] = {
+    Var: (), Prop: (), Type: (),
+    Pi: ("domain", "codomain"), Sigma: ("first", "second"), Lam: ("annotation", "body"),
+    App: ("fn", "arg"), Pair: ("first", "second", "annotation"), Proj1: ("pair",), Proj2: ("pair",),
+}
+BINDERS = frozenset((Pi, Sigma, Lam))
+_NO_VARS: frozenset[str] = frozenset()  # shared by the closed terms with no part to share
+
+
+def subterms(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of t, in field order; TypeError for a non-term."""
+    fields = SHAPES.get(type(t))
+    if fields is None:
+        raise TypeError(f"not a term: {t!r}")
+    return tuple([getattr(t, field) for field in fields])
+
 
 @dataclass(frozen=True)
 class Context:
@@ -143,21 +169,17 @@ def free_vars(t: Term) -> frozenset[str]:
     fv = getattr(t, "_free_vars", None)
     if fv is not None:
         return fv
-    match t:
-        case Var(x):
-            fv = frozenset((x,))
-        case Prop() | Type():
-            fv = frozenset()
-        case Pi(x, a, b) | Sigma(x, a, b) | Lam(x, a, b):
-            fv = free_vars(a) | (free_vars(b) - {x})
-        case App(f, a):
-            fv = free_vars(f) | free_vars(a)
-        case Pair(m, n, ann):
-            fv = free_vars(m) | free_vars(n) | free_vars(ann)
-        case Proj1(m) | Proj2(m):
-            fv = free_vars(m)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    cls = type(t)
+    if cls is Var:
+        fv = frozenset((t.name,))
+    elif cls in BINDERS:
+        p, q = SHAPES[cls]
+        fv = free_vars(getattr(t, p)) | (free_vars(getattr(t, q)) - {t.var})
+    else:
+        fv = _NO_VARS
+        for part in subterms(t):
+            part_fv = free_vars(part)
+            fv = fv | part_fv if fv else part_fv
     object.__setattr__(t, "_free_vars", fv)
     return fv
 
@@ -176,33 +198,25 @@ def subst(t: Term, name: str, replacement: Term) -> Term:
 
     Returns t itself when the variable is not free in it.
     """
-    if name not in free_vars(t):
+    if name not in free_vars(t):  # which also rejects a non-term
         return t
-    match t:
-        case Var(_):
-            return replacement
-        case App(f, a):
-            return App(subst(f, name, replacement), subst(a, name, replacement))
-        case Pair(m, n, ann):
-            return Pair(
-                subst(m, name, replacement),
-                subst(n, name, replacement),
-                subst(ann, name, replacement),
-            )
-        case Proj1(m):
-            return Proj1(subst(m, name, replacement))
-        case Proj2(m):
-            return Proj2(subst(m, name, replacement))
-        case Pi(x, a, b) | Sigma(x, a, b) | Lam(x, a, b):
-            a2 = subst(a, name, replacement)
-            if x == name:
-                # the binder shadows the substituted variable
-                return type(t)(x, a2, b)
-            if x in free_vars(replacement) and name in free_vars(b):
-                renamed = fresh_name(x, free_vars(b) | free_vars(replacement) | {name, x})
-                b, x = subst(b, x, Var(renamed)), renamed
-            return type(t)(x, a2, subst(b, name, replacement))
-    raise TypeError(f"not a term: {t!r}")
+    cls = type(t)
+    if cls is Var:
+        return replacement
+    if cls in BINDERS:
+        p, q = SHAPES[cls]
+        x, a, b = t.var, subst(getattr(t, p), name, replacement), getattr(t, q)
+        if x == name:
+            # the binder shadows the substituted variable
+            return cls(x, a, b)
+        if x in free_vars(replacement) and name in free_vars(b):
+            renamed = fresh_name(x, free_vars(b) | free_vars(replacement) | {name, x})
+            b, x = subst(b, x, Var(renamed)), renamed
+        return cls(x, a, subst(b, name, replacement))
+    parts = []
+    for field in SHAPES[cls]:
+        parts.append(subst(getattr(t, field), name, replacement))
+    return cls(*parts)
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -213,36 +227,29 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
     # bound variables are compared by binder depth, free ones by name
-    match a, b:
-        case (Var(x), Var(y)):
-            da, db = env_a.get(x), env_b.get(y)
-            if da is None and db is None:
-                return x == y
-            return da == db
-        case (Prop(), Prop()):
-            return True
-        case (Type(j), Type(k)):
-            return j == k
-        case (
-            (Pi(x, a1, b1), Pi(y, a2, b2))
-            | (Sigma(x, a1, b1), Sigma(y, a2, b2))
-            | (Lam(x, a1, b1), Lam(y, a2, b2))
-        ):
-            if not _alpha(a1, a2, env_a, env_b, depth):
-                return False
-            env_a = dict(env_a)
-            env_a[x] = depth
-            env_b = dict(env_b)
-            env_b[y] = depth
-            return _alpha(b1, b2, env_a, env_b, depth + 1)
-        case (App(f1, x1), App(f2, x2)):
-            return _alpha(f1, f2, env_a, env_b, depth) and _alpha(x1, x2, env_a, env_b, depth)
-        case (Pair(m1, n1, t1), Pair(m2, n2, t2)):
-            return (
-                _alpha(m1, m2, env_a, env_b, depth)
-                and _alpha(n1, n2, env_a, env_b, depth)
-                and _alpha(t1, t2, env_a, env_b, depth)
-            )
-        case (Proj1(m1), Proj1(m2)) | (Proj2(m1), Proj2(m2)):
-            return _alpha(m1, m2, env_a, env_b, depth)
-    return False
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is Var:
+        da, db = env_a.get(a.name), env_b.get(b.name)
+        if da is None and db is None:
+            return a.name == b.name
+        return da == db
+    fields = SHAPES.get(cls)
+    if fields is None:  # not a term
+        return False
+    if cls in BINDERS:
+        p, q = fields
+        if not _alpha(getattr(a, p), getattr(b, p), env_a, env_b, depth):
+            return False
+        env_a = dict(env_a)
+        env_a[a.var] = depth
+        env_b = dict(env_b)
+        env_b[b.var] = depth
+        return _alpha(getattr(a, q), getattr(b, q), env_a, env_b, depth + 1)
+    if not fields:  # a universe
+        return a == b
+    for field in fields:
+        if not _alpha(getattr(a, field), getattr(b, field), env_a, env_b, depth):
+            return False
+    return True

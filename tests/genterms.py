@@ -14,7 +14,10 @@ walk's least level answers to.
 are the term operations as they were before they learned to keep
 unchanged subterms: every call walks and rebuilds the whole term, and
 `free_vars` is computed afresh each time. The sharing versions must give
-equal results and spend the same fuel.
+equal results and spend the same fuel. The oracles spell out each
+constructor's parts with their own `match` (`oracle_parts`,
+`oracle_rebuild`), so the shape table in `terms` is checked against a
+separate implementation.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from ecckernel import (
     whnf,
 )
 from ecckernel.cumulativity import _opened
-from ecckernel.reduction import DEFAULT_FUEL, _parts, _rebuild
+from ecckernel.reduction import DEFAULT_FUEL
 
 
 def rand_universe(rng: random.Random, max_level: int = 3) -> Term:
@@ -313,6 +316,40 @@ def _oracle_whnf(t: Term, f: Fuel) -> Term:
     return t
 
 
+def oracle_parts(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of t, in field order."""
+    match t:
+        case Var(_) | Prop() | Type():
+            return ()
+        case Pi(_, a, b) | Sigma(_, a, b) | Lam(_, a, b) | App(a, b):
+            return (a, b)
+        case Pair(m, n, ann):
+            return (m, n, ann)
+        case Proj1(m) | Proj2(m):
+            return (m,)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def oracle_rebuild(t: Term, parts: tuple[Term, ...]) -> Term:
+    """t with its immediate subterms replaced by parts."""
+    match t:
+        case Pi(x, _, _):
+            return Pi(x, *parts)
+        case Sigma(x, _, _):
+            return Sigma(x, *parts)
+        case Lam(x, _, _):
+            return Lam(x, *parts)
+        case App(_, _):
+            return App(*parts)
+        case Pair(_, _, _):
+            return Pair(*parts)
+        case Proj1(_):
+            return Proj1(*parts)
+        case Proj2(_):
+            return Proj2(*parts)
+    raise TypeError(f"no parts to replace: {t!r}")
+
+
 def oracle_normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     """Full normal form under leftmost-outermost reduction."""
     f = Fuel.coerce(fuel)
@@ -323,14 +360,14 @@ def oracle_normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
         if not built:
             u = _oracle_whnf(u, f)
             todo.append((True, u))
-            for part in reversed(_parts(u)):
+            for part in reversed(oracle_parts(u)):
                 todo.append((False, part))
         else:
-            parts = _parts(u)
+            parts = oracle_parts(u)
             if parts:
                 vals = tuple(done[len(done) - len(parts) :])
                 del done[len(done) - len(parts) :]
-                done.append(_rebuild(u, vals))
+                done.append(oracle_rebuild(u, vals))
             else:
                 done.append(u)
     return done[0]

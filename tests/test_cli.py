@@ -34,6 +34,7 @@ from ecckernel.cli import (
     EXIT_PARSE,
     EXIT_REJECTED,
     EXIT_TYPE_ERROR,
+    TREE_NODE_LIMIT,
     derivation_from_dict,
     derivation_to_dict,
     load_derivation,
@@ -559,6 +560,22 @@ def test_context_chain_files_grow_linearly(tmp_path, k):
     assert [len(table[name]) for name in ("terms", "contexts", "nodes")] == [6, 2 * k + 1, 5 * k + 4]
     assert path.stat().st_size <= 150 * k + 200  # 4,913 bytes at k = 32
     assert verify(load_derivation(str(path)))
+
+
+def test_the_tree_form_refuses_a_tree_over_its_limit():
+    # the k = 16 chain has 100 node objects but 589,819 nodes as a tree, which
+    # used to be written out as 89.8 MB of JSON; counting them reads each
+    # object once
+    _, d = principal_of(*context_chain(16))
+    with pytest.raises(ValueError, match="589819 nodes"):
+        derivation_to_dict(d)
+    assert 100 * max(_tree_nodes(principal_of(g, m)[1]) for g, m in typed_corpus()) < TREE_NODE_LIMIT
+    _, d = principal_of(*context_chain(8))
+    assert _tree_nodes(d) == 2299 and derivation_from_dict(derivation_to_dict(d)) == d
+
+
+def _tree_nodes(d) -> int:
+    return 1 + sum(_tree_nodes(p) for p in d.premises)
 
 
 def test_a_failed_save_leaves_the_file_as_it_was(tmp_path):

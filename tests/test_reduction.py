@@ -23,7 +23,7 @@ from ecckernel import (
     whnf,
 )
 
-from genterms import expand, normal_type
+from genterms import expand, normal_type, oracle_parts, oracle_rebuild
 
 
 def test_step_beta():
@@ -136,13 +136,11 @@ def test_normalize_agrees_with_iterated_step():
 
 
 def _step_rightmost_innermost(t):
-    from ecckernel.reduction import _parts, _rebuild
-
-    parts = _parts(t)
+    parts = oracle_parts(t)
     for i in range(len(parts) - 1, -1, -1):
         reduced = _step_rightmost_innermost(parts[i])
         if reduced is not None:
-            return _rebuild(t, parts[:i] + (reduced,) + parts[i + 1 :])
+            return oracle_rebuild(t, parts[:i] + (reduced,) + parts[i + 1 :])
     match t:
         case App(Lam(x, _, body), arg):
             from ecckernel import subst

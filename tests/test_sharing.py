@@ -25,6 +25,7 @@ from ecckernel import (
     Sigma,
     Type,
     Var,
+    alpha_eq,
     descending_chain,
     free_vars,
     normalize,
@@ -33,13 +34,12 @@ from ecckernel import (
     subst,
     whnf,
 )
-from ecckernel.reduction import _parts
-
 from genterms import (
     expand,
     normal_type,
     oracle_free_vars,
     oracle_normalize,
+    oracle_parts,
     oracle_subst,
     oracle_whnf,
     strict_above,
@@ -67,7 +67,7 @@ def _terms(seed: int) -> list:
 
 def _subterms(t):
     yield t
-    for part in _parts(t):
+    for part in oracle_parts(t):
         yield from _subterms(part)
 
 
@@ -164,11 +164,17 @@ def test_the_free_variable_cache_is_invisible():
         assert _observed(t) == before
         assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
         assert free_vars(copy.deepcopy(t)) == fv == free_vars(pickle.loads(pickle.dumps(t)))
-    for not_a_term in ("x", None, ("x",)):
-        for operation in (free_vars, lambda t: subst(t, "x", PROP), whnf, normalize, print_term):
+    # at the top, or inside a term (where the printer wants an atom)
+    not_terms = ("x", None, ("x",), App(Var("f"), None), Proj1("x"), Pair(PROP, PROP, None))
+    for not_a_term in not_terms:
+        for operation in (free_vars, lambda t: subst(t, "x", PROP), normalize, print_term):
             with pytest.raises(TypeError):
                 operation(not_a_term)
-    # a non-term inside a term, where the printer wants an atom
-    for holder in (App(Var("f"), None), Proj1("x"), Pair(PROP, PROP, None)):
+    # whnf reads only the spine, so it rejects a non-term at the head it stops at
+    for not_a_term in ("x", None, ("x",), Proj1("x"), App(Lam("y", PROP, Var("y")), None)):
         with pytest.raises(TypeError):
-            print_term(holder)
+            whnf(not_a_term)
+    # alpha_eq answers rather than raises: a non-term equals only itself
+    for a, b in zip(not_terms, copy.deepcopy(not_terms)):
+        assert alpha_eq(a, a) and alpha_eq(a, b) is (a is b)
+        assert not alpha_eq(a, PROP) and not alpha_eq(PROP, a)

@@ -1,17 +1,26 @@
+import dataclasses
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 from ecckernel import (
     PROP,
     App,
     Lam,
     Pi,
+    Sigma,
+    Term,
     Type,
     Var,
     alpha_eq,
     free_vars,
     fresh_name,
     subst,
+    terms,
 )
+from ecckernel.terms import BINDERS, SHAPES
 
 from genterms import expand, normal_type
 
@@ -133,3 +142,48 @@ def test_universe_levels_non_negative():
 
     with pytest.raises(ValueError):
         Type(-1)
+
+
+def test_every_constructor_has_one_shape_entry():
+    constructors = [c for c in vars(terms).values() if isinstance(c, type) and issubclass(c, Term) and c is not Term]
+    assert len(constructors) == 10 and set(SHAPES) == set(constructors)
+    for cls in constructors:
+        # the term-valued fields, in field order; binders alone carry a `var`
+        fields = dataclasses.fields(cls)
+        assert SHAPES[cls] == tuple(f.name for f in fields if f.type == "Term")
+        assert (cls in BINDERS) == ("var" in {f.name for f in fields})
+    assert BINDERS == {Pi, Sigma, Lam}
+
+
+_DEPTH_SCRIPT = """
+from ecckernel import PROP, App, Pair, Pi, Proj1, Var, alpha_eq, free_vars, subst
+wrap = {
+    "App": lambda t: App(t, Var("u")),
+    "Proj1": Proj1,
+    "Pair": lambda t: Pair(t, PROP, PROP),
+    "Pi": lambda t: Pi("x", PROP, t),
+}
+def chain(kind):
+    t = Var("u")
+    for _ in range(900):
+        t = wrap[kind](t)
+    return t
+for kind in wrap:
+    free_vars(chain(kind))
+    subst(chain(kind), "u", Var("w"))
+    assert alpha_eq(chain(kind), chain(kind))
+"""
+
+
+def test_term_operations_take_one_frame_per_level():
+    # a fresh interpreter at the default recursion limit of 1,000: each
+    # operation reaches a depth of about 993 on each chain, and one that
+    # took two frames per level would stop near 500
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _DEPTH_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
