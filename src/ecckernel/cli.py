@@ -12,23 +12,34 @@ positive integers and `--level` non-negative, or it is a usage error.
 `elab` builds derivations with `elaborate`; `verify` checks them with
 `kernel` alone, which imports nothing from inference or elaboration.
 
-Derivation files are JSON tables, all terms in surface syntax so a
-verifier re-parses and re-checks from scratch. `save_derivation` writes
-one compact object `{"terms": [...], "contexts": [...], "nodes": [...]}`:
-`terms` lists each distinct printed term once; context row k, a list
-`[parent, name, term]`, is context number k + 1, the context `parent`
-extended by one entry, where context 0 is the empty one; node row k is
+Derivation files are JSON tables that a verifier reads and re-checks
+from scratch. `save_derivation` writes one compact object
+`{"terms": [...], "contexts": [...], "nodes": [...]}`. Term row k is
+term number k, one constructor over earlier term numbers:
+
+    ["Prop"]  ["Type", level]  ["Var", name]  ["App", fn, arg]
+    ["Pi", name, domain, codomain]  (also "Sigma" and "Lam")
+    ["Pair", first, second, annotation]  ["Proj1", pair]  ["Proj2", pair]
+
+The tag is the class name and the term numbers follow `terms.SHAPES`.
+Equal terms are one row, and each row is built once, so equal subterms
+of a loaded derivation are one object. A term row that is a string is
+surface text and is parsed. Context row k, a list `[parent, name, term]`,
+is context number k + 1, the context `parent` extended by one entry,
+where context 0 is the empty one; node row k is
 `[rule, ctx, term, type, premises, side]`, with `side` holding `level`
 or the Cum pair `sub`/`sup` as term numbers. Every number names a term,
 an earlier context or an earlier node; the root is the last node row.
 The tree form (`derivation_to_dict`: `ctx` as a list of {name, type},
-premises written out in full, refused above TREE_NODE_LIMIT nodes) is
-read as the same rows, one node row per occurrence and one context row
-per entry, so one set of checks covers both forms. A field of the wrong
-JSON type (a `true` or `1.0` level or number, a string where a list or
-number belongs), a row with the wrong number of cells, a `side` key
-other than `level`, `sub` and `sup`, or a number that names no term or
-earlier row rejects the file rather than being coerced or ignored.
+terms as surface text, premises written out in full, refused above
+TREE_NODE_LIMIT nodes) is read as the same rows, one node row per
+occurrence and one context row per entry, so one set of checks covers
+both forms. A field of the wrong JSON type (a `true` or `1.0` level or
+number, a string where a list or number belongs), a row with an unknown
+tag or the wrong number of cells, a negative level in a term row, a name
+that is not an identifier or is a keyword, a `side` key other than
+`level`, `sub` and `sup`, or a number that names no earlier row rejects
+the file rather than being coerced or ignored.
 """
 
 from __future__ import annotations
@@ -46,8 +57,8 @@ from .inference import TypeCheckError, check_context, check_type, infer_type
 from .kernel import Derivation, DerivationError, verify
 from .reduction import DEFAULT_FUEL, FuelExhausted, conv, normalize, whnf
 from .stratify import classify, measure
-from .surface import ParseError, parse_context, parse_term, print_term
-from .terms import Context, Judgment, Term
+from .surface import ParseError, is_name, parse_context, parse_term, print_term
+from .terms import BINDERS, SHAPES, Context, Judgment, Term, Type, Var
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -104,15 +115,39 @@ def _tree(d: Derivation) -> dict:
 
 def _table(d: Derivation) -> dict:
     # each table maps a row to its number, so equal rows get one number; the
-    # id-keyed maps only spare printing a term or walking a context object twice
-    terms: dict[str, int] = {}
+    # id-keyed maps only spare walking a term, context or node object twice
+    terms: dict[tuple, int] = {}
     contexts: dict[tuple, int] = {}  # (parent, name, term); context 0 is the empty one
     nodes: dict[tuple, int] = {}
     term_of, context_of, node_of = {}, {}, {}
 
     def term(t: Term) -> int:
-        if id(t) not in term_of:
-            term_of[id(t)] = terms.setdefault(print_term(t), len(terms))
+        if id(t) in term_of:
+            return term_of[id(t)]
+        stack = [t]  # a term is numbered once its parts are
+        while stack:
+            u = stack[-1]
+            if id(u) in term_of:
+                stack.pop()
+                continue
+            cls = type(u)
+            fields = SHAPES.get(cls)
+            if fields is None:
+                raise TypeError(f"not a term: {u!r}")
+            parts = [getattr(u, field) for field in fields]
+            todo = [p for p in parts if id(p) not in term_of]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            stack.pop()
+            if cls is Var:
+                row = ("Var", u.name)
+            elif cls is Type:
+                row = ("Type", u.level)
+            else:
+                cells = [term_of[id(p)] for p in parts]
+                row = (cls.__name__, u.var, *cells) if cls in BINDERS else (cls.__name__, *cells)
+            term_of[id(u)] = terms.setdefault(row, len(terms))
         return term_of[id(t)]
 
     def context(g: Context) -> int:
@@ -139,7 +174,7 @@ def _table(d: Derivation) -> dict:
         )
         node_of[id(node)] = nodes.setdefault(row, len(nodes))
     return {
-        "terms": list(terms),
+        "terms": [list(row) for row in terms],
         "contexts": [list(row) for row in contexts],
         "nodes": [[*row[:4], list(row[4]), dict(row[5])] for row in nodes],
     }
@@ -152,45 +187,104 @@ def _field(value, kind: type, what: str):
     return value
 
 
-def _cells(row, count: int, what: str) -> list:
-    if len(_field(row, list, what)) != count:
-        raise TypeError(f"{what} must have {count} cells, got {row!r}")
-    return row
-
-
 def _earlier(rows: list, number, what: str):
-    if not 0 <= _field(number, int, what) < len(rows):
-        raise TypeError(f"{what} {number} names no earlier row")
+    if type(number) is not int or not 0 <= number < len(rows):
+        raise TypeError(f"{what} {number!r} names no earlier row")
     return rows[number]
 
 
-def _read_side(side, term) -> dict:
-    unknown = _field(side, dict, "side").keys() - {"level", "sub", "sup"}
-    if unknown:
-        raise TypeError(f"unknown side keys {sorted(unknown)}")
-    return {
-        "level": _field(side["level"], int, "side level") if "level" in side else None,
-        "sub": term(side["sub"], "side sub") if "sub" in side else None,
-        "sup": term(side["sup"], "side sup") if "sup" in side else None,
-    }
+def _row_shape(cls: type) -> tuple:
+    # (constructor, cells, name cells): a Var's or a binder's name, or a
+    # Type's level, comes before the term numbers
+    named = cls in BINDERS or cls is Var
+    return cls, 1 + (named or cls is Type) + len(SHAPES[cls]), int(named)
+
+
+_ROWS = {cls.__name__: _row_shape(cls) for cls in SHAPES}  # a term row's tag is its constructor's name
+_SIDE_KEYS = frozenset({"level", "sub", "sup"})
+
+
+def _read_terms(rows) -> list[Term]:
+    # the checks are written out in the loop, which is most of reading a file
+    terms: list[Term] = []
+    for row in _field(rows, list, "terms"):
+        n = len(terms)  # the row's own number; its cells name rows before it
+        if type(row) is str:  # surface text, as the tree form and older tables write terms
+            terms.append(parse_term(row))
+            continue
+        shape = _ROWS.get(row[0]) if type(row) is list and row and type(row[0]) is str else None
+        if shape is None:
+            raise TypeError(f"term row {n} must be a string or a list with a known tag, got {row!r}")
+        cls, width, names = shape
+        if len(row) != width:
+            raise TypeError(f"term row {n} must have {width} cells, got {row!r}")
+        if names and not is_name(row[1]):
+            raise TypeError(f"term row {n} name {row[1]!r} is not an identifier")
+        if cls is Var:
+            terms.append(Var(row[1]))
+        elif cls is Type:
+            # a TypeError here, before Type() raises a ValueError of its own
+            if type(row[1]) is not int or row[1] < 0:
+                raise TypeError(f"term row {n} level must be a non-negative int, got {row[1]!r}")
+            terms.append(Type(row[1]))
+        else:
+            parts = row[1 + names:]
+            for k in parts:
+                if type(k) is not int or not 0 <= k < n:
+                    raise TypeError(f"term row {n} cell {k!r} names no earlier term row")
+            terms.append(cls(*row[1:1 + names], *map(terms.__getitem__, parts)))
+    return terms
 
 
 def _from_table(obj: dict) -> Derivation:
-    terms = [parse_term(_field(text, str, "term")) for text in _field(obj["terms"], list, "terms")]
-    term = functools.partial(_earlier, terms)
+    terms = _read_terms(obj["terms"])
+    count = len(terms)
     contexts = [Context()]
     for row in _field(obj["contexts"], list, "contexts"):
-        parent, name, entry_ty = _cells(row, 3, "context row")
-        entry = (_field(name, str, "ctx name"), term(entry_ty, "ctx type"))
-        contexts.append(Context(_earlier(contexts, parent, "context parent").entries + (entry,)))
+        if type(row) is not list or len(row) != 3:
+            raise TypeError(f"context row must be a list of 3 cells, got {row!r}")
+        parent, name, entry_ty = row
+        if type(parent) is not int or not 0 <= parent < len(contexts):
+            raise TypeError(f"context parent {parent!r} names no earlier row")
+        if not is_name(name):
+            raise TypeError(f"ctx name {name!r} is not an identifier")
+        if type(entry_ty) is not int or not 0 <= entry_ty < count:
+            raise TypeError(f"ctx type {entry_ty!r} names no term row")
+        contexts.append(Context(contexts[parent].entries + ((name, terms[entry_ty]),)))
     nodes: list[Derivation] = []
     for row in _field(obj["nodes"], list, "nodes"):
-        rule, ctx, subject, ty, premises, side = _cells(row, 6, "node row")
+        if type(row) is not list or len(row) != 6:
+            raise TypeError(f"node row must be a list of 6 cells, got {row!r}")
+        rule, ctx, subject, ty, premises, side = row
+        if type(rule) is not str:
+            raise TypeError(f"rule must be a str, got {rule!r}")
+        if type(ctx) is not int or not 0 <= ctx < len(contexts):
+            raise TypeError(f"ctx {ctx!r} names no earlier row")
+        if type(subject) is not int or not 0 <= subject < count:
+            raise TypeError(f"term {subject!r} names no term row")
+        if type(ty) is not int or not 0 <= ty < count:
+            raise TypeError(f"type {ty!r} names no term row")
+        if type(premises) is not list:
+            raise TypeError(f"premises must be a list, got {premises!r}")
+        earlier = len(nodes)
+        for p in premises:
+            if type(p) is not int or not 0 <= p < earlier:
+                raise TypeError(f"premise {p!r} names no earlier row")
+        if type(side) is not dict:
+            raise TypeError(f"side must be a dict, got {side!r}")
+        level = sub = sup = None
+        if side:
+            if not side.keys() <= _SIDE_KEYS:
+                raise TypeError(f"unknown side keys {sorted(side.keys() - _SIDE_KEYS)}")
+            if "level" in side:
+                level = _field(side["level"], int, "side level")
+            if "sub" in side:
+                sub = _earlier(terms, side["sub"], "side sub")
+            if "sup" in side:
+                sup = _earlier(terms, side["sup"], "side sup")
         nodes.append(Derivation(
-            rule=_field(rule, str, "rule"),
-            conclusion=Judgment(_earlier(contexts, ctx, "ctx"), term(subject, "term"), term(ty, "type")),
-            premises=tuple(_earlier(nodes, p, "premise") for p in _field(premises, list, "premises")),
-            **_read_side(side, term),
+            rule, Judgment(contexts[ctx], terms[subject], terms[ty]),
+            tuple(map(nodes.__getitem__, premises)), level, sub, sup,
         ))
     if not nodes:
         raise TypeError("no nodes")

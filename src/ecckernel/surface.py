@@ -75,6 +75,12 @@ _SYMBOLS = {"(": "lparen", ")": "rparen", "<": "langle", ">": "rangle", ",": "co
 _KEYWORDS = {"Prop": "prop", "Type": "typekw", "Pi": "pi", "Sig": "sig", "fn": "fn", "fst": "fst", "snd": "snd"}
 
 
+def is_name(text) -> bool:
+    """Whether text lexes as one identifier that is no keyword, so it prints and parses back as itself."""
+    m = _TOKEN.fullmatch(text) if type(text) is str else None
+    return m is not None and m.lastgroup == "word" and text not in _KEYWORDS
+
+
 def _scan(text: str, pos: int, end: int) -> list[_Tok]:
     toks: list[_Tok] = []
     while pos < end:

@@ -9,7 +9,8 @@ Each constructor's subterm fields sit in one table, `SHAPES`.
 and binders have their own case, every other constructor one case that
 reads the table, and each recurses directly, one interpreter frame per
 level. A non-term has no entry: `free_vars` and `subst` reject it with
-TypeError wherever it sits.
+TypeError wherever it sits, and `subst` a non-term replacement where it
+would place it.
 
 Operations keep what they do not change. `free_vars` is computed once
 per term object and kept on it, outside the dataclass fields, so
@@ -202,6 +203,8 @@ def subst(t: Term, name: str, replacement: Term) -> Term:
         return t
     cls = type(t)
     if cls is Var:
+        if type(replacement) not in SHAPES:
+            raise TypeError(f"not a term: {replacement!r}")
         return replacement
     if cls in BINDERS:
         p, q = SHAPES[cls]

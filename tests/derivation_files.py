@@ -1,6 +1,7 @@
 """Helpers for tests that read and edit derivation files.
 
-`save_derivation` writes the table form: `terms`, `contexts` rows
+`save_derivation` writes the table form: `terms` rows, each a constructor
+over earlier term rows (`["Pi", "x", 3, 7]`), `contexts` rows
 `[parent, name, term]` (context k + 1 for row k, context 0 empty) and
 `nodes` rows `[rule, ctx, term, type, premises, side]` in post-order,
 the root last. `derivation_to_dict` gives the tree form.
@@ -8,7 +9,9 @@ the root last. `derivation_to_dict` gives the tree form.
 
 import json
 
+from ecckernel import parse_term, print_term
 from ecckernel.cli import save_derivation
+from ecckernel.terms import BINDERS, SHAPES
 
 RULE, CTX, TERM, TYPE, PREMISES, SIDE = range(6)
 
@@ -39,9 +42,27 @@ def first_paths(table: dict) -> dict[int, str]:
     return paths
 
 
+def term_texts(rows: list) -> list[str]:
+    """Each term row printed in surface syntax; a string row is surface text already."""
+    constructors = {cls.__name__: cls for cls in SHAPES}
+    built = []
+    for row in rows:
+        if isinstance(row, str):
+            built.append(parse_term(row))
+            continue
+        cls, cells = constructors[row[0]], row[1:]
+        if cls in BINDERS:
+            built.append(cls(cells[0], built[cells[1]], built[cells[2]]))
+        elif SHAPES[cls]:
+            built.append(cls(*[built[k] for k in cells]))
+        else:  # Var, Prop, Type: the cells are the fields
+            built.append(cls(*cells))
+    return [print_term(t) for t in built]
+
+
 def as_tree(table: dict) -> dict:
     """The same derivation in the tree form, each node row written out wherever it is used."""
-    terms = table["terms"]
+    terms = term_texts(table["terms"])
     contexts = [[]]
     for parent, name, entry_ty in table["contexts"]:
         contexts.append(contexts[parent] + [{"name": name, "type": terms[entry_ty]}])

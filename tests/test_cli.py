@@ -12,6 +12,7 @@ import pytest
 
 from ecckernel import (
     PROP,
+    App,
     Context,
     Derivation,
     DerivationError,
@@ -43,7 +44,9 @@ from ecckernel.cli import (
 )
 
 from corpus import context_chain, typed_corpus
-from derivation_files import CTX, PREMISES, RULE, SIDE, TERM, TYPE, as_tree, first_paths, repeated_references, saved
+from derivation_files import (
+    CTX, PREMISES, RULE, SIDE, TERM, TYPE, as_tree, first_paths, repeated_references, saved, term_texts,
+)
 
 
 @pytest.fixture
@@ -285,7 +288,7 @@ def test_verify_rejects_ill_typed_fields(write, tmp_path, capsys, where, new):
     out_path = tmp_path / "t.json"
     assert run_command(["elab", "--ctx", ctx, term, "--out", str(out_path)]) == EXIT_OK
     obj = json.loads(out_path.read_text(encoding="utf-8"))
-    assert obj["terms"][2] == "Type1" and obj["contexts"] == [[0, "A", 1]]
+    assert obj["terms"][2] == ["Type", 1] and obj["contexts"] == [[0, "A", 1]]
     assert obj["nodes"][0] == ["Ax", 0, 0, 1, [], {}] and obj["nodes"][-1][SIDE] == {"level": 1}
     assert _verify_exit(tmp_path, obj) == EXIT_OK
     *path, last = where
@@ -390,9 +393,13 @@ def test_saved_derivations_load_equal_by_value(tmp_path):
     for g, m in typed_corpus() + [context_chain(k) for k in (4, 8, 16, 32)]:
         _, d = principal_of(g, m)
         table = saved(d, path)
-        assert load_derivation(str(path)) == d
-        assert path.read_text(encoding="utf-8").count("\n") == 1  # compact: one line
-        # each term string, context row and node row is written once
+        loaded = load_derivation(str(path))
+        assert loaded == d
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1  # compact: one line
+        save_derivation(loaded, str(path))
+        assert path.read_text(encoding="utf-8") == text  # saved again byte for byte
+        # each term row, context row and node row is written once
         for name in ("terms", "contexts", "nodes"):
             rows = [json.dumps(row) for row in table[name]]
             assert len(set(rows)) == len(rows), name
@@ -404,7 +411,11 @@ def test_tree_and_table_forms_load_equal(tmp_path):
     for g, m in typed_corpus():
         _, d = principal_of(g, m)
         tree = derivation_to_dict(d)
-        assert derivation_from_dict(tree) == d == derivation_from_dict(saved(d, tmp_path / "d.json"))
+        table = saved(d, tmp_path / "d.json")
+        assert derivation_from_dict(tree) == d == derivation_from_dict(table)
+        # a table whose term rows are surface text, as tables were once written
+        table["terms"] = term_texts(table["terms"])
+        assert derivation_from_dict(table) == d
 
 
 @pytest.mark.parametrize(
@@ -448,8 +459,9 @@ KINDS = ["out-of-range", "negative", "forward", "self", "true", "float", "string
     "where, bad",
     [pytest.param("premise", bad, id=bad) for bad in KINDS]
     + [pytest.param("context parent", bad, id=f"context-parent-{bad}") for bad in KINDS]
-    # a term number names no row of its own table, so it cannot point forward or at itself
-    + [pytest.param("term", bad, id=f"term-{bad}") for bad in KINDS if bad not in ("forward", "self")],
+    # a node's term number names no row of its own table, so it cannot point forward or at itself
+    + [pytest.param("term", bad, id=f"term-{bad}") for bad in KINDS if bad not in ("forward", "self")]
+    + [pytest.param("term row", bad, id=f"term-row-{bad}") for bad in KINDS],
 )
 def test_verify_rejects_bad_back_references(write, tmp_path, capsys, where, bad):
     ctx = write("ctx.ecc", "f : Pi x : Type1 . Prop")
@@ -468,9 +480,61 @@ def test_verify_rejects_bad_back_references(write, tmp_path, capsys, where, bad)
         # row 0 is context 1; context 2 comes later
         assert len(contexts) >= 2 and contexts[0][0] == 0
         contexts[0][0] = _bad_number(bad, 0, len(contexts) + 1, 1, 2)
+    elif where == "term row":
+        # the Pi row's domain; the Var and App rows come after it
+        terms = obj["terms"]
+        number = next(k for k, row in enumerate(terms) if row[0] == "Pi")
+        assert number < len(terms) - 1
+        terms[number][2] = _bad_number(bad, terms[number][2], len(terms), number, len(terms) - 1)
     else:
         root = nodes[-1]
         root[TERM] = _bad_number(bad, root[TERM], len(obj["terms"]))
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
+    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
+
+
+@pytest.mark.parametrize(
+    "where, new",
+    [
+        pytest.param(("terms", 7, 0), "Apply", id="unknown-tag"),
+        pytest.param(("terms", 7, 0), "Sig", id="surface-keyword-as-tag"),
+        pytest.param(("terms", 7, 0), ["App"], id="tag-not-a-string"),
+        pytest.param(("terms", 7), [], id="empty-row"),
+        pytest.param(("terms", 7), ["App", 6], id="App-of-two-cells"),
+        pytest.param(("terms", 7), ["App", 6, 0, 0], id="App-of-four-cells"),
+        pytest.param(("terms", 0), ["Prop", 0], id="Prop-of-two-cells"),
+        pytest.param(("terms", 6), ["Var"], id="Var-of-one-cell"),
+        pytest.param(("terms", 5), ["Pi", 2, 0], id="Pi-without-a-name"),
+        pytest.param(("terms", 2, 1), True, id="level-true"),
+        pytest.param(("terms", 2, 1), 1.0, id="level-float"),
+        pytest.param(("terms", 2, 1), -1, id="level-negative"),
+        pytest.param(("terms", 2, 1), "1", id="level-string"),
+        pytest.param(("terms", 6, 1), "fn", id="Var-name-keyword"),
+        pytest.param(("terms", 6, 1), "Prop", id="Var-name-Prop"),
+        pytest.param(("terms", 6, 1), "Type0", id="Var-name-universe"),
+        pytest.param(("terms", 6, 1), "f g", id="Var-name-two-words"),
+        pytest.param(("terms", 6, 1), "1f", id="Var-name-digit-first"),
+        pytest.param(("terms", 6, 1), "", id="Var-name-empty"),
+        pytest.param(("terms", 6, 1), 6, id="Var-name-number"),
+        pytest.param(("terms", 5, 1), "Pi", id="binder-name-keyword"),
+        pytest.param(("terms", 5, 1), "x--", id="binder-name-comment"),
+        pytest.param(("contexts", 1, 1), "snd", id="context-name-keyword"),
+        pytest.param(("contexts", 1, 1), "f.", id="context-name-not-an-identifier"),
+    ],
+)
+def test_verify_rejects_malformed_term_rows(write, tmp_path, capsys, where, new):
+    ctx = write("ctx.ecc", "f : Pi x : Type1 . Prop")
+    term = write("t.ecc", "f Prop")
+    out_path = tmp_path / "elab.json"
+    assert run_command(["elab", "--ctx", ctx, term, "--out", str(out_path)]) == EXIT_OK
+    obj = json.loads(out_path.read_text(encoding="utf-8"))
+    assert obj["terms"] == [
+        ["Prop"], ["Type", 0], ["Type", 1], ["Type", 2], ["Type", 3], ["Pi", "x", 2, 0], ["Var", "f"], ["App", 6, 0],
+    ]
+    assert obj["contexts"] == [[0, "x", 2], [0, "f", 5]]
+    *path, last = where
+    functools.reduce(operator.getitem, path, obj)[last] = new
     capsys.readouterr()
     assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
     assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
@@ -562,6 +626,45 @@ def test_context_chain_files_grow_linearly(tmp_path, k):
     assert verify(load_derivation(str(path)))
 
 
+def test_nested_binder_files_grow_linearly(tmp_path):
+    # Pi x_i : Prop nested d deep: each binder adds one term row, where the
+    # printed terms of each row once repeated every binder inside it in full
+    rows, sizes = {}, {}
+    for d in (50, 100, 200, 300):
+        term = tmp_path / f"pis{d}.ecc"
+        term.write_text("".join(f"Pi x{i} : Prop . " for i in range(d)) + "Prop", encoding="utf-8")
+        out_path = tmp_path / f"pis{d}.json"
+        # in a fresh interpreter: inference recurses about 3 frames per binder
+        assert _python_dash_m("elab", str(term), "--out", str(out_path)).returncode == EXIT_OK
+        rows[d] = len(json.loads(out_path.read_text(encoding="utf-8"))["terms"])
+        sizes[d] = out_path.stat().st_size
+    assert all(rows[d] == rows[50] + (d - 50) for d in rows)
+    assert all(sizes[d] <= 100 * d for d in sizes)  # 28,492 bytes at d = 300
+
+
+def test_rows_nested_past_the_recursion_limit_are_an_input_error(tmp_path):
+    # rows name a term nested deeper than any recursion limit: a var node
+    # whose type and context entry are two 5,000-deep Proj1 chains, written
+    # as separate rows, so alpha_eq must recurse into both
+    terms = [["Prop"], ["Type", 0]]
+    chains = []
+    for _ in range(2):
+        terms.append(["Proj1", 0])
+        terms.extend(["Proj1", len(terms) - 1] for _ in range(4999))
+        chains.append(len(terms) - 1)
+    terms.append(["Var", "x"])
+    table = {
+        "terms": terms,
+        "contexts": [[0, "x", chains[0]]],
+        "nodes": [["Ax", 1, 0, 1, [], {}], ["var", 1, len(terms) - 1, chains[1], [0], {}]],
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    done = _python_dash_m("verify", str(path))
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith("input or resource error")
+
+
 def test_the_tree_form_refuses_a_tree_over_its_limit():
     # the k = 16 chain has 100 node objects but 589,819 nodes as a tree, which
     # used to be written out as 89.8 MB of JSON; counting them reads each
@@ -579,13 +682,10 @@ def _tree_nodes(d) -> int:
 
 
 def test_a_failed_save_leaves_the_file_as_it_was(tmp_path):
-    # a subject too deep to print: the save fails before the file is opened
-    deep = PROP
-    for _ in range(5000):
-        deep = Proj1(deep)
-    d = Derivation("Ax", Judgment(Context(), deep, Type(0)))
+    # a subject that is no term: the save fails before the file is opened
+    d = Derivation("Ax", Judgment(Context(), App(PROP, None), Type(0)))
     path = tmp_path / "d.json"
     path.write_bytes(b"earlier output\n")
-    with pytest.raises(RecursionError):
+    with pytest.raises(TypeError, match="not a term: None"):
         save_derivation(d, str(path))
     assert path.read_bytes() == b"earlier output\n"

@@ -4,6 +4,7 @@ run checks the same examples)."""
 import functools
 import json
 import os
+import random
 import tempfile
 
 from hypothesis import given, settings
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 from ecckernel import (
     PROP,
     App,
+    Context,
+    Derivation,
+    Judgment,
     Lam,
     Pair,
     ParseError,
@@ -27,10 +31,12 @@ from ecckernel import (
     principal_of,
     print_term,
 )
-from ecckernel.cli import EXIT_OK, EXIT_REJECTED, derivation_to_dict, run_command
+from ecckernel.cli import EXIT_OK, EXIT_REJECTED, derivation_from_dict, derivation_to_dict, run_command
 from ecckernel.kernel import KERNEL_RULES
+from ecckernel.terms import subterms
 
 from derivation_files import saved, slots
+from genterms import expand, normal_type
 
 seeded = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -80,6 +86,28 @@ def test_printed_terms_parse_back(t):
     assert print_term(back) == printed
 
 
+def _generated(seed: int):
+    rng = random.Random(seed)
+    return expand(rng, normal_type(rng, 4, ("u", "v")))
+
+
+@seeded
+@given(terms | st.integers(0, 2**32).map(_generated))
+def test_term_rows_read_back_equal_with_equal_subterms_shared(t):
+    # t as the subject and the type of a one-node derivation
+    with tempfile.TemporaryDirectory() as tmp:
+        table = saved(Derivation("Ax", Judgment(Context(), t, t)), os.path.join(tmp, "d.json"))
+    c = derivation_from_dict(table).conclusion
+    assert c.subject == t and c.type is c.subject
+    assert len(table["terms"]) == len(set(map(json.dumps, table["terms"])))
+    first: dict = {}  # each subterm value to the first object found with it
+    stack = [c.subject]
+    while stack:
+        u = stack.pop()
+        assert first.setdefault(u, u) is u
+        stack.extend(subterms(u))
+
+
 @functools.cache
 def _derivation_files() -> tuple[str, ...]:
     # each derivation as a tree and as the table `ecc elab` writes
@@ -103,13 +131,15 @@ json_values = st.recursive(
     | st.integers(-3, 60)  # in and out of range as a term, context or node number
     | st.floats(allow_nan=False)
     | st.text(max_size=6)
-    | st.sampled_from(sorted(KERNEL_RULES) + ["Prop", "Type0", "Type1", "f", "Pi x : Type1 . Prop"]),
+    | st.sampled_from(sorted(KERNEL_RULES) + ["Prop", "Type0", "Type1", "f", "Pi x : Type1 . Prop"])
+    # term row tags, and a keyword where a name belongs
+    | st.sampled_from(["Var", "Type", "Pi", "Sigma", "Lam", "App", "Pair", "Proj1", "Proj2", "Sig"]),
     lambda sub: st.lists(sub, max_size=6) | st.dictionaries(st.sampled_from(FIELDS), sub),
     max_leaves=8,
 )
 # replace, drop or empty one list item or dict value anywhere in the file:
-# a tree node's field or premise, a term string, a cell of a context or node
-# row, a whole row, a number in a row, a side entry, or a whole table
+# a tree node's field or premise, a term string, a cell of a term, context or
+# node row, a whole row, a number in a row, a side entry, or a whole table
 edits = st.tuples(st.integers(0, 10**4), st.sampled_from(["set", "drop", "zero"]), json_values)
 
 

@@ -170,6 +170,10 @@ def test_the_free_variable_cache_is_invisible():
         for operation in (free_vars, lambda t: subst(t, "x", PROP), normalize, print_term):
             with pytest.raises(TypeError):
                 operation(not_a_term)
+    # subst rejects a replacement that is no term where it would place it
+    for not_a_term in ("x", None, ("x",)):
+        with pytest.raises(TypeError, match="not a term"):
+            subst(App(Var("x"), Var("x")), "x", not_a_term)
     # whnf reads only the spine, so it rejects a non-term at the head it stops at
     for not_a_term in ("x", None, ("x",), Proj1("x"), App(Lam("y", PROP, Var("y")), None)):
         with pytest.raises(TypeError):
