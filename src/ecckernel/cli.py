@@ -39,7 +39,9 @@ number, a string where a list or number belongs), a row with an unknown
 tag or the wrong number of cells, a negative level in a term row, a name
 that is not an identifier or is a keyword, a `side` key other than
 `level`, `sub` and `sup`, or a number that names no earlier row rejects
-the file rather than being coerced or ignored.
+the file rather than being coerced or ignored. So does a term of more
+than TERM_SIZE_LIMIT nodes as a tree (a term text of more characters):
+rows that name one earlier row twice double a term's size per row.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ def _side(d: Derivation, term) -> dict:
 
 
 TREE_NODE_LIMIT = 100_000
+# rows can name a term exponentially larger than the file, which the kernel,
+# walking terms as trees, would never finish checking: a term row over this
+# many nodes as a tree, or a term text over this many characters, is refused
+TERM_SIZE_LIMIT = 100_000
 
 
 def derivation_to_dict(d: Derivation) -> dict:
@@ -207,10 +213,15 @@ _SIDE_KEYS = frozenset({"level", "sub", "sup"})
 def _read_terms(rows) -> list[Term]:
     # the checks are written out in the loop, which is most of reading a file
     terms: list[Term] = []
+    sizes: list[int] = []  # each row's node count as a tree, or a bound on it
     for row in _field(rows, list, "terms"):
         n = len(terms)  # the row's own number; its cells name rows before it
         if type(row) is str:  # surface text, as the tree form and older tables write terms
+            size = len(row)  # every node of a parsed term takes at least one character
+            if size > TERM_SIZE_LIMIT:
+                raise TypeError(f"term row {n} has {size} characters, over the limit of {TERM_SIZE_LIMIT}")
             terms.append(parse_term(row))
+            sizes.append(size)
             continue
         shape = _ROWS.get(row[0]) if type(row) is list and row and type(row[0]) is str else None
         if shape is None:
@@ -222,17 +233,24 @@ def _read_terms(rows) -> list[Term]:
             raise TypeError(f"term row {n} name {row[1]!r} is not an identifier")
         if cls is Var:
             terms.append(Var(row[1]))
+            sizes.append(1)
         elif cls is Type:
             # a TypeError here, before Type() raises a ValueError of its own
             if type(row[1]) is not int or row[1] < 0:
                 raise TypeError(f"term row {n} level must be a non-negative int, got {row[1]!r}")
             terms.append(Type(row[1]))
+            sizes.append(1)
         else:
             parts = row[1 + names:]
+            size = 1
             for k in parts:
                 if type(k) is not int or not 0 <= k < n:
                     raise TypeError(f"term row {n} cell {k!r} names no earlier term row")
+                size += sizes[k]
+            if size > TERM_SIZE_LIMIT:
+                raise TypeError(f"term row {n} has {size} nodes as a tree, over the limit of {TERM_SIZE_LIMIT}")
             terms.append(cls(*row[1:1 + names], *map(terms.__getitem__, parts)))
+            sizes.append(size)
     return terms
 
 

@@ -27,6 +27,7 @@ from ecckernel import (
     verify,
 )
 from ecckernel import kernel
+from ecckernel.terms import SHAPES
 from ecckernel.cli import (
     EXIT_FALSE,
     EXIT_FUEL,
@@ -35,6 +36,7 @@ from ecckernel.cli import (
     EXIT_PARSE,
     EXIT_REJECTED,
     EXIT_TYPE_ERROR,
+    TERM_SIZE_LIMIT,
     TREE_NODE_LIMIT,
     derivation_from_dict,
     derivation_to_dict,
@@ -663,6 +665,60 @@ def test_rows_nested_past_the_recursion_limit_are_an_input_error(tmp_path):
     done = _python_dash_m("verify", str(path))
     assert done.returncode == EXIT_INPUT
     assert done.stderr.startswith("input or resource error")
+
+
+def test_rows_that_double_a_term_past_its_limit_are_rejected(tmp_path):
+    # the same var node layout, but each chain is 60 rows ["App", k, k] that
+    # name the row before twice: about 2^60 nodes as a tree in a 2 KB file,
+    # which alpha_eq would never finish comparing
+    terms = [["Prop"], ["Type", 0]]
+    chains = []
+    for _ in range(2):
+        terms.append(["Var", "y"])
+        for _ in range(60):
+            terms.append(["App", len(terms) - 1, len(terms) - 1])
+        chains.append(len(terms) - 1)
+    terms.append(["Var", "x"])
+    table = {
+        "terms": terms,
+        "contexts": [[0, "x", chains[0]]],
+        "nodes": [["Ax", 1, 0, 1, [], {}], ["var", 1, len(terms) - 1, chains[1], [0], {}]],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(table, separators=(",", ":")), encoding="utf-8")
+    assert path.stat().st_size < 2048
+    done = _python_dash_m("verify", str(path))
+    assert done.returncode == EXIT_REJECTED
+    assert "malformed derivation file" in done.stderr and "over the limit" in done.stderr
+
+    # a term text counts its characters, each node taking at least one
+    text = " ".join(["x"] * (TERM_SIZE_LIMIT // 2 + 1))
+    with pytest.raises(DerivationError, match="characters, over the limit"):
+        derivation_from_dict({"terms": [text], "contexts": [], "nodes": [["Ax", 0, 0, 0, [], {}]]})
+
+
+def test_the_term_size_limit_sits_far_above_the_corpus():
+    largest = 0
+    for g, m in typed_corpus() + [context_chain(k) for k in (4, 8, 16, 32)]:
+        _, d = principal_of(g, m)
+        largest = max(largest, max(map(_term_nodes, _terms_of(d))))
+    assert largest == 10 and 1000 * largest < TERM_SIZE_LIMIT
+
+
+def _terms_of(d) -> list:
+    found, seen, stack = [], set(), [d]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            c = node.conclusion
+            found += [c.subject, c.type, *(t for _, t in c.ctx), *(t for t in (node.sub, node.sup) if t is not None)]
+            stack.extend(node.premises)
+    return found
+
+
+def _term_nodes(t) -> int:
+    return 1 + sum(_term_nodes(getattr(t, field)) for field in SHAPES[type(t)])
 
 
 def test_the_tree_form_refuses_a_tree_over_its_limit():
