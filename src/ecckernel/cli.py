@@ -41,7 +41,11 @@ that is not an identifier or is a keyword, a `side` key other than
 `level`, `sub` and `sup`, or a number that names no earlier row rejects
 the file rather than being coerced or ignored. So does a term of more
 than TERM_SIZE_LIMIT nodes as a tree (a term text of more characters):
-rows that name one earlier row twice double a term's size per row.
+rows that name one earlier row twice double a term's size per row. So
+does a row that no path from the root uses, which the kernel would never
+check: counting term rows first, then context rows, then node rows,
+every number names an earlier row, so every row is reachable from the
+root exactly when each row but the root is named by a later one.
 """
 
 from __future__ import annotations
@@ -193,9 +197,10 @@ def _field(value, kind: type, what: str):
     return value
 
 
-def _earlier(rows: list, number, what: str):
+def _earlier(rows: list, number, what: str, used: bytearray):
     if type(number) is not int or not 0 <= number < len(rows):
         raise TypeError(f"{what} {number!r} names no earlier row")
+    used[number] = 1
     return rows[number]
 
 
@@ -210,11 +215,13 @@ _ROWS = {cls.__name__: _row_shape(cls) for cls in SHAPES}  # a term row's tag is
 _SIDE_KEYS = frozenset({"level", "sub", "sup"})
 
 
-def _read_terms(rows) -> list[Term]:
-    # the checks are written out in the loop, which is most of reading a file
+def _read_terms(rows) -> tuple[list[Term], bytearray]:
+    # the checks are written out in the loop, which is most of reading a file;
+    # also returns a flag per row, set where a later row names it
     terms: list[Term] = []
     sizes: list[int] = []  # each row's node count as a tree, or a bound on it
-    for row in _field(rows, list, "terms"):
+    used = bytearray(len(_field(rows, list, "terms")))
+    for row in rows:
         n = len(terms)  # the row's own number; its cells name rows before it
         if type(row) is str:  # surface text, as the tree form and older tables write terms
             size = len(row)  # every node of a parsed term takes at least one character
@@ -247,18 +254,23 @@ def _read_terms(rows) -> list[Term]:
                 if type(k) is not int or not 0 <= k < n:
                     raise TypeError(f"term row {n} cell {k!r} names no earlier term row")
                 size += sizes[k]
+                used[k] = 1
             if size > TERM_SIZE_LIMIT:
                 raise TypeError(f"term row {n} has {size} nodes as a tree, over the limit of {TERM_SIZE_LIMIT}")
             terms.append(cls(*row[1:1 + names], *map(terms.__getitem__, parts)))
             sizes.append(size)
-    return terms
+    return terms, used
 
 
 def _from_table(obj: dict) -> Derivation:
-    terms = _read_terms(obj["terms"])
+    # a flag per row, set where a later row names it: a row no later row names
+    # is one the root cannot reach (see the module docstring)
+    terms, term_used = _read_terms(obj["terms"])
     count = len(terms)
     contexts = [Context()]
-    for row in _field(obj["contexts"], list, "contexts"):
+    context_rows = _field(obj["contexts"], list, "contexts")
+    context_used = bytearray(len(context_rows) + 1)  # by context number: row k is context k + 1
+    for row in context_rows:
         if type(row) is not list or len(row) != 3:
             raise TypeError(f"context row must be a list of 3 cells, got {row!r}")
         parent, name, entry_ty = row
@@ -268,9 +280,12 @@ def _from_table(obj: dict) -> Derivation:
             raise TypeError(f"ctx name {name!r} is not an identifier")
         if type(entry_ty) is not int or not 0 <= entry_ty < count:
             raise TypeError(f"ctx type {entry_ty!r} names no term row")
+        context_used[parent] = term_used[entry_ty] = 1
         contexts.append(Context(contexts[parent].entries + ((name, terms[entry_ty]),)))
     nodes: list[Derivation] = []
-    for row in _field(obj["nodes"], list, "nodes"):
+    node_rows = _field(obj["nodes"], list, "nodes")
+    node_used = bytearray(len(node_rows))
+    for row in node_rows:
         if type(row) is not list or len(row) != 6:
             raise TypeError(f"node row must be a list of 6 cells, got {row!r}")
         rule, ctx, subject, ty, premises, side = row
@@ -282,12 +297,14 @@ def _from_table(obj: dict) -> Derivation:
             raise TypeError(f"term {subject!r} names no term row")
         if type(ty) is not int or not 0 <= ty < count:
             raise TypeError(f"type {ty!r} names no term row")
+        context_used[ctx] = term_used[subject] = term_used[ty] = 1
         if type(premises) is not list:
             raise TypeError(f"premises must be a list, got {premises!r}")
         earlier = len(nodes)
         for p in premises:
             if type(p) is not int or not 0 <= p < earlier:
                 raise TypeError(f"premise {p!r} names no earlier row")
+            node_used[p] = 1
         if type(side) is not dict:
             raise TypeError(f"side must be a dict, got {side!r}")
         level = sub = sup = None
@@ -297,15 +314,19 @@ def _from_table(obj: dict) -> Derivation:
             if "level" in side:
                 level = _field(side["level"], int, "side level")
             if "sub" in side:
-                sub = _earlier(terms, side["sub"], "side sub")
+                sub = _earlier(terms, side["sub"], "side sub", term_used)
             if "sup" in side:
-                sup = _earlier(terms, side["sup"], "side sup")
+                sup = _earlier(terms, side["sup"], "side sup", term_used)
         nodes.append(Derivation(
             rule, Judgment(contexts[ctx], terms[subject], terms[ty]),
             tuple(map(nodes.__getitem__, premises)), level, sub, sup,
         ))
     if not nodes:
         raise TypeError("no nodes")
+    node_used[-1] = 1  # the root
+    for what, used in (("term", term_used), ("context", context_used[1:]), ("node", node_used)):
+        if 0 in used:
+            raise TypeError(f"{what} row {used.index(0)} is named by no later row")
     return nodes[-1]
 
 

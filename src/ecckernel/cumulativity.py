@@ -14,7 +14,7 @@ its index.
 
 from __future__ import annotations
 
-from .reduction import DEFAULT_FUEL, Fuel, conv, whnf
+from .reduction import DEFAULT_FUEL, Fuel, _whnf, conv
 from .terms import Pi, Prop, Sigma, Term, Type, Var, alpha_eq, free_vars, fresh_name, subst
 
 
@@ -59,7 +59,7 @@ def _relate(a: Term, b: Term, f: Fuel, strict_only: bool = False) -> tuple[int, 
     # then skip a conv that may diverge.
     if alpha_eq(a, b):
         return 0, False
-    ha, hb = whnf(a, f), whnf(b, f)
+    ha, hb = _whnf(a, f), _whnf(b, f)
     la, lb = universe_level(ha), universe_level(hb)
     if la is not None or lb is not None:
         if la is None or lb is None or la > lb:

@@ -7,19 +7,21 @@ silent loop. One fuel unit is spent per contracted redex.
 
 `whnf` and `normalize` return their input when no redex fires, and
 otherwise keep every part that no contraction touched as the same object.
-Both switch on `type(t)`. `normalize` takes a node apart and rebuilds it
-through the shape table in `terms`, so it rejects a non-term anywhere in
-its input; `whnf` rejects one where it reads: the head it stops at.
+Both are loops that switch on `type(t)`, so a contraction costs a few
+dictionary reads and one `subst` on top of its one fuel unit. `whnf`
+walks down the spine of eliminations and notes whether a contraction
+fired; `_whnf` is the same loop on a `Fuel` the caller already holds.
+`normalize` runs one explicit stack of terms, takes a node apart and
+rebuilds it through the shape table in `terms`, so it rejects a non-term
+anywhere in its input; `whnf` rejects one where it reads: the head it
+stops at.
 """
 
 from __future__ import annotations
 
-import operator
-
 from .terms import BINDERS, SHAPES, App, Lam, Pair, Proj1, Proj2, Term, alpha_eq, subst, subterms
 
 DEFAULT_FUEL = 10000
-_ELIMINATIONS = frozenset((App, Proj1, Proj2))
 
 
 class FuelExhausted(Exception):
@@ -73,8 +75,11 @@ def step(t: Term) -> Term | None:
 
 def whnf(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     """Reduce head redexes until the head constructor is stable."""
-    f = Fuel.coerce(fuel)
-    start, budget = t, f.remaining
+    return _whnf(t, Fuel.coerce(fuel))
+
+
+def _whnf(t: Term, f: Fuel) -> Term:
+    start, fired = t, False
     spine: list[Term] = []  # enclosing eliminations, innermost last
     while True:
         cls = type(t)
@@ -86,50 +91,67 @@ def whnf(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
             t = t.pair
         elif cls is Lam and spine and type(spine[-1]) is App:
             f.spend()
+            fired = True
             t = subst(t.body, t.var, spine.pop().arg)
         elif cls is Pair and spine and type(spine[-1]) is not App:
             f.spend()
+            fired = True
             t = t.first if type(spine.pop()) is Proj1 else t.second
         elif cls in SHAPES:
             break
         else:
             raise TypeError(f"not a term: {t!r}")
-    if f.remaining == budget:  # no contraction fired: each spends one unit
+    if not fired:
         return start
     for frame in reversed(spine):
         t = App(t, frame.arg) if type(frame) is App else type(frame)(t)
     return t
 
 
+_BUILD = object()  # on the work stack: rebuild the node below from its parts' results
+
+
 def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     """Full normal form under leftmost-outermost reduction.
 
-    Implemented as an explicit work stack: divergent inputs build reducts
-    nested far beyond the interpreter recursion limit before the fuel runs
-    out. Once a head is whnf-stable, reducing inside the parts cannot
-    create a new head redex, so the contraction order still matches
-    iterating `step`.
+    Implemented as one explicit stack of terms: divergent inputs build
+    reducts nested far beyond the interpreter recursion limit before the
+    fuel runs out. Once a head is whnf-stable, reducing inside the parts
+    cannot create a new head redex, so the contraction order still matches
+    iterating `step`. A stable node with parts goes back on the stack under
+    the private marker `_BUILD` and its parts, so when the marker comes up
+    again the parts' normal forms are the last results.
     """
     f = Fuel.coerce(fuel)
     done: list[Term] = []
-    todo: list[tuple[Term, tuple[Term, ...] | None]] = [(t, None)]  # parts once whnf-stable
+    todo: list = [t]
     while todo:
-        u, parts = todo.pop()
-        if parts is None:
-            if type(u) in _ELIMINATIONS:  # the only possible head redexes
-                u = whnf(u, f)
-            parts = subterms(u)  # which also rejects a non-term
-            if not parts:
-                done.append(u)
-                continue
-            todo.append((u, parts))
-            for part in reversed(parts):
-                todo.append((part, None))
-        else:
-            vals = tuple(done[-len(parts) :])
-            del done[-len(parts) :]
-            # a node whose parts all came back unchanged is kept as it is
-            done.append(u if all(map(operator.is_, vals, parts)) else _rebuild(u, vals))
+        u = todo.pop()
+        if u is _BUILD:
+            u = todo.pop()
+            fields = SHAPES[type(u)]
+            vals = done[-len(fields) :]
+            del done[-len(fields) :]
+            for field, val in zip(fields, vals):
+                if getattr(u, field) is not val:
+                    # a node whose parts all came back unchanged is kept as it is
+                    u = _rebuild(u, vals)
+                    break
+            done.append(u)
+            continue
+        cls = type(u)
+        if cls is App or cls is Proj1 or cls is Proj2:  # the only possible head redexes
+            u = _whnf(u, f)
+            cls = type(u)
+        fields = SHAPES.get(cls)
+        if fields is None:
+            raise TypeError(f"not a term: {u!r}")
+        if not fields:
+            done.append(u)
+            continue
+        todo += (u, _BUILD)
+        for field in reversed(fields):
+            todo.append(getattr(u, field))
     return done[0]
 
 

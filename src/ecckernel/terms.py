@@ -9,13 +9,18 @@ Each constructor's subterm fields sit in one table, `SHAPES`.
 and binders have their own case, every other constructor one case that
 reads the table, and each recurses directly, one interpreter frame per
 level. A non-term has no entry: `free_vars` and `subst` reject it with
-TypeError wherever it sits, and `subst` a non-term replacement where it
-would place it.
+TypeError wherever it sits, and `subst` a replacement with a non-term
+anywhere in it when the variable is free.
 
 Operations keep what they do not change. `free_vars` is computed once
 per term object and kept on it, outside the dataclass fields, so
 equality, hashing and printing never see it. `subst` returns a subterm
-in which the variable is not free as that same object.
+in which the variable is not free as that same object: it tests the
+variable and checks the replacement once, at the top, and its inner
+`_subst` then reads each part's cached free variables and steps only
+into the parts that hold the variable. Alpha-equivalence binds each
+binder's variable in its two environments in place and puts back what
+it shadowed on every exit, an early False included.
 """
 
 from __future__ import annotations
@@ -201,24 +206,36 @@ def subst(t: Term, name: str, replacement: Term) -> Term:
     """
     if name not in free_vars(t):  # which also rejects a non-term
         return t
+    # which rejects a non-term anywhere in the replacement, and leaves the
+    # cache filled on every subterm of t for _subst to read
+    return _subst(t, name, replacement, free_vars(replacement))
+
+
+def _subst(t: Term, name: str, replacement: Term, avoid: frozenset[str]) -> Term:
+    # name is free in t, and avoid is the replacement's free variables
     cls = type(t)
     if cls is Var:
-        if type(replacement) not in SHAPES:
-            raise TypeError(f"not a term: {replacement!r}")
         return replacement
+    fields = SHAPES[cls]
     if cls in BINDERS:
-        p, q = SHAPES[cls]
-        x, a, b = t.var, subst(getattr(t, p), name, replacement), getattr(t, q)
-        if x == name:
-            # the binder shadows the substituted variable
+        p, q = fields
+        x, a, b = t.var, getattr(t, p), getattr(t, q)
+        if name in a._free_vars:
+            a = replacement if type(a) is Var else _subst(a, name, replacement, avoid)
+        if x == name or name not in b._free_vars:
+            # the binder shadows the substituted variable, or the body lacks it
             return cls(x, a, b)
-        if x in free_vars(replacement) and name in free_vars(b):
-            renamed = fresh_name(x, free_vars(b) | free_vars(replacement) | {name, x})
+        if x in avoid:
+            renamed = fresh_name(x, b._free_vars | avoid | {name, x})
             b, x = subst(b, x, Var(renamed)), renamed
-        return cls(x, a, subst(b, name, replacement))
+            free_vars(b)  # a new term: fill its cache too
+        return cls(x, a, _subst(b, name, replacement, avoid))
     parts = []
-    for field in SHAPES[cls]:
-        parts.append(subst(getattr(t, field), name, replacement))
+    for field in fields:
+        part = getattr(t, field)
+        if name in part._free_vars:  # a variable part in which name is free is name itself
+            part = replacement if type(part) is Var else _subst(part, name, replacement, avoid)
+        parts.append(part)
     return cls(*parts)
 
 
@@ -229,7 +246,8 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
-    # bound variables are compared by binder depth, free ones by name
+    # bound variables are compared by binder depth, free ones by name; a
+    # name mapped to None is free, so a binder restores what it shadowed
     cls = type(a)
     if cls is not type(b):
         return False
@@ -245,11 +263,13 @@ def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
         p, q = fields
         if not _alpha(getattr(a, p), getattr(b, p), env_a, env_b, depth):
             return False
-        env_a = dict(env_a)
-        env_a[a.var] = depth
-        env_b = dict(env_b)
-        env_b[b.var] = depth
-        return _alpha(getattr(a, q), getattr(b, q), env_a, env_b, depth + 1)
+        x, y = a.var, b.var
+        shadowed = env_a.get(x), env_b.get(y)
+        env_a[x] = env_b[y] = depth
+        try:
+            return _alpha(getattr(a, q), getattr(b, q), env_a, env_b, depth + 1)
+        finally:
+            env_a[x], env_b[y] = shadowed
     if not fields:  # a universe
         return a == b
     for field in fields:

@@ -60,6 +60,26 @@ def term_texts(rows: list) -> list[str]:
     return [print_term(t) for t in built]
 
 
+def as_text_table(table: dict) -> dict:
+    """The same table as older versions wrote it: one surface-text term row
+    per term a context or node row names, so no row is left unnamed."""
+    texts = term_texts(table["terms"])
+    named = sorted({row[2] for row in table["contexts"]} | {
+        k for row in table["nodes"]
+        for k in (row[TERM], row[TYPE], *(v for key, v in row[SIDE].items() if key != "level"))
+    })
+    number = {old: new for new, old in enumerate(named)}
+    return {
+        "terms": [texts[k] for k in named],
+        "contexts": [[parent, name, number[k]] for parent, name, k in table["contexts"]],
+        "nodes": [
+            [rule, ctx, number[subject], number[ty], premises,
+             {key: v if key == "level" else number[v] for key, v in side.items()}]
+            for rule, ctx, subject, ty, premises, side in table["nodes"]
+        ],
+    }
+
+
 def as_tree(table: dict) -> dict:
     """The same derivation in the tree form, each node row written out wherever it is used."""
     terms = term_texts(table["terms"])

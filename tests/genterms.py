@@ -14,7 +14,9 @@ walk's least level answers to.
 are the term operations as they were before they learned to keep
 unchanged subterms: every call walks and rebuilds the whole term, and
 `free_vars` is computed afresh each time. The sharing versions must give
-equal results and spend the same fuel. The oracles spell out each
+equal results and spend the same fuel. `oracle_alpha_eq` compares
+de Bruijn forms, with no environment to keep, and `oracle_conv` is
+conversion spelled out from those oracles. The oracles spell out each
 constructor's parts with their own `match` (`oracle_parts`,
 `oracle_rebuild`), so the shape table in `terms` is checked against a
 separate implementation.
@@ -371,3 +373,33 @@ def oracle_normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
             else:
                 done.append(u)
     return done[0]
+
+
+def de_bruijn(t: Term, bound: tuple[str, ...] = ()) -> tuple:
+    """t as nested tuples: binder names dropped, each bound variable its de
+    Bruijn index (0 for the innermost binder), each free one its name."""
+    match t:
+        case Var(x):
+            return ("bound", bound.index(x)) if x in bound else ("free", x)
+        case Prop():
+            return ("Prop",)
+        case Type(j):
+            return ("Type", j)
+        case Pi(x, a, b) | Sigma(x, a, b) | Lam(x, a, b):
+            return (type(t).__name__, de_bruijn(a, bound), de_bruijn(b, (x, *bound)))
+        case App() | Pair() | Proj1() | Proj2():
+            return (type(t).__name__, *(de_bruijn(part, bound) for part in oracle_parts(t)))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def oracle_alpha_eq(a: Term, b: Term) -> bool:
+    """Equality up to renaming of bound variables."""
+    return de_bruijn(a) == de_bruijn(b)
+
+
+def oracle_conv(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
+    """The alpha shortcut, then both normal forms on one budget."""
+    if oracle_alpha_eq(a, b):
+        return True
+    f = Fuel.coerce(fuel)
+    return oracle_alpha_eq(oracle_normalize(a, f), oracle_normalize(b, f))

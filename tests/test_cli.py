@@ -47,7 +47,7 @@ from ecckernel.cli import (
 
 from corpus import context_chain, typed_corpus
 from derivation_files import (
-    CTX, PREMISES, RULE, SIDE, TERM, TYPE, as_tree, first_paths, repeated_references, saved, term_texts,
+    CTX, PREMISES, RULE, SIDE, TERM, TYPE, as_text_table, as_tree, first_paths, repeated_references, saved,
 )
 
 
@@ -416,8 +416,7 @@ def test_tree_and_table_forms_load_equal(tmp_path):
         table = saved(d, tmp_path / "d.json")
         assert derivation_from_dict(tree) == d == derivation_from_dict(table)
         # a table whose term rows are surface text, as tables were once written
-        table["terms"] = term_texts(table["terms"])
-        assert derivation_from_dict(table) == d
+        assert derivation_from_dict(as_text_table(table)) == d
 
 
 @pytest.mark.parametrize(
@@ -537,6 +536,29 @@ def test_verify_rejects_malformed_term_rows(write, tmp_path, capsys, where, new)
     assert obj["contexts"] == [[0, "x", 2], [0, "f", 5]]
     *path, last = where
     functools.reduce(operator.getitem, path, obj)[last] = new
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
+    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
+
+
+@pytest.mark.parametrize(
+    "table, index, row",
+    [
+        pytest.param("nodes", -1, ["Bogus", 0, 0, 0, [], {}], id="node-row-before-the-root"),
+        pytest.param("terms", 8, ["Var", "g"], id="term-row"),
+        pytest.param("contexts", 2, [2, "g", 0], id="context-row"),
+    ],
+)
+def test_verify_rejects_rows_no_path_from_the_root_uses(write, tmp_path, capsys, table, index, row):
+    # every number names an earlier row, so a row that no later row names is
+    # one the root cannot reach, and the kernel would never check it
+    ctx = write("ctx.ecc", "f : Pi x : Type1 . Prop")
+    term = write("t.ecc", "f Prop")
+    out_path = tmp_path / "elab.json"
+    assert run_command(["elab", "--ctx", ctx, term, "--out", str(out_path)]) == EXIT_OK
+    obj = json.loads(out_path.read_text(encoding="utf-8"))
+    assert len(obj["terms"]) == 8 and len(obj["contexts"]) == 2
+    obj[table].insert(index, row)
     capsys.readouterr()
     assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
     assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")

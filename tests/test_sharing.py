@@ -26,6 +26,7 @@ from ecckernel import (
     Type,
     Var,
     alpha_eq,
+    conv,
     descending_chain,
     free_vars,
     normalize,
@@ -37,6 +38,7 @@ from ecckernel import (
 from genterms import (
     expand,
     normal_type,
+    oracle_conv,
     oracle_free_vars,
     oracle_normalize,
     oracle_parts,
@@ -102,13 +104,19 @@ def test_subst_renames_under_every_binder_as_the_oracle_does(binder):
 
 def test_whnf_and_normalize_equal_the_oracles_in_result_and_fuel():
     outcomes = set()
-    for t in _terms(59):
+    terms = _terms(59)
+    # conv compares each term with the next: a term and its expansion, or two unrelated terms
+    for t, u in zip(terms, terms[1:]):
         for budget in BUDGETS:
-            for op, oracle in ((whnf, oracle_whnf), (normalize, oracle_normalize)):
+            for op, oracle in (
+                (whnf, oracle_whnf),
+                (normalize, oracle_normalize),
+                (lambda a, f: conv(a, u, f), lambda a, f: oracle_conv(a, u, f)),
+            ):
                 got = _run(op, t, budget)
                 assert got == _run(oracle, t, budget)
-                outcomes.add(got[0] is FuelExhausted)
-    assert outcomes == {True, False}
+                outcomes.add(got[0] if type(got[0]) is bool or got[0] is FuelExhausted else "term")
+    assert outcomes == {"term", True, False, FuelExhausted}
 
 
 def test_divergent_normalize_exhausts_at_the_same_budgets_as_the_oracle():
@@ -165,13 +173,16 @@ def test_the_free_variable_cache_is_invisible():
         assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
         assert free_vars(copy.deepcopy(t)) == fv == free_vars(pickle.loads(pickle.dumps(t)))
     # at the top, or inside a term (where the printer wants an atom)
-    not_terms = ("x", None, ("x",), App(Var("f"), None), Proj1("x"), Pair(PROP, PROP, None))
+    not_terms = (
+        "x", None, ("x",), App(Var("f"), None), App(Var("f"), 3), Proj1("x"), Pair(PROP, PROP, None),
+        Pair(PROP, PROP, 0),
+    )
     for not_a_term in not_terms:
         for operation in (free_vars, lambda t: subst(t, "x", PROP), normalize, print_term):
             with pytest.raises(TypeError):
                 operation(not_a_term)
-    # subst rejects a replacement that is no term where it would place it
-    for not_a_term in ("x", None, ("x",)):
+    # subst rejects a replacement that is no term, or holds one anywhere, where it would place it
+    for not_a_term in ("x", None, ("x",), App(Var("f"), None)):
         with pytest.raises(TypeError, match="not a term"):
             subst(App(Var("x"), Var("x")), "x", not_a_term)
     # whnf reads only the spine, so it rejects a non-term at the head it stops at

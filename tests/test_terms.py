@@ -9,6 +9,7 @@ from ecckernel import (
     PROP,
     App,
     Lam,
+    Pair,
     Pi,
     Sigma,
     Term,
@@ -20,9 +21,9 @@ from ecckernel import (
     subst,
     terms,
 )
-from ecckernel.terms import BINDERS, SHAPES
+from ecckernel.terms import BINDERS, SHAPES, _alpha
 
-from genterms import expand, normal_type
+from genterms import alpha_rename, expand, normal_type, oracle_alpha_eq
 
 
 def test_subst_direct_hit():
@@ -97,12 +98,50 @@ def test_alpha_eq_is_equivalence_on_corpus():
         for b in terms[:15]:
             assert alpha_eq(a, b) == alpha_eq(b, a)
     # transitivity through alpha-variants
-    from genterms import alpha_rename
-
     for t in terms:
         a = alpha_rename(t, "0")
         b = alpha_rename(t, "00")
         assert alpha_eq(t, a) and alpha_eq(a, b) and alpha_eq(t, b)
+
+
+def test_alpha_eq_agrees_with_de_bruijn_forms():
+    rng = random.Random(13)
+    generated = []
+    for _ in range(60):
+        t = expand(rng, normal_type(rng, 3, ("u", "a", "b")))
+        # the generator also binds "a" and "b", so bound names meet free ones
+        generated += [t, alpha_rename(t, "1"), alpha_rename(t, "2")]
+    x, y, p = Var("x"), Var("y"), PROP
+    cases = [
+        # one name bound at two depths
+        (Pi("x", p, Pi("x", p, x)), Pi("y", p, Pi("x", p, x))),
+        (Pi("x", p, Pi("x", p, x)), Pi("x", p, Pi("y", p, x))),
+        (Lam("x", p, App(Lam("x", x, x), x)), Lam("y", p, App(Lam("x", y, x), y))),
+        (Lam("x", p, App(Lam("x", x, x), x)), Lam("y", p, App(Lam("y", y, y), x))),
+        # a comparison fails inside a binder, and a later part reads a free x
+        (App(Lam("x", p, x), x), App(Lam("y", p, p), x)),
+        (Pair(Lam("x", p, x), x, p), Pair(Lam("y", p, y), y, p)),
+        (App(Pi("x", p, Pi("y", x, y)), x), App(Pi("y", p, Pi("x", x, x)), x)),
+        (App(Pi("x", p, Pi("y", x, y)), x), App(Pi("y", p, Pi("x", y, x)), x)),
+        # a bound name equals a free one
+        (Pi("x", x, x), Pi("y", x, y)),
+        (Pi("x", p, x), Pi("y", p, x)),
+        (Lam("x", y, App(x, y)), Lam("y", y, App(y, y))),
+        (Lam("x", y, App(x, y)), Lam("z", y, App(Var("z"), y))),
+    ]
+    for i, a in enumerate(generated):
+        for b in generated[max(0, i - 3) : i + 4]:
+            cases.append((a, b))
+    verdicts = set()
+    for a, b in cases:
+        verdict = oracle_alpha_eq(a, b)
+        verdicts.add(verdict)
+        assert alpha_eq(a, b) is verdict is alpha_eq(b, a), (a, b)
+        # a binder gives back the names it bound on every exit, a False one included
+        env_a, env_b = {}, {}
+        assert _alpha(a, b, env_a, env_b, 0) is verdict
+        assert set(env_a.values()) <= {None} and set(env_b.values()) <= {None}
+    assert verdicts == {True, False}
 
 
 def test_substitution_composition_lemma():
