@@ -59,6 +59,8 @@ def _relate(a: Term, b: Term, f: Fuel, strict_only: bool = False) -> tuple[int, 
     # then skip a conv that may diverge.
     if alpha_eq(a, b):
         return 0, False
+    # f is already a Fuel: the public whnf would re-run Fuel.coerce at every
+    # level of the recursion, a measurable share of a subtype call
     ha, hb = _whnf(a, f), _whnf(b, f)
     la, lb = universe_level(ha), universe_level(hb)
     if la is not None or lb is not None:

@@ -221,7 +221,7 @@ def _subst(t: Term, name: str, replacement: Term, avoid: frozenset[str]) -> Term
         p, q = fields
         x, a, b = t.var, getattr(t, p), getattr(t, q)
         if name in a._free_vars:
-            a = replacement if type(a) is Var else _subst(a, name, replacement, avoid)
+            a = _subst(a, name, replacement, avoid)
         if x == name or name not in b._free_vars:
             # the binder shadows the substituted variable, or the body lacks it
             return cls(x, a, b)
@@ -233,8 +233,8 @@ def _subst(t: Term, name: str, replacement: Term, avoid: frozenset[str]) -> Term
     parts = []
     for field in fields:
         part = getattr(t, field)
-        if name in part._free_vars:  # a variable part in which name is free is name itself
-            part = replacement if type(part) is Var else _subst(part, name, replacement, avoid)
+        if name in part._free_vars:
+            part = _subst(part, name, replacement, avoid)
         parts.append(part)
     return cls(*parts)
 
