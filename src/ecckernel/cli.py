@@ -23,29 +23,26 @@ term number k, one constructor over earlier term numbers:
 
 The tag is the class name and the term numbers follow `terms.SHAPES`.
 Equal terms are one row, and each row is built once, so equal subterms
-of a loaded derivation are one object. A term row that is a string is
-surface text and is parsed. Context row k, a list `[parent, name, term]`,
-is context number k + 1, the context `parent` extended by one entry,
-where context 0 is the empty one; node row k is
+of a loaded derivation are one object. Context row k, a list
+`[parent, name, term]`, is context number k + 1, the context `parent`
+extended by one entry, where context 0 is the empty one; node row k is
 `[rule, ctx, term, type, premises, side]`, with `side` holding `level`
 or the Cum pair `sub`/`sup` as term numbers. Every number names a term,
 an earlier context or an earlier node; the root is the last node row.
-The tree form (`derivation_to_dict`: `ctx` as a list of {name, type},
-terms as surface text, premises written out in full, refused above
-TREE_NODE_LIMIT nodes) is read as the same rows, one node row per
-occurrence and one context row per entry, so one set of checks covers
-both forms. A field of the wrong JSON type (a `true` or `1.0` level or
-number, a string where a list or number belongs), a row with an unknown
-tag or the wrong number of cells, a negative level in a term row, a name
-that is not an identifier or is a keyword, a `side` key other than
-`level`, `sub` and `sup`, or a number that names no earlier row rejects
-the file rather than being coerced or ignored. So does a term of more
-than TERM_SIZE_LIMIT nodes as a tree (a term text of more characters):
-rows that name one earlier row twice double a term's size per row. So
-does a row that no path from the root uses, which the kernel would never
-check: counting term rows first, then context rows, then node rows,
-every number names an earlier row, so every row is reachable from the
-root exactly when each row but the root is named by a later one.
+This table is the only file format: a file of any other shape (the tree
+form earlier versions wrote, or a table whose term rows are surface
+text) is malformed. So is a field of the wrong JSON type (a `true` or
+`1.0` level or number, a string where a list or number belongs), a row
+with an unknown tag or the wrong number of cells, a negative level in a
+term row, a name that is not an identifier or is a keyword, a `side` key
+other than `level`, `sub` and `sup`, or a number that names no earlier
+row: each rejects the file rather than being coerced or ignored. So does
+a term row of more than TERM_SIZE_LIMIT nodes as a tree: rows that name
+one earlier row twice double a term's size per row. So does a row that
+no path from the root uses, which the kernel would never check: counting
+term rows first, then context rows, then node rows, every number names
+an earlier row, so every row is reachable from the root exactly when
+each row but the root is named by a later one.
 """
 
 from __future__ import annotations
@@ -86,41 +83,10 @@ def _side(d: Derivation, term) -> dict:
     return side
 
 
-TREE_NODE_LIMIT = 100_000
 # rows can name a term exponentially larger than the file, which the kernel,
 # walking terms as trees, would never finish checking: a term row over this
-# many nodes as a tree, or a term text over this many characters, is refused
+# many nodes as a tree is refused
 TERM_SIZE_LIMIT = 100_000
-
-
-def derivation_to_dict(d: Derivation) -> dict:
-    """The tree form: every premise written out in full.
-
-    A shared subderivation is written at each use, so the tree can be
-    exponentially larger than the derivation: ValueError when it would have
-    more than TREE_NODE_LIMIT nodes (the table form writes each node once).
-    """
-    sizes: dict[int, int] = {}  # tree size per node object
-
-    def size(n: Derivation) -> int:
-        if id(n) not in sizes:
-            sizes[id(n)] = 1 + sum(map(size, n.premises))
-        return sizes[id(n)]
-
-    if size(d) > TREE_NODE_LIMIT:
-        raise ValueError(f"tree form has {size(d)} nodes, over the limit of {TREE_NODE_LIMIT}")
-    return _tree(d)
-
-
-def _tree(d: Derivation) -> dict:
-    return {
-        "rule": d.rule,
-        "ctx": [{"name": n, "type": print_term(t)} for n, t in d.conclusion.ctx],
-        "term": print_term(d.conclusion.subject),
-        "type": print_term(d.conclusion.type),
-        "side": _side(d, print_term),
-        "premises": [_tree(p) for p in d.premises],
-    }
 
 
 def _table(d: Derivation) -> dict:
@@ -223,16 +189,9 @@ def _read_terms(rows) -> tuple[list[Term], bytearray]:
     used = bytearray(len(_field(rows, list, "terms")))
     for row in rows:
         n = len(terms)  # the row's own number; its cells name rows before it
-        if type(row) is str:  # surface text, as the tree form and older tables write terms
-            size = len(row)  # every node of a parsed term takes at least one character
-            if size > TERM_SIZE_LIMIT:
-                raise TypeError(f"term row {n} has {size} characters, over the limit of {TERM_SIZE_LIMIT}")
-            terms.append(parse_term(row))
-            sizes.append(size)
-            continue
         shape = _ROWS.get(row[0]) if type(row) is list and row and type(row[0]) is str else None
         if shape is None:
-            raise TypeError(f"term row {n} must be a string or a list with a known tag, got {row!r}")
+            raise TypeError(f"term row {n} must be a list with a known tag, got {row!r}")
         cls, width, names = shape
         if len(row) != width:
             raise TypeError(f"term row {n} must have {width} cells, got {row!r}")
@@ -330,35 +289,10 @@ def _from_table(obj: dict) -> Derivation:
     return nodes[-1]
 
 
-def _tree_rows(tree) -> dict:
-    # the table rows of a tree-form file, in post-order: one node row per node
-    # object, one context row per ctx entry and one term row per term string
-    terms, contexts, nodes = [], [], []
-
-    def term(text) -> int:
-        terms.append(text)
-        return len(terms) - 1
-
-    def node(obj) -> int:
-        # a non-object node fails at obj["premises"] with a TypeError
-        premises = [node(p) for p in _field(obj["premises"], list, "premises")]
-        ctx = 0
-        for entry in _field(obj["ctx"], list, "ctx"):
-            contexts.append([ctx, entry["name"], term(entry["type"])])
-            ctx = len(contexts)
-        side = _field(obj.get("side", {}), dict, "side")
-        side = {key: term(v) if key in ("sub", "sup") else v for key, v in side.items()}
-        nodes.append([obj["rule"], ctx, term(obj["term"]), term(obj["type"]), premises, side])
-        return len(nodes) - 1
-
-    node(tree)
-    return {"terms": terms, "contexts": contexts, "nodes": nodes}
-
-
 def derivation_from_dict(obj) -> Derivation:
-    """Read the table form `save_derivation` writes, or the tree form as the same rows."""
+    """Read the table `save_derivation` writes."""
     try:
-        return _from_table(obj if isinstance(obj, dict) and "nodes" in obj else _tree_rows(obj))
+        return _from_table(obj)
     except (KeyError, TypeError) as e:
         raise DerivationError("file", f"malformed derivation file: {e!r}") from e
 
@@ -553,7 +487,7 @@ def _dispatch(args: argparse.Namespace, fuel: int) -> int:
             try:
                 derivation = load_derivation(args.file)
                 verify(derivation, fuel)
-            except (DerivationError, ParseError, TypeCheckError, json.JSONDecodeError, ValueError) as e:
+            except (DerivationError, ValueError) as e:  # a JSON or UTF-8 decode error is a ValueError
                 print(f"rejected: {e}", file=sys.stderr)
                 return EXIT_REJECTED
             print("accepted")

@@ -5,7 +5,7 @@ criteria complete. Sample counts and tolerances are fixed here; every
 count is a hard minimum and every tolerance is zero violations.
 """
 
-import json
+import dataclasses
 import random
 import time
 
@@ -15,6 +15,7 @@ from ecckernel import (
     Derivation,
     FuelExhausted,
     Judgment,
+    Type,
     alpha_eq,
     classify,
     conv,
@@ -35,7 +36,7 @@ from ecckernel import (
     type_typing,
     verify,
 )
-from ecckernel.cli import EXIT_REJECTED, derivation_to_dict, run_command
+from ecckernel.cli import EXIT_REJECTED, run_command, save_derivation
 
 from corpus import typed_corpus
 from genterms import alpha_rename, bump, descend_moves, expand, normal_type, strict_above
@@ -250,41 +251,49 @@ def test_criterion_09_uniqueness_and_determinism(capsys):
         _report(9, f"3 runs identical on {len(corpus)} terms; alpha-varied inputs convertible")
 
 
-def _mutate(rng, obj):
-    """One structured single-node mutation of a derivation file tree."""
-    nodes = []
+def _mutate(rng, d):
+    """One structured single-node mutation of a derivation.
 
-    def collect(node):
-        nodes.append(node)
-        for p in node["premises"]:
-            collect(p)
-
-    collect(obj)
-    node = rng.choice(nodes)
+    The node is drawn from its occurrences in pre-order, one per path, and
+    the ancestors on its path are rebuilt, so a node shared with another
+    path changes on the drawn path only.
+    """
+    paths, stack = [], [((), d)]
+    while stack:
+        path, node = stack.pop()
+        paths.append((path, node))
+        stack.extend((path + (i,), p) for i, p in reversed(list(enumerate(node.premises))))
+    path, node = rng.choice(paths)
     choices = []
     other_rules = ["Ax", "C", "T", "var", "Pi1", "Pi2", "Sigma", "Lam", "App", "Pair", "Proj1", "Proj2", "Cum"]
-    choices.append(("rule", rng.choice([r for r in other_rules if r != node["rule"]])))
-    if "level" in node["side"]:
-        choices.append(("level", node["side"]["level"] + 1))
-    if len(node["premises"]) >= 2 and node["premises"][0] != node["premises"][1]:
+    choices.append(("rule", rng.choice([r for r in other_rules if r != node.rule])))
+    if node.level is not None:
+        choices.append(("level", node.level + 1))
+    if len(node.premises) >= 2 and node.premises[0] != node.premises[1]:
         choices.append(("swap", None))
-    if node["type"] != "Type7":
-        choices.append(("type", "Type7"))
-    if "sub" not in node["side"]:
+    if node.conclusion.type != Type(7):
+        choices.append(("type", Type(7)))
+    if node.sub is None:
         choices.append(("junk_side", None))
     kind, value = rng.choice(choices)
     if kind == "rule":
-        node["rule"] = value
+        changed = dataclasses.replace(node, rule=value)
     elif kind == "level":
-        node["side"]["level"] = value
+        changed = dataclasses.replace(node, level=value)
     elif kind == "swap":
-        node["premises"][0], node["premises"][1] = node["premises"][1], node["premises"][0]
+        ps = node.premises
+        changed = dataclasses.replace(node, premises=(ps[1], ps[0]) + ps[2:])
     elif kind == "junk_side":
-        node["side"]["sub"] = "Type3"
-        node["side"]["sup"] = "Type4"
+        changed = dataclasses.replace(node, sub=Type(3), sup=Type(4))
     else:
-        node["type"] = value
-    return obj
+        changed = dataclasses.replace(node, conclusion=dataclasses.replace(node.conclusion, type=value))
+    ancestors = [d]
+    for i in path[:-1]:
+        ancestors.append(ancestors[-1].premises[i])
+    for parent, i in reversed(list(zip(ancestors, path))):
+        ps = parent.premises
+        changed = dataclasses.replace(parent, premises=ps[:i] + (changed,) + ps[i + 1:])
+    return changed
 
 
 def test_criterion_10_verifier_independence(tmp_path, capsys):
@@ -302,22 +311,28 @@ def test_criterion_10_verifier_independence(tmp_path, capsys):
         check_context(g)
         _, d = principal_of(g, parse_term(term_text), FUEL)
         assert verify(d, FUEL)
-        originals.append(derivation_to_dict(d))
+        originals.append(d)
 
     rng = random.Random(2030)
-    rejected = 0
+    files = set()  # each mutant's file, so no two count as one
     attempts = 0
-    while rejected < 100:
+    while len(files) < 100:
         attempts += 1
         assert attempts < 500, "could not build 100 distinct effective mutations"
         base = originals[rng.randrange(len(originals))]
-        mutated = _mutate(rng, json.loads(json.dumps(base)))
+        mutated = _mutate(rng, base)
         if mutated == base:
             continue
-        path = tmp_path / f"mut{rejected}.json"
-        path.write_text(json.dumps(mutated))
+        path = tmp_path / f"mut{len(files)}.json"
+        save_derivation(mutated, str(path))
+        text = path.read_text(encoding="utf-8")
+        if text in files:
+            continue
+        files.add(text)
+        capsys.readouterr()
         assert run_command(["verify", str(path)]) == EXIT_REJECTED
-        rejected += 1
-    capsys.readouterr()  # drop the expected rejection chatter
+        # the kernel rejects a node, never the reader the file
+        err = capsys.readouterr().err
+        assert err.startswith("rejected: root") and "malformed derivation file" not in err, err
     with capsys.disabled():
-        _report(10, f"{rejected} single-node mutations all rejected with exit {EXIT_REJECTED}")
+        _report(10, f"{len(files)} distinct single-node mutations all rejected by the kernel with exit {EXIT_REJECTED}")

@@ -37,9 +37,7 @@ from ecckernel.cli import (
     EXIT_REJECTED,
     EXIT_TYPE_ERROR,
     TERM_SIZE_LIMIT,
-    TREE_NODE_LIMIT,
     derivation_from_dict,
-    derivation_to_dict,
     load_derivation,
     run_command,
     save_derivation,
@@ -47,7 +45,7 @@ from ecckernel.cli import (
 
 from corpus import context_chain, typed_corpus
 from derivation_files import (
-    CTX, PREMISES, RULE, SIDE, TERM, TYPE, as_text_table, as_tree, first_paths, repeated_references, saved,
+    CTX, PREMISES, RULE, SIDE, TERM, TYPE, first_paths, repeated_references, saved,
 )
 
 
@@ -172,7 +170,7 @@ def test_elab_verify_round_trip(write, tmp_path, capsys):
     derivation = load_derivation(out_path)
     assert verify(derivation)
     # serialization round-trips exactly
-    assert derivation_from_dict(derivation_to_dict(derivation)) == derivation
+    assert derivation_from_dict(saved(derivation, tmp_path / "again.json")) == derivation
 
 
 def test_verify_rejects_tampered_rule(write, tmp_path, capsys):
@@ -246,7 +244,7 @@ def _validity_chain(g: Context) -> Derivation:
 def test_verify_rejects_ill_formed_contexts(tmp_path, capsys, ctx):
     name, entry_ty = ctx.entries[-1]
     root = Derivation("var", Judgment(ctx, Var(name), entry_ty), (_validity_chain(ctx),))
-    assert _verify_exit(tmp_path, derivation_to_dict(root)) == EXIT_REJECTED
+    assert _verify_exit(tmp_path, saved(root, tmp_path / "d.json")) == EXIT_REJECTED
 
 
 DROP = object()
@@ -409,37 +407,6 @@ def test_saved_derivations_load_equal_by_value(tmp_path):
     assert shared > 0
 
 
-def test_tree_and_table_forms_load_equal(tmp_path):
-    for g, m in typed_corpus():
-        _, d = principal_of(g, m)
-        tree = derivation_to_dict(d)
-        table = saved(d, tmp_path / "d.json")
-        assert derivation_from_dict(tree) == d == derivation_from_dict(table)
-        # a table whose term rows are surface text, as tables were once written
-        assert derivation_from_dict(as_text_table(table)) == d
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(lambda tree: tree.update(side=[]), id="side-as-a-list"),
-        pytest.param(lambda tree: tree["ctx"].__setitem__(0, "f"), id="ctx-entry-as-a-string"),
-        pytest.param(lambda tree: tree.update(ctx={}), id="ctx-as-a-dict"),
-        pytest.param(lambda tree: tree.update(premises={}), id="premises-as-a-dict"),
-        pytest.param(lambda tree: tree["premises"][0].update(term=0), id="term-as-a-number"),
-        pytest.param(lambda tree: tree["side"].update(lvl=1), id="unknown-side-key"),
-    ],
-)
-def test_verify_rejects_ill_typed_tree_fields(tmp_path, capsys, edit):
-    _, d = principal_of(parse_context("f : Pi x : Type1 . Prop"), parse_term("f Prop"))
-    tree = derivation_to_dict(d)
-    assert tree["ctx"] and tree["premises"] and _verify_exit(tmp_path, tree) == EXIT_OK
-    edit(tree)
-    capsys.readouterr()
-    assert _verify_exit(tmp_path, tree) == EXIT_REJECTED
-    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
-
-
 def _bad_number(bad: str, ref: int, rows: int, own: int | None = None, later: int | None = None):
     # ref is the number written in the file, own the number of the row that holds it
     return {
@@ -564,25 +531,23 @@ def test_verify_rejects_rows_no_path_from_the_root_uses(write, tmp_path, capsys,
     assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
 
 
-def test_the_nested_form_with_numbered_premises_is_rejected(tmp_path, capsys):
-    # earlier versions wrote a node equal to one written before it as that
-    # node's post-order number; only the table form and plain trees load now
-    _, d = principal_of(parse_context("f : Pi x : Type1 . Prop"), parse_term("f Prop"))
-    tree = derivation_to_dict(d)
-    order = []
-
-    def walk(node):
-        for p in node["premises"]:
-            walk(p)
-        order.append(node)
-
-    walk(tree)
-    later = next(k for k, node in enumerate(order) if node in order[:k])
-    holder = next(node for node in order if any(p is order[later] for p in node["premises"]))
-    holder["premises"] = [order.index(order[later]) if p is order[later] else p for p in holder["premises"]]
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rule": "Ax", "ctx": [], "term": "Prop", "type": "Type0", "side": {}, "premises": []},
+        {"terms": ["Prop", "Type0"], "contexts": [], "nodes": [["Ax", 0, 0, 1, [], {}]]},
+    ],
+    ids=["tree-form", "text-term-rows"],
+)
+def test_only_the_table_with_constructor_term_rows_loads(tmp_path, capsys, obj):
+    # the tree form and surface-text term rows, which earlier versions wrote,
+    # are rejected like the nested form before them; as a table of
+    # constructor rows the same Ax leaf is accepted
     capsys.readouterr()
-    assert _verify_exit(tmp_path, tree) == EXIT_REJECTED
+    assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
     assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
+    leaf = {"terms": [["Prop"], ["Type", 0]], "contexts": [], "nodes": [["Ax", 0, 0, 1, [], {}]]}
+    assert _verify_exit(tmp_path, leaf) == EXIT_OK
 
 
 def test_a_shared_node_is_rejected_at_its_first_path_in_pre_order(tmp_path):
@@ -597,11 +562,9 @@ def test_a_shared_node_is_rejected_at_its_first_path_in_pre_order(tmp_path):
         mutant = copy.deepcopy(table)
         row = mutant["nodes"][number]
         row[RULE] = "App" if row[RULE] == "Pair" else "Pair"  # wrong arity
-        with pytest.raises(DerivationError) as from_table:
+        with pytest.raises(DerivationError) as err:
             verify(derivation_from_dict(mutant))
-        with pytest.raises(DerivationError) as from_tree:
-            verify(derivation_from_dict(as_tree(mutant)))
-        assert from_table.value.path == from_tree.value.path == paths[number]
+        assert err.value.path == paths[number]
 
 
 def test_a_tree_of_2_to_the_64_nodes_verifies_once_per_object(tmp_path, monkeypatch):
@@ -713,11 +676,6 @@ def test_rows_that_double_a_term_past_its_limit_are_rejected(tmp_path):
     assert done.returncode == EXIT_REJECTED
     assert "malformed derivation file" in done.stderr and "over the limit" in done.stderr
 
-    # a term text counts its characters, each node taking at least one
-    text = " ".join(["x"] * (TERM_SIZE_LIMIT // 2 + 1))
-    with pytest.raises(DerivationError, match="characters, over the limit"):
-        derivation_from_dict({"terms": [text], "contexts": [], "nodes": [["Ax", 0, 0, 0, [], {}]]})
-
 
 def test_the_term_size_limit_sits_far_above_the_corpus():
     largest = 0
@@ -741,22 +699,6 @@ def _terms_of(d) -> list:
 
 def _term_nodes(t) -> int:
     return 1 + sum(_term_nodes(getattr(t, field)) for field in SHAPES[type(t)])
-
-
-def test_the_tree_form_refuses_a_tree_over_its_limit():
-    # the k = 16 chain has 100 node objects but 589,819 nodes as a tree, which
-    # used to be written out as 89.8 MB of JSON; counting them reads each
-    # object once
-    _, d = principal_of(*context_chain(16))
-    with pytest.raises(ValueError, match="589819 nodes"):
-        derivation_to_dict(d)
-    assert 100 * max(_tree_nodes(principal_of(g, m)[1]) for g, m in typed_corpus()) < TREE_NODE_LIMIT
-    _, d = principal_of(*context_chain(8))
-    assert _tree_nodes(d) == 2299 and derivation_from_dict(derivation_to_dict(d)) == d
-
-
-def _tree_nodes(d) -> int:
-    return 1 + sum(_tree_nodes(p) for p in d.premises)
 
 
 def test_a_failed_save_leaves_the_file_as_it_was(tmp_path):

@@ -31,7 +31,7 @@ from ecckernel import (
     principal_of,
     print_term,
 )
-from ecckernel.cli import EXIT_OK, EXIT_REJECTED, derivation_from_dict, derivation_to_dict, run_command
+from ecckernel.cli import EXIT_OK, EXIT_REJECTED, derivation_from_dict, run_command
 from ecckernel.kernel import KERNEL_RULES
 from ecckernel.terms import subterms
 
@@ -110,7 +110,7 @@ def test_term_rows_read_back_equal_with_equal_subterms_shared(t):
 
 @functools.cache
 def _derivation_files() -> tuple[str, ...]:
-    # each derivation as a tree and as the table `ecc elab` writes
+    # each derivation as the table `ecc elab` writes
     files = []
     for ctx, subject in [
         ("f : Pi x : Type1 . Prop", "f Prop"),
@@ -118,7 +118,6 @@ def _derivation_files() -> tuple[str, ...]:
         ("p2 : Sig g : Type0 . (fn Y : Type1 . Pi Z : Y . Prop) Type0", "snd p2 Prop"),
     ]:
         _, d = principal_of(parse_context(ctx), parse_term(subject))
-        files.append(json.dumps(derivation_to_dict(d)))
         with tempfile.TemporaryDirectory() as tmp:
             files.append(json.dumps(saved(d, os.path.join(tmp, "d.json"))))
     return tuple(files)
@@ -138,13 +137,14 @@ json_values = st.recursive(
     max_leaves=8,
 )
 # replace, drop or empty one list item or dict value anywhere in the file:
-# a tree node's field or premise, a term string, a cell of a term, context or
-# node row, a whole row, a number in a row, a side entry, or a whole table
+# a cell of a term, context or node row, a whole row, a number in a row, a
+# side entry, or a whole table; every base file is a table, so no example is
+# spent on a file rejected at its first key
 edits = st.tuples(st.integers(0, 10**4), st.sampled_from(["set", "drop", "zero"]), json_values)
 
 
 @seeded
-@given(st.integers(0, 5), st.lists(edits, max_size=3), st.none() | st.integers(0, 10**6))
+@given(st.integers(0, 2), st.lists(edits, max_size=3), st.none() | st.integers(0, 10**6))
 def test_verify_answers_accepted_or_rejected_on_fuzzed_files(base, changes, cut):
     obj = json.loads(_derivation_files()[base])
     for at, how, value in changes:
