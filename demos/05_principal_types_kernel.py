@@ -1,9 +1,9 @@
 """Principal types, end to end.
 
 Inference computes the least type of a term together with a trace of the
-syntax-directed derivation. The trace is materialized, expanded into a
-full kernel derivation with explicit subsumption steps, and re-checked
-by the verifier, which trusts nothing about how the tree was produced.
+syntax-directed derivation. The trace is expanded into a full kernel
+derivation with explicit subsumption steps and re-checked by the
+verifier, which trusts nothing about how the tree was produced.
 """
 
 from ecckernel import (
@@ -17,7 +17,6 @@ from ecckernel import (
     print_term,
     subtype,
     to_full,
-    trace_to_derivation,
     type_typing,
     verify,
 )
@@ -51,7 +50,7 @@ def show(node, indent="  "):
 
 print("trace:")
 show(outcome.trace)
-full = to_full(trace_to_derivation(outcome))
+full = to_full(outcome.trace)
 print("kernel derivation (subsumption steps now explicit):")
 show(full)
 print(f"verifier accepts: {verify(full)}")

@@ -1,17 +1,14 @@
 """Elaboration: from inference traces to full kernel derivations.
 
-`AlgDerivation` is the syntax-directed restriction of the kernel system
-produced from inference traces; its formation and elimination rules
-carry cumulativity side conditions instead of subsumption nodes, and
-each conversion node embeds a kernel derivation rho typing the
-conversion target.
-
-`to_full` performs the rule-by-rule expansion: binder formation rules
+An inference `Trace` is the syntax-directed derivation: its formation
+and elimination rules carry cumulativity side conditions instead of
+subsumption nodes. `to_full` expands it rule by rule in one pass: the
+leaf rules get their context-validity chain, binder formation rules
 lift a premise to the target universe, and application and pairing lift
 the argument sides to the expected types, each only when its type
 differs; the lifted type is typed by `type_typing`. Each conversion node
-becomes a subsumption node reusing its embedded rho. The conclusion
-judgment of every node is preserved. Nothing here is trusted:
+becomes a subsumption node whose target is typed the same way. The
+conclusion judgment of every node is preserved. Nothing here is trusted:
 `kernel.verify` re-checks what it builds.
 
 Each public call builds equal subderivations once, as one object.
@@ -19,23 +16,10 @@ Each public call builds equal subderivations once, as one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .inference import InferOutcome, Trace, infer_type, infer_universe
 from .kernel import Derivation
 from .reduction import DEFAULT_FUEL, Fuel
 from .terms import PROP, Context, Judgment, Prop, Term, Type, alpha_eq, subst
-
-
-@dataclass(frozen=True)
-class AlgDerivation:
-    """Syntax-directed derivation node; Conv nodes always carry rho."""
-
-    rule: str
-    conclusion: Judgment
-    premises: tuple["AlgDerivation", ...] = ()
-    level: int | None = None
-    rho: Derivation | None = None
 
 
 class _Build(dict):
@@ -78,7 +62,7 @@ def type_typing(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivat
 def _type_typing(g: Context, t: Term, b: _Build) -> Derivation:
     # g types t at the exact universe its principal type converts to, Prop lifted
     tr, lvl = infer_universe(g, t, b.fuel)
-    return _lift(_full(_materialize(tr, b), b), Type(max(lvl, 0)), b)
+    return _lift(_full(tr, b), Type(max(lvl, 0)), b)
 
 
 def _lift(d: Derivation, target: Term, b: _Build) -> Derivation:
@@ -97,91 +81,69 @@ def _cum(d: Derivation, target_typing: Derivation) -> Derivation:
     )
 
 
-def trace_to_derivation(outcome: InferOutcome | Trace, fuel: int | Fuel = DEFAULT_FUEL) -> AlgDerivation:
-    """Materialize an inference trace into a syntax-directed derivation.
+def trace_to_derivation(outcome: InferOutcome | Trace, fuel: int | Fuel = DEFAULT_FUEL) -> Trace:
+    """The outcome's inference trace, which `to_full` expands as it is.
 
-    Context-validity premises are synthesized for the leaf rules, and
-    each conversion node gets its rho: a kernel derivation typing the
-    conversion target.
+    Does no work and leaves `fuel` unused: `to_full` takes the trace as it
+    is. The benchmark still calls it; ROADMAP item F can drop it.
     """
-    tr = outcome.trace if isinstance(outcome, InferOutcome) else outcome
-    return _materialize(tr, _Build(fuel))
+    return outcome.trace if isinstance(outcome, InferOutcome) else outcome
 
 
-def _materialize(tr: Trace, b: _Build) -> AlgDerivation:
-    g = tr.judgment.ctx
+def to_full(tr: Trace, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
+    """Expand an inference trace into a kernel derivation.
+
+    The conclusion judgment of every trace node is preserved.
+    """
+    return _full(tr, _Build(fuel))
+
+
+def _full(tr: Trace, b: _Build) -> Derivation:
+    c = tr.judgment
     match tr.rule:
         case "Ax" | "C":
-            return _alg_validity(g, b)
+            return _validity(c.ctx, b)
+
         case "T" | "var":
-            return AlgDerivation(tr.rule, tr.judgment, (_alg_validity(g, b),), level=tr.level)
-        case "Conv":
-            rho = _type_typing(g, tr.judgment.type, b)
-            prems = tuple(_materialize(p, b) for p in tr.premises)
-            return AlgDerivation("Conv", tr.judgment, prems, rho=rho)
-        case _:
-            prems = tuple(_materialize(p, b) for p in tr.premises)
-            return AlgDerivation(tr.rule, tr.judgment, prems, level=tr.level)
+            return Derivation(tr.rule, c, (_validity(c.ctx, b),), level=tr.level)
 
-
-@_shared
-def _alg_validity(g: Context, b: _Build) -> AlgDerivation:
-    if not g:
-        return AlgDerivation("Ax", Judgment(g, PROP, Type(0)))
-    front, _, entry_ty = g.pop()
-    entry_tr, _ = infer_universe(front, entry_ty, b.fuel)
-    return AlgDerivation("C", Judgment(g, PROP, Type(0)), (_materialize(entry_tr, b),))
-
-
-def to_full(d: AlgDerivation, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
-    """Expand a syntax-directed derivation into a kernel derivation.
-
-    The conclusion judgment of every node is preserved.
-    """
-    return _full(d, _Build(fuel))
-
-
-def _full(d: AlgDerivation, b: _Build) -> Derivation:
-    # keyed by identity, as hashing by value walks the whole tree; the entry keeps d alive
-    if id(d) not in b:
-        b[id(d)] = (d, _expand(d, b))
-    return b[id(d)][1]
-
-
-def _expand(d: AlgDerivation, b: _Build) -> Derivation:
-    c = d.conclusion
-    match d.rule:
-        case "Ax" | "C" | "T" | "var" | "Pi1" | "Lam" | "Proj1" | "Proj2":
-            prems = tuple(_full(p, b) for p in d.premises)
-            return Derivation(d.rule, c, prems, level=d.level)
+        case "Pi1" | "Lam" | "Proj1" | "Proj2":
+            return Derivation(tr.rule, c, tuple(_full(p, b) for p in tr.premises))
 
         case "Pi2'" | "Sigma'":
-            dom, body = (_lift(_full(p, b), Type(d.level), b) for p in d.premises)
-            rule = "Pi2" if d.rule == "Pi2'" else "Sigma"
-            return Derivation(rule, c, (dom, body), level=d.level)
+            dom, body = (_lift(_full(p, b), Type(tr.level), b) for p in tr.premises)
+            rule = "Pi2" if tr.rule == "Pi2'" else "Sigma"
+            return Derivation(rule, c, (dom, body), level=tr.level)
 
         case "App'":
-            fn = _full(d.premises[0], b)
-            arg = _full(d.premises[1], b)
+            fn, arg = (_full(p, b) for p in tr.premises)
             return Derivation("App", c, (fn, _lift(arg, fn.conclusion.type.domain, b)))
 
         case "Pair'":
-            first = _full(d.premises[0], b)
-            second = _full(d.premises[1], b)
-            family = _full(d.premises[2], b)
+            first, second, family = (_full(p, b) for p in tr.premises)
             ann = c.type
             family_at_first = subst(ann.second, ann.var, first.conclusion.subject)
             lifted = (_lift(first, ann.first, b), _lift(second, family_at_first, b))
-            return Derivation("Pair", c, (*lifted, family), level=d.level)
+            return Derivation("Pair", c, (*lifted, family), level=tr.level)
 
         case "Conv":
-            return _cum(_full(d.premises[0], b), d.rho)
+            return _cum(_full(tr.premises[0], b), _type_typing(c.ctx, c.type, b))
 
-    raise ValueError(f"unknown syntax-directed rule: {d.rule!r}")
+    raise ValueError(f"unknown trace rule: {tr.rule!r}")
+
+
+@_shared
+def _validity(g: Context, b: _Build) -> Derivation:
+    # the context-formation chain: g types Prop at Type 0
+    if not g:
+        return Derivation("Ax", Judgment(g, PROP, Type(0)))
+    front, _, entry_ty = g.pop()
+    entry_tr, _ = infer_universe(front, entry_ty, b.fuel)
+    return Derivation("C", Judgment(g, PROP, Type(0)), (_full(entry_tr, b),))
 
 
 def principal_of(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tuple[Term, Derivation]:
     """Principal type together with a kernel derivation concluding it."""
     b = _Build(fuel)
     outcome = infer_type(g, t, b.fuel)
-    return outcome.principal, _full(_materialize(outcome.trace, b), b)
+    return outcome.principal, _full(outcome.trace, b)

@@ -2,9 +2,8 @@
 
 Every subject form has exactly one applicable clause, so accepted terms
 get a unique principal type (up to conversion) together with a trace:
-a skeleton of the syntax-directed derivation, one node per rule
-application, which `elaborate` materializes (`trace_to_derivation`) and
-expands into a full kernel derivation (`to_full`).
+the syntax-directed derivation, one node per rule application, which
+`elaborate` expands into a full kernel derivation (`to_full`).
 
 Universe bookkeeping treats Prop as level -1 while forming Pi and Sigma
 types: a Pi whose codomain lands in Prop is itself a Prop (rule Pi1),

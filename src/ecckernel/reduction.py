@@ -109,6 +109,7 @@ def _whnf(t: Term, f: Fuel) -> Term:
 
 
 _BUILD = object()  # on the work stack: rebuild the node below from its parts' results
+_STABLE = object()  # on the work stack: the term below is whnf-stable
 
 
 def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
@@ -120,7 +121,11 @@ def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     cannot create a new head redex, so the contraction order still matches
     iterating `step`. A stable node with parts goes back on the stack under
     the private marker `_BUILD` and its parts, so when the marker comes up
-    again the parts' normal forms are the last results.
+    again the parts' normal forms are the last results. A stable
+    elimination's spine part (`fn` or `pair`) has the same head and
+    innermost elimination, so it is stable too: the marker `_STABLE` above
+    it skips its `_whnf`, and a neutral spine is walked once, not once per
+    elimination.
     """
     f = Fuel.coerce(fuel)
     done: list[Term] = []
@@ -140,7 +145,10 @@ def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
             done.append(u)
             continue
         cls = type(u)
-        if cls is App or cls is Proj1 or cls is Proj2:  # the only possible head redexes
+        if u is _STABLE:
+            u = todo.pop()
+            cls = type(u)
+        elif cls is App or cls is Proj1 or cls is Proj2:  # the only possible head redexes
             u = _whnf(u, f)
             cls = type(u)
         fields = SHAPES.get(cls)
@@ -152,6 +160,8 @@ def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
         todo += (u, _BUILD)
         for field in reversed(fields):
             todo.append(getattr(u, field))
+        if cls is App or cls is Proj1 or cls is Proj2:
+            todo.append(_STABLE)
     return done[0]
 
 

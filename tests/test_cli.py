@@ -325,14 +325,16 @@ def test_python_dash_m_runs_the_cli(write):
     [
         ("nf", "(fn y : Type0 . " + "".join(f"fn x{i} : Prop . " for i in range(450)) + "y) Prop"),
         ("infer", "".join(f"Pi x{i} : Prop . " for i in range(325)) + "Prop"),
+        ("elab", "".join(f"Pi x{i} : Prop . " for i in range(325)) + "Prop"),
     ],
-    ids=["nf-450-binder-redex", "infer-325-binder-pi"],
+    ids=["nf-450-binder-redex", "infer-325-binder-pi", "elab-325-binder-pi"],
 )
-def test_deep_terms_under_the_recursion_limit_answer(write, command, text):
+def test_deep_terms_under_the_recursion_limit_answer(write, tmp_path, command, text):
     # in a fresh interpreter, so the runner's own stack does not count;
     # about 500 and 330 binders exit 6, so an operation that takes more
     # interpreter frames per level fails here
-    assert _python_dash_m(command, write("deep.ecc", text)).returncode == EXIT_OK
+    out = ("--out", str(tmp_path / "deep.json")) if command == "elab" else ()
+    assert _python_dash_m(command, write("deep.ecc", text), *out).returncode == EXIT_OK
 
 
 @pytest.mark.parametrize(

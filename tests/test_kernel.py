@@ -74,97 +74,86 @@ def test_type_typing_lifts_prop_level_types():
 
 
 def test_trace_materialization_shapes():
-    out = infer_type(Context(), parse_term("Sig x : Prop . Type0"))
-    alg = trace_to_derivation(out)
-    assert alg.rule == "Sigma'"
-    assert alg.level == 1
+    # each syntax-directed rule expands to its kernel rule; leaves get the validity chain
+    tr = infer_type(Context(), parse_term("Sig x : Prop . Type0")).trace
+    assert (tr.rule, tr.level) == ("Sigma'", 1)
+    d = to_full(tr)
+    assert (d.rule, d.level, d.conclusion) == ("Sigma", 1, tr.judgment)
+    dom, body = d.premises
+    assert (dom.rule, dom.conclusion.type, dom.premises[0].rule) == ("Cum", Type(1), "Ax")
+    assert (body.rule, body.level, body.premises[0].rule) == ("T", 0, "C")
     g = parse_context("f : Pi x : Type1 . Prop")
     check_context(g)
-    alg2 = trace_to_derivation(infer_type(g, parse_term("f Prop")))
-    assert alg2.rule == "App'"
-    assert alg2.conclusion.type == PROP
-
-
-def test_conv_nodes_carry_rho():
-    g = parse_context("p2 : Sig g : Type0 . (fn Y : Type1 . Pi Z : Y . Prop) Type0")
-    check_context(g)
-    alg = trace_to_derivation(infer_type(g, parse_term("snd p2 Prop")))
-
-    found = []
-
-    def walk(node):
-        if node.rule == "Conv":
-            found.append(node)
-        for p in node.premises:
-            walk(p)
-
-    walk(alg)
-    assert found, "expected a conversion node in this trace"
-    for node in found:
-        assert node.rho is not None
-        assert verify(node.rho)
-        assert alpha_eq(node.rho.conclusion.subject, node.conclusion.type)
+    tr = infer_type(g, parse_term("f Prop")).trace
+    assert tr.rule == "App'"
+    d = to_full(tr)
+    assert (d.rule, d.conclusion.type) == ("App", PROP)
+    fn, arg = d.premises
+    assert (fn.rule, fn.premises[0].rule) == ("var", "C")
+    assert (arg.rule, arg.conclusion.type) == ("Cum", Type(1))
 
 
 def _unlifted(a, f):
     # the builder wraps a premise in a Cum only where its type changes
-    if f.conclusion == a.conclusion:
+    if f.conclusion == a.judgment:
         return f
     assert f.rule == "Cum"
     return f.premises[0]
 
 
-def test_expansion_preserves_conclusions():
-    for g, m in typed_corpus():
-        alg = trace_to_derivation(infer_type(g, m))
-        full = to_full(alg)
-        assert full.conclusion == alg.conclusion
+def _expansion(tr):
+    # each trace node with the kernel node it expands to, lifts stepped over
+    pairs, stack = [], [(tr, to_full(tr))]
+    while stack:
+        a, f = stack.pop()
+        pairs.append((a, f))
+        if a.rule in ("Pi2'", "Sigma'"):
+            stack.append((a.premises[0], _unlifted(a.premises[0], f.premises[0])))
+            stack.append((a.premises[1], _unlifted(a.premises[1], f.premises[1])))
+        elif a.rule == "App'":
+            stack.append((a.premises[0], f.premises[0]))
+            stack.append((a.premises[1], _unlifted(a.premises[1], f.premises[1])))
+        elif a.rule == "Pair'":
+            stack.append((a.premises[0], _unlifted(a.premises[0], f.premises[0])))
+            stack.append((a.premises[1], _unlifted(a.premises[1], f.premises[1])))
+            stack.append((a.premises[2], f.premises[2]))
+        else:
+            stack.extend(zip(a.premises, f.premises))
+    return pairs
 
-        stack = [(alg, full)]
-        while stack:
-            a, f = stack.pop()
-            assert f.conclusion == a.conclusion
-            if a.rule in ("Pi2'", "Sigma'"):
-                stack.append((a.premises[0], _unlifted(a.premises[0], f.premises[0])))
-                stack.append((a.premises[1], _unlifted(a.premises[1], f.premises[1])))
-            elif a.rule == "App'":
-                stack.append((a.premises[0], f.premises[0]))
-                stack.append((a.premises[1], _unlifted(a.premises[1], f.premises[1])))
-            elif a.rule == "Pair'":
-                stack.append((a.premises[0], _unlifted(a.premises[0], f.premises[0])))
-                stack.append((a.premises[1], _unlifted(a.premises[1], f.premises[1])))
-                stack.append((a.premises[2], f.premises[2]))
-            elif a.rule == "Conv":
-                stack.append((a.premises[0], f.premises[0]))
+
+def _conv_expansions():
+    g = parse_context("p2 : Sig g : Type0 . (fn Y : Type1 . Pi Z : Y . Prop) Type0")
+    check_context(g)
+    found = [(a, f) for a, f in _expansion(infer_type(g, parse_term("snd p2 Prop")).trace) if a.rule == "Conv"]
+    assert found, "expected a conversion node in this trace"
+    return found
+
+
+def test_conv_nodes_carry_rho():
+    # a conversion expands to a Cum from its premise's type to its target
+    for a, f in _conv_expansions():
+        assert f.rule == "Cum"
+        assert f.premises[0].conclusion == a.premises[0].judgment
+        assert (f.sub, f.sup) == (a.premises[0].judgment.type, a.judgment.type)
+
+
+def test_expansion_preserves_conclusions():
+    rules = set()
+    for g, m in typed_corpus():
+        for a, f in _expansion(infer_type(g, m).trace):
+            assert f.conclusion == a.judgment
+            rules.add(a.rule)
+    assert rules == {"Ax", "C", "T", "var", "Pi1", "Pi2'", "Sigma'", "Lam", "App'", "Pair'",
+                     "Proj1", "Proj2", "Conv"}
 
 
 def test_conv_expansion_reuses_rho_verbatim():
-    g = parse_context("p2 : Sig g : Type0 . (fn Y : Type1 . Pi Z : Y . Prop) Type0")
-    check_context(g)
-    alg = trace_to_derivation(infer_type(g, parse_term("snd p2 Prop")))
-    full = to_full(alg)
-
-    rhos = []
-
-    def collect_rho(node):
-        if node.rule == "Conv":
-            rhos.append(node.rho)
-        for p in node.premises:
-            collect_rho(p)
-
-    collect_rho(alg)
-
-    reused = []
-
-    def collect_cum(node):
-        if node.rule == "Cum":
-            reused.append(node.premises[1])
-        for p in node.premises:
-            collect_cum(p)
-
-    collect_cum(full)
-    for rho in rhos:
-        assert any(rho is candidate for candidate in reused)
+    # the Cum's target typing is the one type_typing builds for the conversion target
+    for a, f in _conv_expansions():
+        rho = f.premises[1]
+        assert verify(rho)
+        assert rho == type_typing(a.judgment.ctx, a.judgment.type)
 
 
 def test_end_to_end_soundness_on_corpus():
@@ -358,6 +347,13 @@ def _objects(d: Derivation) -> list[Derivation]:
             seen[id(node)] = node
             stack.extend(node.premises)
     return list(seen.values())
+
+
+def test_trace_expansion_builds_as_many_node_objects_as_principal_of():
+    # one call, one memo: conversion targets and lifts share their typings
+    for g, m in typed_corpus():
+        expanded = to_full(trace_to_derivation(infer_type(g, m)))
+        assert len(_objects(expanded)) == len(_objects(principal_of(g, m)[1]))
 
 
 def test_node_and_cum_objects_over_the_corpus():

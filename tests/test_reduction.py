@@ -22,6 +22,7 @@ from ecckernel import (
     step,
     whnf,
 )
+from ecckernel import reduction
 
 from genterms import expand, normal_type, oracle_parts, oracle_rebuild
 
@@ -70,6 +71,19 @@ def test_normalize_counts_each_contraction():
 def test_normalize_self_application_exhausts():
     with pytest.raises(FuelExhausted):
         normalize(self_application(), 10000)
+
+
+def test_normalize_walks_a_neutral_spine_once(monkeypatch):
+    # a stable elimination's spine part is stable too: only the top calls _whnf
+    spine = Var("f")
+    for _ in range(2000):
+        spine = App(spine, Var("a"))
+    spine = Proj2(spine)
+    calls = []
+    whnf_once = reduction._whnf
+    monkeypatch.setattr(reduction, "_whnf", lambda t, f: calls.append(t) or whnf_once(t, f))
+    assert normalize(spine) is spine
+    assert calls == [spine]
 
 
 def test_whnf_exposes_sigma_of_self_application():
