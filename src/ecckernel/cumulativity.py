@@ -7,9 +7,10 @@ inclusion (Prop below every Type level), codomain covariance for Pi
 components. A strict Pi sits one level above its codomain, a strict
 Sigma one level above the higher of its components. The walk never
 normalizes a whole term, so the strict part of the descending-chain demo
-is decided on raw non-normalizing terms. `subtype_at_level`, the
-level-indexed unfolding of the relation, compares the least level with
-its index.
+is decided on raw non-normalizing terms. Nor does the conversion it
+falls back on at Pi domains and other heads: `reduction.conv` walks both
+sides head first too. `subtype_at_level`, the level-indexed unfolding of
+the relation, compares the least level with its index.
 """
 
 from __future__ import annotations

@@ -15,11 +15,20 @@ fired; `_whnf` is the same loop on a `Fuel` the caller already holds.
 rebuilds it through the shape table in `terms`, so it rejects a non-term
 anywhere in its input; `whnf` rejects one where it reads: the head it
 stops at.
+
+`conv` normalizes neither side. It walks both head first, the conversion
+check of Coquand ("An algorithm for testing conversion in type theory",
+1991): each pair of parts is brought to weak-head normal form, unlike
+head constructors answer False, and the parts are compared in field
+order, one interpreter frame per level. Variables and binders are
+treated as in alpha-equivalence, with the two variables of a binder bound
+at one depth in place, so no level renames or copies a term. It rejects
+a non-term where it reads, like `whnf`.
 """
 
 from __future__ import annotations
 
-from .terms import BINDERS, SHAPES, App, Lam, Pair, Proj1, Proj2, Term, alpha_eq, subst, subterms
+from .terms import BINDERS, SHAPES, App, Lam, Pair, Proj1, Proj2, Prop, Term, Type, Var, alpha_eq, subst, subterms
 
 DEFAULT_FUEL = 10000
 
@@ -166,13 +175,69 @@ def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
 
 
 def conv(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
-    """Decide convertibility.
+    """Decide convertibility, head first.
 
     Alpha-equal terms short-circuit without any reduction (this keeps the
-    relation decidable on self-comparisons of non-normalizing terms);
-    otherwise normal forms are compared up to alpha.
+    relation decidable on self-comparisons of non-normalizing terms).
+    Otherwise one walk brings both sides to weak-head normal form, answers
+    False on unlike head constructors, and compares the parts in field
+    order, each pair brought to weak-head normal form in its turn. It
+    contracts only redexes that `normalize` on one side contracts too, so
+    where both normal forms are reached within the fuel it answers as
+    comparing them would, on no more fuel. It also answers on some pairs
+    with no normal form: `f loop` against `g loop` is False.
     """
     if alpha_eq(a, b):
         return True
-    f = Fuel.coerce(fuel)
-    return alpha_eq(normalize(a, f), normalize(b, f))
+    return _conv(a, b, {}, {}, 0, True, Fuel.coerce(fuel))
+
+
+_ELIMINATIONS = frozenset((App, Proj1, Proj2))  # the only constructors a head redex can hide under
+
+
+def _conv(
+    a: Term, b: Term, env_a: dict, env_b: dict, depth: int, same: bool, f: Fuel, stable: bool = False
+) -> bool:
+    # Variables and binders as in terms._alpha: bound ones compare by binder
+    # depth, and a binder binds its two variables in place and puts back what
+    # they shadowed. `same` holds while every binder entered bound one name on
+    # both sides, so the two environments agree and `is` implies convertible.
+    # `stable` marks the spine parts of two eliminations that came out of
+    # `_whnf`: each has its elimination's head, so it is stable too.
+    if same and a is b:
+        return True
+    if not stable:
+        if type(a) in _ELIMINATIONS:
+            a = _whnf(a, f)
+        if type(b) in _ELIMINATIONS:
+            b = _whnf(b, f)
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is Var:
+        da, db = env_a.get(a.name), env_b.get(b.name)
+        if da is None and db is None:
+            return a.name == b.name
+        return da == db
+    if cls in BINDERS:
+        p, q = SHAPES[cls]
+        if not _conv(getattr(a, p), getattr(b, p), env_a, env_b, depth, same, f):
+            return False
+        x, y = a.var, b.var
+        shadowed = env_a.get(x), env_b.get(y)
+        env_a[x] = env_b[y] = depth
+        try:
+            return _conv(getattr(a, q), getattr(b, q), env_a, env_b, depth + 1, same and x == y, f)
+        finally:
+            env_a[x], env_b[y] = shadowed
+    if cls is App:
+        return _conv(a.fn, b.fn, env_a, env_b, depth, same, f, True) and _conv(
+            a.arg, b.arg, env_a, env_b, depth, same, f
+        )
+    if cls is Proj1 or cls is Proj2:
+        return _conv(a.pair, b.pair, env_a, env_b, depth, same, f, True)
+    if cls is Pair:
+        return all(_conv(getattr(a, k), getattr(b, k), env_a, env_b, depth, same, f) for k in SHAPES[Pair])
+    if cls is Prop or cls is Type:
+        return a == b
+    raise TypeError(f"not a term: {a!r}")

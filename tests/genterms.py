@@ -8,7 +8,8 @@ decision procedures under test.
 
 `at_level` is the oracle for `subtype_at_level`: the literal
 level-indexed unfolding, recursing on the level, that the structural
-walk's least level answers to.
+walk's least level answers to. It converts, reduces and renames with the
+oracles below, never with the code under test.
 
 `oracle_free_vars`, `oracle_subst`, `oracle_whnf` and `oracle_normalize`
 are the term operations as they were before they learned to keep
@@ -16,7 +17,10 @@ unchanged subterms: every call walks and rebuilds the whole term, and
 `free_vars` is computed afresh each time. The sharing versions must give
 equal results and spend the same fuel. `oracle_alpha_eq` compares
 de Bruijn forms, with no environment to keep, and `oracle_conv` is
-conversion spelled out from those oracles. The oracles spell out each
+conversion spelled out from those oracles: both normal forms compared.
+`oracle_lazy_conv` is conversion head first, from `oracle_whnf` and de
+Bruijn forms; it answers wherever `oracle_conv` does, the same, and on
+some pairs whose normal forms do not exist. The oracles spell out each
 constructor's parts with their own `match` (`oracle_parts`,
 `oracle_rebuild`), so the shape table in `terms` is checked against a
 separate implementation.
@@ -40,12 +44,9 @@ from ecckernel import (
     Term,
     Type,
     Var,
-    conv,
     fresh_name,
     universe_level,
-    whnf,
 )
-from ecckernel.cumulativity import _opened
 from ecckernel.reduction import DEFAULT_FUEL
 
 
@@ -203,9 +204,9 @@ def at_level(a: Term, b: Term, i: int, fuel: int) -> bool:
 
 
 def _at_level(a: Term, b: Term, i: int, f: Fuel) -> bool:
-    if conv(a, b, f):
+    if oracle_conv(a, b, f):
         return True
-    ha, hb = whnf(a, f), whnf(b, f)
+    ha, hb = oracle_whnf(a, f), oracle_whnf(b, f)
     la, lb = universe_level(ha), universe_level(hb)
     if la is not None and lb is not None and la <= lb:
         return True
@@ -213,16 +214,24 @@ def _at_level(a: Term, b: Term, i: int, f: Fuel) -> bool:
         return False
     match ha, hb:
         case (Pi(x, a1, b1), Pi(y, a2, b2)):
-            if not conv(a1, a2, f):
+            if not oracle_conv(a1, a2, f):
                 return False
-            c1, c2 = _opened(x, b1, y, b2)
+            c1, c2 = _oracle_opened(x, b1, y, b2)
             return _at_level(c1, c2, i - 1, f)
         case (Sigma(x, a1, b1), Sigma(y, a2, b2)):
             if not _at_level(a1, a2, i - 1, f):
                 return False
-            c1, c2 = _opened(x, b1, y, b2)
+            c1, c2 = _oracle_opened(x, b1, y, b2)
             return _at_level(c1, c2, i - 1, f)
     return False
+
+
+def _oracle_opened(x: str, b1: Term, y: str, b2: Term) -> tuple[Term, Term]:
+    # two bound bodies renamed apart to one common fresh variable
+    if x == y:
+        return b1, b2
+    z = fresh_name(x, oracle_free_vars(b1) | oracle_free_vars(b2))
+    return oracle_subst(b1, x, Var(z)), oracle_subst(b2, y, Var(z))
 
 
 def oracle_free_vars(t: Term) -> frozenset[str]:
@@ -403,3 +412,25 @@ def oracle_conv(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
         return True
     f = Fuel.coerce(fuel)
     return oracle_alpha_eq(oracle_normalize(a, f), oracle_normalize(b, f))
+
+
+def oracle_lazy_conv(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
+    """Conversion head first: at every level the alpha shortcut, then both
+    weak-head normal forms, unlike heads False, and the parts in field order."""
+    return _oracle_lazy(a, b, (), (), Fuel.coerce(fuel))
+
+
+def _oracle_lazy(a: Term, b: Term, bound_a: tuple[str, ...], bound_b: tuple[str, ...], f: Fuel) -> bool:
+    # bound_a and bound_b name the binders entered on each side, innermost first
+    if de_bruijn(a, bound_a) == de_bruijn(b, bound_b):
+        return True
+    a, b = _oracle_whnf(a, f), _oracle_whnf(b, f)
+    if type(a) is not type(b):
+        return False
+    match a, b:
+        case (Pi(x, a1, a2), Pi(y, b1, b2)) | (Sigma(x, a1, a2), Sigma(y, b1, b2)) | (Lam(x, a1, a2), Lam(y, b1, b2)):
+            inside = (x, *bound_a), (y, *bound_b)
+            return _oracle_lazy(a1, b1, bound_a, bound_b, f) and _oracle_lazy(a2, b2, *inside, f)
+    parts = oracle_parts(a)
+    # a variable or a universe is unchanged by whnf, so the shortcut decided it
+    return bool(parts) and all(_oracle_lazy(p, q, bound_a, bound_b, f) for p, q in zip(parts, oracle_parts(b)))

@@ -295,6 +295,62 @@ def test_foreign_side_data_is_rejected():
     assert "universe index" in err.value.reason
 
 
+def _pair_with_another_family():
+    # the family premise types Pi z : Type1 . Type1, not the annotation's Type1
+    _, d = principal_of(Context(), parse_term("< Prop , Type0 > : Sig x : Type1 . Type1"))
+    family = d.premises[2].conclusion
+    _, other = principal_of(family.ctx, parse_term("Pi z : Type1 . Type1"))
+    assert other.conclusion.type == family.type
+    return dataclasses.replace(d, premises=d.premises[:2] + (other,)), "root", "Pair family premise"
+
+
+def _context_with_another_entry():
+    # x : Prop is valid; the node claims the same judgment where x is no type
+    good = universe_derivation(parse_context("x : Prop"), Type(0))
+    ill_formed = Context.of(("x", parse_term("fn y : Prop . y")))
+    bad = dataclasses.replace(good, conclusion=Judgment(ill_formed, Type(0), Type(1)))
+    return bad, "root", "T premise 0 context mismatch"
+
+
+def _cum_recording_another_sub():
+    # the side condition reads the premise's type; the recorded sub says Prop
+    _, d = principal_of(Context(), parse_term("< Prop , Type0 > : Sig x : Type1 . Type1"))
+    cum = d.premises[0]
+    assert cum.rule == "Cum" and cum.sub == Type(0)
+    bad = dataclasses.replace(d, premises=(dataclasses.replace(cum, sub=PROP),) + d.premises[1:])
+    return bad, "root.0", "Cum recorded subtype mismatch"
+
+
+def _projection_of_another_pair(proj: str):
+    # derived from p, concluded of q, whose components live in Type0, not Prop
+    g = parse_context("p : Sig x : Prop . Prop\nq : Sig x : Type0 . Type0")
+    _, d = principal_of(g, parse_term(f"{proj} p"))
+    assert d.conclusion.type == PROP
+    bad = dataclasses.replace(d, conclusion=Judgment(g, parse_term(f"{proj} q"), PROP))
+    return bad, "root", f"{d.rule} subject mismatch"
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        _pair_with_another_family,
+        _context_with_another_entry,
+        _cum_recording_another_sub,
+        lambda: _projection_of_another_pair("fst"),
+        lambda: _projection_of_another_pair("snd"),
+    ],
+    ids=["pair-family", "context-entries", "cum-sub", "proj1-subject", "proj2-subject"],
+)
+def test_verify_rejects_a_node_that_one_check_alone_catches(mutant):
+    # each mutant differs from a verified derivation in one node, and only
+    # the named check of that node stands between it and acceptance
+    bad, path, reason = mutant()
+    with pytest.raises(DerivationError) as err:
+        verify(bad)
+    assert err.value.path == path
+    assert err.value.reason.startswith(reason)
+
+
 def test_verifier_checks_node_contexts():
     # a context whose entry is not a type must be rejected wherever it appears
     bad_ctx = Context.of(("x", parse_term("fn y : Prop . y")))

@@ -1,4 +1,6 @@
+import collections
 import random
+import sys
 
 import pytest
 
@@ -22,7 +24,7 @@ from ecckernel import (
     step,
     whnf,
 )
-from ecckernel import reduction
+from ecckernel import reduction, terms
 
 from genterms import expand, normal_type, oracle_parts, oracle_rebuild
 
@@ -118,6 +120,75 @@ def test_conv_rejects_distinct_normal_forms():
 
     _, a, b = level_transfer_triple()
     assert not conv(a, b, 10**4)
+
+
+def test_conv_answers_on_unlike_heads_over_divergent_parts():
+    # neither side has a normal form, but their heads differ
+    loop = self_application()
+    assert not conv(App(Var("f"), loop), App(Var("g"), loop), 100)
+    assert not conv(Pi("x", loop, Var("x")), Sigma("x", loop, Var("x")), 100)
+
+
+def test_conv_compares_bound_variables_by_depth():
+    # x is shared, one object, bound by the outer binder on one side and the
+    # inner on the other; the redex keeps the top-level alpha shortcut off
+    x, redex = Var("x"), App(Lam("w", Type(1), Var("w")), PROP)
+    assert not conv(Pi("x", redex, Pi("y", PROP, x)), Pi("y", PROP, Pi("x", PROP, x)), 100)
+    assert conv(Pi("x", redex, Pi("y", PROP, x)), Pi("z", PROP, Pi("x", PROP, Var("z"))), 100)
+    # bound on one side, free on the other
+    assert not conv(Lam("x", redex, App(Var("f"), x)), Lam("y", PROP, App(Var("f"), x)), 100)
+    assert conv(Lam("x", redex, App(Var("f"), x)), Lam("y", PROP, App(Var("f"), Var("y"))), 100)
+
+
+def _differing_by_one_innermost_redex(n: int) -> dict:
+    # a neutral spine n long, and chains of n renamed binders over such a
+    # spine applied to every bound variable
+    redex = App(Lam("w", PROP, Var("w")), PROP)
+
+    def spine(first, stem):
+        t = App(Var("f"), first)
+        for i in range(n):
+            t = App(t, Var(f"{stem}{i}"))
+        return t
+
+    def chain(binder, stem, first):
+        t = spine(first, stem)
+        for i in reversed(range(n)):
+            t = binder(f"{stem}{i}", PROP, t)
+        return t
+
+    return {
+        "spine": (spine(redex, "a"), spine(PROP, "a")),
+        "pi": (chain(Pi, "x", redex), chain(Pi, "y", PROP)),
+        "lam": (chain(Lam, "x", redex), chain(Lam, "y", PROP)),
+    }
+
+
+@pytest.mark.parametrize("family", ["spine", "pi", "lam"])
+def test_conv_calls_grow_linearly_in_depth(monkeypatch, family):
+    # deterministic counters, not wall time: no walk per level
+    calls = collections.Counter()
+    for module, name in ((terms, "_alpha"), (terms, "_subst"), (reduction, "_whnf"), (reduction, "_conv")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, name=name, original=original: calls.update((name,)) or original(*args)
+        )
+    counts, limit = [], sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # each counted call is two frames
+    try:
+        for n in (150, 300):
+            calls.clear()
+            assert conv(*_differing_by_one_innermost_redex(n)[family])
+            counts.append(dict(calls))
+    finally:
+        sys.setrecursionlimit(limit)
+    small, big = counts
+    assert small.keys() == big.keys() >= {"_alpha", "_whnf", "_conv"}
+    for name, count in big.items():
+        assert count <= 2 * small[name], (name, small[name], count)
+    # only the eliminations at the top and the one redex reach _whnf: a
+    # stable spine part is not reduced again
+    assert big["_whnf"] == small["_whnf"]
 
 
 def test_fuel_validation():

@@ -3,6 +3,9 @@
 The sharing `free_vars`, `subst`, `whnf` and `normalize` are checked
 against the oracles in `genterms`, which walk and rebuild the whole term:
 equal results, the same fuel left and exhaustion at the same budgets.
+`conv`, which walks head first, answers as the normal-form oracle does
+wherever that answers, on no more fuel, and as the head-first oracle does
+where it answers and that one runs out.
 Then the sharing itself, and the invisibility of the free-variable cache.
 """
 
@@ -40,6 +43,7 @@ from genterms import (
     normal_type,
     oracle_conv,
     oracle_free_vars,
+    oracle_lazy_conv,
     oracle_normalize,
     oracle_parts,
     oracle_subst,
@@ -103,7 +107,7 @@ def test_subst_renames_under_every_binder_as_the_oracle_does(binder):
 
 
 def test_whnf_and_normalize_equal_the_oracles_in_result_and_fuel():
-    outcomes, conv_outcomes = set(), set()
+    outcomes, conv_outcomes, lazy_answers = set(), set(), 0
     terms = _terms(59)
     # conv compares each term with the next, the last with the first: a term
     # and its expansion, or two unrelated terms
@@ -114,11 +118,20 @@ def test_whnf_and_normalize_equal_the_oracles_in_result_and_fuel():
                 got = _run(op, t, budget)
                 assert got == _run(oracle, t, budget)
                 outcomes.add(got[0] is FuelExhausted)
+            # conv walks head first: where comparing normal forms answers in
+            # the budget, conv answers the same on no more fuel; where that
+            # runs out, conv may still answer, as the head-first oracle does
             got = _run(lambda a, f: conv(a, u, f), t, budget)
-            assert got == _run(lambda a, f: oracle_conv(a, u, f), t, budget)
+            eager = _run(lambda a, f: oracle_conv(a, u, f), t, budget)
+            if eager[0] is not FuelExhausted:
+                assert got[0] == eager[0] and got[1] >= eager[1]
+            elif got[0] is not FuelExhausted:
+                assert got[0] == oracle_lazy_conv(t, u, budget)
+                lazy_answers += 1
             conv_outcomes.add(got[0])
     assert outcomes == {True, False}
     assert conv_outcomes == {True, False, FuelExhausted}
+    assert lazy_answers > 0
 
 
 def test_divergent_normalize_exhausts_at_the_same_budgets_as_the_oracle():
