@@ -411,8 +411,8 @@ def run_command(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except FuelExhausted:
-        print("fuel exhausted", file=sys.stderr)
+    except FuelExhausted as e:
+        print(f"fuel exhausted: {e}", file=sys.stderr)
         return EXIT_FUEL
     except TypeCheckError as e:
         print(f"type error: {e} at {print_term(e.offender)}", file=sys.stderr)

@@ -11,7 +11,9 @@ becomes a subsumption node whose target is typed the same way. The
 conclusion judgment of every node is preserved. Nothing here is trusted:
 `kernel.verify` re-checks what it builds.
 
-Each public call builds equal subderivations once, as one object.
+Within one call only the `_shared` builders are memoised: `T` and `var`
+nodes and re-expanded validity typings can repeat as equal objects,
+which `verify` checks again and a derivation file stores once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .terms import PROP, Context, Judgment, Prop, Term, Type, alpha_eq, subst
 
 
 class _Build(dict):
-    """One public call's fuel and memo. The memo makes equal subderivations one
+    """One public call's fuel and memo. The memo makes each `_shared` build one
     object: hash-consing (Filliatre and Conchon, 2006) restricted to the call."""
 
     def __init__(self, fuel: int | Fuel):

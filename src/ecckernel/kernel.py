@@ -7,11 +7,15 @@ schema (compared up to alpha), substitutions are recomputed, and
 universe arithmetic and recorded cumulativity side conditions are
 re-decided semantically.
 
-Arity and premise contexts come from one table, `_PREMISE_CTX`: one
-character per premise, `=` for the node's context, `+` for it plus one
-entry, `-` for it minus its last entry. One loop checks each node
-against its row before the rule's own clauses run, and hands them the
-entry a `+` premise adds; no clause checks arity or contexts by hand.
+Each rule has one row in `_RULES`, read with one lookup: its premise
+contexts, one character per premise (`=` for the node's context, `+` for
+it plus one entry, `-` for it minus its last entry), and whether it
+carries a universe index (an `int`, never a bool or a float) and a side
+pair. A node is checked against its row before the rule's own clauses
+run, so no clause checks arity, contexts or foreign side data by hand.
+Each check is an inline test; a failing node's path and reason are
+spelled out only when it fails, and fuel that runs out while a node is
+checked names its path and rule.
 
 Contexts need no separate check: every rule other than Ax and C has a
 premise whose context is the node's own or extends it, so every
@@ -27,32 +31,21 @@ inference or on the derivation builder in `elaborate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .cumulativity import subtype, universe_level
-from .reduction import DEFAULT_FUEL, Fuel
-from .terms import (
-    App,
-    Context,
-    Judgment,
-    Lam,
-    Pair,
-    Pi,
-    Proj1,
-    Proj2,
-    Prop,
-    Sigma,
-    Term,
-    Type,
-    Var,
-    alpha_eq,
-    subst,
-)
+from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted
+from .terms import App, Context, Judgment, Lam, Pair, Pi, Proj1, Proj2, Prop, Sigma, Term, Type, Var, alpha_eq, subst
 
-_PREMISE_CTX = {
-    "Ax": "", "C": "-", "T": "=", "var": "=", "Pi1": "=+", "Pi2": "=+", "Sigma": "=+",
-    "Lam": "+", "App": "==", "Pair": "==+", "Proj1": "=", "Proj2": "=", "Cum": "==",
+# rule: (premise contexts, carries a universe index, carries a side pair)
+_RULES = {
+    "Ax": ("", False, False), "C": ("-", False, False), "T": ("=", True, False),
+    "var": ("=", False, False), "Pi1": ("=+", False, False), "Pi2": ("=+", True, False),
+    "Sigma": ("=+", True, False), "Lam": ("+", False, False), "App": ("==", False, False),
+    "Pair": ("==+", True, False), "Proj1": ("=", False, False), "Proj2": ("=", False, False),
+    "Cum": ("==", False, True),
 }
-KERNEL_RULES = frozenset(_PREMISE_CTX)
+KERNEL_RULES = frozenset(_RULES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +95,19 @@ class DerivationError(Exception):
 
 def _is_validity(j: Judgment) -> bool:
     # `G types Prop at Type 0` encodes validity of G
-    return isinstance(j.subject, Prop) and j.type == Type(0)
+    return type(j.subject) is Prop and type(j.type) is Type and j.type.level == 0
 
 
 def _extends(a: Context, b: Context, extra: int) -> bool:
     # a is b followed by `extra` more entries, compared up to alpha
-    return len(a) == len(b) + extra and (
-        a is b or all(na == nb and alpha_eq(ta, tb) for (na, ta), (nb, tb) in zip(a.entries, b.entries))
-    )
+    ea, eb = a.entries, b.entries
+    if len(ea) != len(eb) + extra:
+        return False
+    if a is not b:
+        for (na, ta), (nb, tb) in zip(ea, eb):
+            if na != nb or not alpha_eq(ta, tb):
+                return False
+    return True
 
 
 def verify(d: Derivation, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
@@ -122,188 +120,189 @@ def verify(d: Derivation, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     # a path is (node, parent's path, premise index), spelled out only for a
     # node that fails
     checked, stack = set(), [(d, None, 0)]
-    while stack:
-        path = stack.pop()
-        node = path[0]
-        if id(node) not in checked:
-            checked.add(id(node))
-            _check_node(node, f, path)
-            stack.extend((p, path, i) for i, p in reversed(tuple(enumerate(node.premises))))
+    try:
+        while stack:
+            path = stack.pop()
+            node = path[0]
+            if id(node) not in checked:
+                checked.add(id(node))
+                _check_node(node, f, path)
+                ps = node.premises
+                for i in range(len(ps) - 1, -1, -1):
+                    stack.append((ps[i], path, i))
+    except FuelExhausted as e:
+        raise FuelExhausted(f"{e} at {_spelled(path)} ({node.rule})") from e
     return True
 
 
-def _need(cond: bool, path: tuple, reason: str, *args) -> None:
-    # the path and the reason are formatted only when the check fails
-    if not cond:
-        steps = []
-        while path[1] is not None:
-            steps.append(str(path[2]))
-            path = path[1]
-        raise DerivationError(".".join(["root", *reversed(steps)]), reason % args if args else reason)
+def _spelled(path: tuple) -> str:
+    steps = []
+    while path[1] is not None:
+        steps.append(str(path[2]))
+        path = path[1]
+    return ".".join(["root", *reversed(steps)])
 
 
-_LEVEL_RULES = frozenset({"T", "Pi2", "Sigma", "Pair"})
+def _fail(path: tuple, reason: str, *args) -> NoReturn:
+    raise DerivationError(_spelled(path), reason % args if args else reason)
 
 
 def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
-    c = d.conclusion
-    ps = tuple(p.conclusion for p in d.premises)
-    row = _PREMISE_CTX.get(d.rule)
-    _need(row is not None, path, "unknown rule %r", d.rule)
-    if d.rule not in _LEVEL_RULES:
-        _need(d.level is None, path, "rule %s carries no universe index", d.rule)
-    if d.rule != "Cum":
-        _need(d.sub is None and d.sup is None, path, "rule %s carries no side pair", d.rule)
-    _need(len(ps) == len(row), path, "rule %s expects %d premises, got %d", d.rule, len(row), len(ps))
+    rule, c = d.rule, d.conclusion
+    ps = [p.conclusion for p in d.premises]
+    row = _RULES.get(rule)
+    if row is None:
+        _fail(path, "unknown rule %r", rule)
+    contexts, leveled, sided = row
+    if not leveled and d.level is not None:
+        _fail(path, "rule %s carries no universe index", rule)
+    if not sided and (d.sub is not None or d.sup is not None):
+        _fail(path, "rule %s carries no side pair", rule)
+    if len(ps) != len(contexts):
+        _fail(path, "rule %s expects %d premises, got %d", rule, len(contexts), len(ps))
+    for i, (at, p) in enumerate(zip(contexts, ps)):
+        if not (_extends(c.ctx, p.ctx, 1) if at == "-" else _extends(p.ctx, c.ctx, at == "+")):
+            _fail(path, "%s premise %d context mismatch", rule, i)
 
-    for i, (at, p) in enumerate(zip(row, ps)):
-        ok = _extends(c.ctx, p.ctx, 1) if at == "-" else _extends(p.ctx, c.ctx, int(at == "+"))
-        _need(ok, path, "%s premise %d context mismatch", d.rule, i)
-        if at == "+":
-            bound = p.ctx.entries[-1]  # (name, type) the premise adds; read only by rules with one
-
-    match d.rule:
-        case "Ax":
-            _need(not c.ctx, path, "Ax requires the empty context")
-            _need(_is_validity(c), path, "Ax types Prop at Type 0")
+    # the most frequent rules first; a `+` premise is always the last
+    match rule:
+        case "T":
+            if not _is_validity(ps[0]):
+                _fail(path, "T premise must be the context validity judgment")
+            s, t = c.subject, c.type
+            if not isinstance(s, Type):
+                _fail(path, "T concludes a Type universe")
+            if type(d.level) is not int or d.level != s.level:
+                _fail(path, "T side index mismatch")
+            if not (type(t) is Type and t.level == s.level + 1):
+                _fail(path, "T must type Type j at Type j+1")
 
         case "C":
             name, entry_ty = c.ctx.entries[-1]
-            _need(alpha_eq(ps[0].subject, entry_ty), path, "C premise must type the new entry")
-            _need(universe_level(ps[0].type) is not None, path, "C entry type must live in a universe")
-            _need(name not in ps[0].ctx.names(), path, "C entry name must be fresh")
-            _need(_is_validity(c), path, "C types Prop at Type 0")
-
-        case "T":
-            _need(_is_validity(ps[0]), path, "T premise must be the context validity judgment")
-            _need(isinstance(c.subject, Type), path, "T concludes a Type universe")
-            _need(d.level == c.subject.level, path, "T side index mismatch")
-            _need(
-                c.type == Type(c.subject.level + 1),
-                path,
-                "T must type Type j at Type j+1",
-            )
+            if not alpha_eq(ps[0].subject, entry_ty):
+                _fail(path, "C premise must type the new entry")
+            if universe_level(ps[0].type) is None:
+                _fail(path, "C entry type must live in a universe")
+            for other, _ in ps[0].ctx.entries:
+                if other == name:
+                    _fail(path, "C entry name must be fresh")
+            if not _is_validity(c):
+                _fail(path, "C types Prop at Type 0")
 
         case "var":
-            _need(_is_validity(ps[0]), path, "var premise must be the context validity judgment")
-            _need(isinstance(c.subject, Var), path, "var concludes a variable")
+            if not _is_validity(ps[0]):
+                _fail(path, "var premise must be the context validity judgment")
+            if not isinstance(c.subject, Var):
+                _fail(path, "var concludes a variable")
             entry = c.ctx.lookup(c.subject.name)
-            _need(entry is not None, path, "var not bound in the context")
-            _need(alpha_eq(c.type, entry), path, "var type must match its context entry")
+            if entry is None:
+                _fail(path, "var not bound in the context")
+            if not alpha_eq(c.type, entry):
+                _fail(path, "var type must match its context entry")
+
+        case "Ax":
+            if c.ctx.entries:
+                _fail(path, "Ax requires the empty context")
+            if not _is_validity(c):
+                _fail(path, "Ax types Prop at Type 0")
+
+        case "Cum":
+            if not (isinstance(ps[1].type, Type) and ps[1].type.level >= 0):
+                _fail(path, "Cum target must be typed at a Type universe")
+            if not alpha_eq(c.subject, ps[0].subject):
+                _fail(path, "Cum subject mismatch")
+            if not alpha_eq(c.type, ps[1].subject):
+                _fail(path, "Cum must conclude at the target type")
+            if d.sub is None or d.sup is None:
+                _fail(path, "Cum side pair missing")
+            if not alpha_eq(d.sub, ps[0].type):
+                _fail(path, "Cum recorded subtype mismatch")
+            if not alpha_eq(d.sup, ps[1].subject):
+                _fail(path, "Cum recorded supertype mismatch")
+            if not subtype(ps[0].type, ps[1].subject, f):
+                _fail(path, "Cum side condition fails: not below the target")
 
         case "Pi1" | "Pi2" | "Sigma":
-            cons = Sigma if d.rule == "Sigma" else Pi
-            _need(isinstance(c.subject, cons), path, "%s concludes a %s type", d.rule, cons.__name__)
-            y, dom = bound
-            _need(
-                alpha_eq(dom, ps[0].subject),
-                path,
-                "formation body premise must extend by the domain",
-            )
-            _need(
-                alpha_eq(c.subject, cons(y, dom, ps[1].subject)),
-                path,
-                "formation subject must bind the body premise subject",
-            )
-            if d.rule == "Pi1":
-                _need(isinstance(c.type, Prop), path, "Pi1 lands in Prop")
-                _need(universe_level(ps[0].type) is not None, path, "formation domain must live in a universe")
-                _need(isinstance(ps[1].type, Prop), path, "Pi1 body premise must land in Prop")
+            cons = Sigma if rule == "Sigma" else Pi
+            if not isinstance(c.subject, cons):
+                _fail(path, "%s concludes a %s type", rule, cons.__name__)
+            y, dom = ps[1].ctx.entries[-1]
+            if not alpha_eq(dom, ps[0].subject):
+                _fail(path, "formation body premise must extend by the domain")
+            if not alpha_eq(c.subject, cons(y, dom, ps[1].subject)):
+                _fail(path, "formation subject must bind the body premise subject")
+            if rule == "Pi1":
+                if not isinstance(c.type, Prop):
+                    _fail(path, "Pi1 lands in Prop")
+                if universe_level(ps[0].type) is None:
+                    _fail(path, "formation domain must live in a universe")
+                if not isinstance(ps[1].type, Prop):
+                    _fail(path, "Pi1 body premise must land in Prop")
             else:
-                lvl = d.level
-                _need(isinstance(lvl, int) and lvl >= 0, path, "formation side index missing")
-                _need(ps[0].type == Type(lvl), path, "formation domain must land at the index")
-                _need(ps[1].type == Type(lvl), path, "formation body must land at the index")
-                _need(c.type == Type(lvl), path, "formation conclusion must land at the index")
-
-        case "Lam":
-            y, dom = bound
-            _need(isinstance(c.subject, Lam), path, "Lam concludes an abstraction")
-            _need(
-                alpha_eq(c.subject, Lam(y, dom, ps[0].subject)),
-                path,
-                "Lam subject must bind the premise subject",
-            )
-            _need(
-                alpha_eq(c.type, Pi(y, dom, ps[0].type)),
-                path,
-                "Lam type must be the Pi over the premise type",
-            )
+                if type(d.level) is not int or d.level < 0:
+                    _fail(path, "formation side index missing")
+                for t, part in ((ps[0].type, "domain"), (ps[1].type, "body"), (c.type, "conclusion")):
+                    if not (type(t) is Type and t.level == d.level):
+                        _fail(path, "formation %s must land at the index", part)
 
         case "App":
             fn_ty = ps[0].type
-            _need(isinstance(fn_ty, Pi), path, "App function premise must have a Pi type")
-            _need(
-                alpha_eq(ps[1].type, fn_ty.domain),
-                path,
-                "App argument must be typed exactly at the domain",
-            )
-            _need(isinstance(c.subject, App), path, "App concludes an application")
-            _need(
-                alpha_eq(c.subject, App(ps[0].subject, ps[1].subject)),
-                path,
-                "App subject must apply the premise subjects",
-            )
-            _need(
-                alpha_eq(c.type, subst(fn_ty.codomain, fn_ty.var, ps[1].subject)),
-                path,
-                "App type must be the instantiated codomain",
-            )
+            if not isinstance(fn_ty, Pi):
+                _fail(path, "App function premise must have a Pi type")
+            if not alpha_eq(ps[1].type, fn_ty.domain):
+                _fail(path, "App argument must be typed exactly at the domain")
+            if not isinstance(c.subject, App):
+                _fail(path, "App concludes an application")
+            if not alpha_eq(c.subject, App(ps[0].subject, ps[1].subject)):
+                _fail(path, "App subject must apply the premise subjects")
+            if not alpha_eq(c.type, subst(fn_ty.codomain, fn_ty.var, ps[1].subject)):
+                _fail(path, "App type must be the instantiated codomain")
+
+        case "Lam":
+            y, dom = ps[0].ctx.entries[-1]
+            if not isinstance(c.subject, Lam):
+                _fail(path, "Lam concludes an abstraction")
+            if not alpha_eq(c.subject, Lam(y, dom, ps[0].subject)):
+                _fail(path, "Lam subject must bind the premise subject")
+            if not alpha_eq(c.type, Pi(y, dom, ps[0].type)):
+                _fail(path, "Lam type must be the Pi over the premise type")
 
         case "Pair":
-            _need(isinstance(c.subject, Pair), path, "Pair concludes a pair")
+            if not isinstance(c.subject, Pair):
+                _fail(path, "Pair concludes a pair")
             ann = c.subject.annotation
-            _need(isinstance(ann, Sigma), path, "Pair annotation must be a Sigma type")
-            _need(alpha_eq(c.type, ann), path, "Pair type must be its annotation")
-            _need(alpha_eq(ps[0].subject, c.subject.first), path, "Pair first premise mismatch")
-            _need(alpha_eq(ps[1].subject, c.subject.second), path, "Pair second premise mismatch")
-            _need(
-                alpha_eq(ps[0].type, ann.first),
-                path,
-                "Pair first component must be typed at the annotation domain",
-            )
-            _need(
-                alpha_eq(ps[1].type, subst(ann.second, ann.var, ps[0].subject)),
-                path,
-                "Pair second component must be typed at the instantiated family",
-            )
-            y, dom = bound
-            _need(
-                alpha_eq(Sigma(y, dom, ps[2].subject), ann),
-                path,
-                "Pair family premise must type the annotation family",
-            )
-            _need(
-                isinstance(ps[2].type, Type) and ps[2].type.level >= 0,
-                path,
-                "Pair family must land in a Type universe",
-            )
-            _need(d.level == ps[2].type.level, path, "Pair side index mismatch")
+            if not isinstance(ann, Sigma):
+                _fail(path, "Pair annotation must be a Sigma type")
+            if not alpha_eq(c.type, ann):
+                _fail(path, "Pair type must be its annotation")
+            if not alpha_eq(ps[0].subject, c.subject.first):
+                _fail(path, "Pair first premise mismatch")
+            if not alpha_eq(ps[1].subject, c.subject.second):
+                _fail(path, "Pair second premise mismatch")
+            if not alpha_eq(ps[0].type, ann.first):
+                _fail(path, "Pair first component must be typed at the annotation domain")
+            if not alpha_eq(ps[1].type, subst(ann.second, ann.var, ps[0].subject)):
+                _fail(path, "Pair second component must be typed at the instantiated family")
+            y, dom = ps[2].ctx.entries[-1]
+            if not alpha_eq(Sigma(y, dom, ps[2].subject), ann):
+                _fail(path, "Pair family premise must type the annotation family")
+            t = ps[2].type
+            if not (isinstance(t, Type) and t.level >= 0):
+                _fail(path, "Pair family must land in a Type universe")
+            if type(d.level) is not int or d.level != t.level:
+                _fail(path, "Pair side index mismatch")
 
         case "Proj1" | "Proj2":
             sig = ps[0].type
-            _need(isinstance(sig, Sigma), path, "%s premise must have a Sigma type", d.rule)
-            if d.rule == "Proj1":
+            if not isinstance(sig, Sigma):
+                _fail(path, "%s premise must have a Sigma type", rule)
+            if rule == "Proj1":
                 proj, want = Proj1, sig.first
             else:
                 proj, want = Proj2, subst(sig.second, sig.var, Proj1(ps[0].subject))
-            _need(isinstance(c.subject, proj), path, "%s concludes its projection", d.rule)
-            _need(alpha_eq(c.subject.pair, ps[0].subject), path, "%s subject mismatch", d.rule)
-            _need(alpha_eq(c.type, want), path, "%s type must be its component's type", d.rule)
-
-        case "Cum":
-            _need(
-                isinstance(ps[1].type, Type) and ps[1].type.level >= 0,
-                path,
-                "Cum target must be typed at a Type universe",
-            )
-            _need(alpha_eq(c.subject, ps[0].subject), path, "Cum subject mismatch")
-            _need(alpha_eq(c.type, ps[1].subject), path, "Cum must conclude at the target type")
-            _need(d.sub is not None and d.sup is not None, path, "Cum side pair missing")
-            _need(alpha_eq(d.sub, ps[0].type), path, "Cum recorded subtype mismatch")
-            _need(alpha_eq(d.sup, ps[1].subject), path, "Cum recorded supertype mismatch")
-            _need(
-                subtype(ps[0].type, ps[1].subject, f),
-                path,
-                "Cum side condition fails: not below the target",
-            )
+            if not isinstance(c.subject, proj):
+                _fail(path, "%s concludes its projection", rule)
+            if not alpha_eq(c.subject.pair, ps[0].subject):
+                _fail(path, "%s subject mismatch", rule)
+            if not alpha_eq(c.type, want):
+                _fail(path, "%s type must be its component's type", rule)

@@ -16,7 +16,9 @@ from ecckernel import (
     Context,
     Derivation,
     DerivationError,
+    FuelExhausted,
     Judgment,
+    Pi,
     Proj1,
     Type,
     Var,
@@ -24,6 +26,8 @@ from ecckernel import (
     parse_context,
     parse_term,
     principal_of,
+    type_typing,
+    universe_derivation,
     verify,
 )
 from ecckernel import kernel
@@ -119,6 +123,24 @@ def test_fuel_flag_and_env(write, monkeypatch):
     assert run_command(["nf", term]) == EXIT_FUEL
     # the flag wins over the environment
     assert run_command(["nf", term, "--fuel", "10"]) == EXIT_OK
+
+
+def test_fuel_exhausted_in_verify_names_the_node_path_and_rule(tmp_path, capsys):
+    # a hand-built Cum at root.1 whose target takes two contractions to reach
+    # Type1; no other node of the derivation spends fuel
+    target = parse_term("(fn a : Type2 . a) ((fn b : Type2 . b) Type1)")
+    g = Context.of(("f", Pi("x", target, PROP)))
+    lift = Derivation("Cum", Judgment(g, PROP, target),
+                      (universe_derivation(g, PROP), type_typing(g, target)), sub=Type(0), sup=target)
+    d = Derivation("App", Judgment(g, App(Var("f"), PROP), PROP), (principal_of(g, Var("f"))[1], lift))
+    path = str(tmp_path / "d.json")
+    save_derivation(d, path)
+    assert run_command(["verify", path, "--fuel", "2"]) == EXIT_OK
+    assert run_command(["verify", path, "--fuel", "1"]) == EXIT_FUEL
+    err = capsys.readouterr().err
+    assert err == "fuel exhausted: reduction step budget exhausted at root.1 (Cum)\n"
+    with pytest.raises(FuelExhausted, match=r" at root\.1 \(Cum\)$"):
+        verify(d, 1)
 
 
 def test_sub_relations(write, capsys):

@@ -351,6 +351,28 @@ def test_verify_rejects_a_node_that_one_check_alone_catches(mutant):
     assert err.value.reason.startswith(reason)
 
 
+@pytest.mark.parametrize(
+    "subject, rule, levels, reason",
+    [
+        ("Type0", "T", (False, 0.0), "T side index mismatch"),
+        ("Pi x : Type0 . Type0", "Pi2", (True, 1.0), "formation side index missing"),
+        ("Sig x : Type0 . Type0", "Sigma", (True, 1.0), "formation side index missing"),
+        ("< Prop , Prop > : Sig x : Type0 . Type0", "Pair", (True, 1.0), "Pair side index mismatch"),
+    ],
+    ids=["T", "Pi2", "Sigma", "Pair"],
+)
+def test_verify_rejects_a_universe_index_that_is_not_an_int(subject, rule, levels, reason):
+    # each bool or float index equals the int the node carries, so only its
+    # type is wrong; the file reader rejects the same values as malformed
+    _, d = principal_of(Context(), parse_term(subject))
+    assert d.rule == rule and verify(d)
+    for level in levels:
+        assert level == d.level
+        with pytest.raises(DerivationError) as err:
+            verify(dataclasses.replace(d, level=level))
+        assert (err.value.path, err.value.reason) == ("root", reason)
+
+
 def test_verifier_checks_node_contexts():
     # a context whose entry is not a type must be rejected wherever it appears
     bad_ctx = Context.of(("x", parse_term("fn y : Prop . y")))
