@@ -5,18 +5,19 @@ strict part and the least level relating two terms: conversion, universe
 inclusion (Prop below every Type level), codomain covariance for Pi
 (domains invariant under conversion), and covariance in both Sigma
 components. A strict Pi sits one level above its codomain, a strict
-Sigma one level above the higher of its components. The walk never
-normalizes a whole term, so the strict part of the descending-chain demo
-is decided on raw non-normalizing terms. Nor does the conversion it
-falls back on at Pi domains and other heads: `reduction.conv` walks both
-sides head first too. `subtype_at_level`, the level-indexed unfolding of
-the relation, compares the least level with its index.
+Sigma one level above the higher of its components. Like `reduction.conv`,
+which it hands off to at Pi domains and other heads, the walk normalizes
+no whole term and binds the two variables of a binder pair at one depth
+in place. Alpha-equivalence, which contracts nothing, is tested wherever
+a contraction or a hand-off could follow: at every level but a pair of
+Pi or Sigma heads, and before each hand-off. `subtype_at_level` compares
+the least level with its index.
 """
 
 from __future__ import annotations
 
-from .reduction import DEFAULT_FUEL, Fuel, _whnf, conv
-from .terms import Pi, Prop, Sigma, Term, Type, Var, alpha_eq, free_vars, fresh_name, subst
+from .reduction import DEFAULT_FUEL, Fuel, _convertible, _whnf
+from .terms import SHAPES, Pi, Prop, Sigma, Term, Type, _alpha
 
 
 def universe_level(t: Term) -> int | None:
@@ -27,66 +28,60 @@ def universe_level(t: Term) -> int | None:
     return t.level if cls is Type else None
 
 
-def _opened(x: str, b1: Term, y: str, b2: Term) -> tuple[Term, Term]:
-    # rename two bound bodies apart to a common fresh variable
-    if x == y:
-        return b1, b2
-    z = fresh_name(x, free_vars(b1) | free_vars(b2))
-    return subst(b1, x, Var(z)), subst(b2, y, Var(z))
-
-
 def subtype(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     """Decide the cumulativity preorder."""
-    return _relate(a, b, Fuel.coerce(fuel)) is not None
+    return _relate(a, b, {}, {}, 0, True, Fuel.coerce(fuel)) is not None
 
 
 def strict_subtype(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     """Decide the strict part: subtype but not convertible."""
-    related = _relate(a, b, Fuel.coerce(fuel), strict_only=True)
+    related = _relate(a, b, {}, {}, 0, True, Fuel.coerce(fuel), True)
     return related is not None and related[1]
 
 
 def min_subtype_level(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> int | None:
     """Least level at which a is below b; None when unrelated."""
-    related = _relate(a, b, Fuel.coerce(fuel))
+    related = _relate(a, b, {}, {}, 0, True, Fuel.coerce(fuel))
     return None if related is None else related[0]
 
 
-def _relate(a: Term, b: Term, f: Fuel, strict_only: bool = False) -> tuple[int, bool] | None:
+def _relate(
+    a: Term, b: Term, env_a: dict, env_b: dict, depth: int, same: bool, f: Fuel, strict_only: bool = False
+) -> tuple[int, bool] | None:
     # None when unrelated, else (least level, strict). A related pair is
     # strict exactly when it is not convertible, and convertible pairs sit
     # at level 0. With strict_only the caller reads only the strict bit, so
     # a pair related by conversion alone may come back None: neutral heads
-    # then skip a conv that may diverge.
-    if alpha_eq(a, b):
+    # then skip a conv that may diverge. The other arguments are _conv's.
+    if (same and a is b) or (type(a) not in (Pi, Sigma) and _alpha(a, b, env_a, env_b, depth)):
         return 0, False
-    # f is already a Fuel: the public whnf would re-run Fuel.coerce at every
-    # level of the recursion, a measurable share of a subtype call
-    ha, hb = _whnf(a, f), _whnf(b, f)
+    ha, hb = _whnf(a, f), _whnf(b, f)  # f is a Fuel already: whnf would coerce it at every level
     la, lb = universe_level(ha), universe_level(hb)
-    if la is not None or lb is not None:
-        if la is None or lb is None or la > lb:
-            return None
-        return 0, la < lb
+    if la is not None and lb is not None:
+        return (0, la < lb) if la <= lb else None
     cls = type(ha)
-    if cls is not type(hb):
+    if cls is not type(hb):  # a universe against any other head included
         return None
     if cls is Pi:
-        if not conv(ha.domain, hb.domain, f):
-            return None
-        codomain = _relate(*_opened(ha.var, ha.codomain, hb.var, hb.codomain), f, strict_only)
-        if codomain is None or not codomain[1]:
-            return codomain
-        return 1 + codomain[0], True
-    if cls is Sigma:
-        first = _relate(ha.first, hb.first, f)
-        second = None if first is None else _relate(*_opened(ha.var, ha.second, hb.var, hb.second), f)
-        if second is None or not (first[1] or second[1]):
-            return second
-        return 1 + max(first[0], second[0]), True
-    if not strict_only and conv(ha, hb, f):
-        return 0, False
-    return None
+        first = (0, False) if _convertible(ha.domain, hb.domain, env_a, env_b, depth, same, f) else None
+    elif cls is Sigma:
+        first = _relate(ha.first, hb.first, env_a, env_b, depth, same, f)
+        strict_only = False  # a strict Sigma may have one component related by conversion alone
+    else:  # other heads are related by conversion alone
+        return (0, False) if not strict_only and _convertible(ha, hb, env_a, env_b, depth, same, f, True) else None
+    if first is None:
+        return None
+    q = SHAPES[cls][1]
+    x, y = ha.var, hb.var
+    shadowed = env_a.get(x), env_b.get(y)
+    env_a[x] = env_b[y] = depth
+    try:
+        second = _relate(getattr(ha, q), getattr(hb, q), env_a, env_b, depth + 1, same and x == y, f, strict_only)
+    finally:
+        env_a[x], env_b[y] = shadowed
+    if second is None or not (first[1] or second[1]):
+        return second
+    return 1 + max(first[0], second[0]), True
 
 
 def subtype_at_level(a: Term, b: Term, level: int, fuel: int | Fuel = DEFAULT_FUEL) -> bool:

@@ -28,7 +28,8 @@ a non-term where it reads, like `whnf`.
 
 from __future__ import annotations
 
-from .terms import BINDERS, SHAPES, App, Lam, Pair, Proj1, Proj2, Prop, Term, Type, Var, alpha_eq, subst, subterms
+from .terms import BINDERS, SHAPES, App, Lam, Pair, Proj1, Proj2, Prop, Term, Type, Var
+from .terms import _alpha, free_vars, subst, subterms
 
 DEFAULT_FUEL = 10000
 
@@ -47,7 +48,7 @@ class Fuel:
     __slots__ = ("remaining",)
 
     def __init__(self, budget: int = DEFAULT_FUEL):
-        if budget < 1:
+        if type(budget) is not int or budget < 1:
             raise ValueError("fuel budget must be a positive integer")
         self.remaining = budget
 
@@ -175,21 +176,25 @@ def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
 
 
 def conv(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
-    """Decide convertibility, head first.
+    """Decide convertibility, head first (see the module docstring).
 
     Alpha-equal terms short-circuit without any reduction (this keeps the
-    relation decidable on self-comparisons of non-normalizing terms).
-    Otherwise one walk brings both sides to weak-head normal form, answers
-    False on unlike head constructors, and compares the parts in field
-    order, each pair brought to weak-head normal form in its turn. It
-    contracts only redexes that `normalize` on one side contracts too, so
-    where both normal forms are reached within the fuel it answers as
+    relation decidable on self-comparisons of non-normalizing terms). The
+    walk contracts only redexes that `normalize` on one side contracts too,
+    so where both normal forms are reached within the fuel it answers as
     comparing them would, on no more fuel. It also answers on some pairs
     with no normal form: `f loop` against `g loop` is False.
     """
-    if alpha_eq(a, b):
+    return _convertible(a, b, {}, {}, 0, True, Fuel.coerce(fuel))
+
+
+def _convertible(
+    a: Term, b: Term, env_a: dict, env_b: dict, depth: int, same: bool, f: Fuel, stable: bool = False
+) -> bool:
+    # conv under a caller's environments (see _conv): alpha, then the walk
+    if (same and a is b) or _alpha(a, b, env_a, env_b, depth):
         return True
-    return _conv(a, b, {}, {}, 0, True, Fuel.coerce(fuel))
+    return _conv(a, b, env_a, env_b, depth, same, f, stable)
 
 
 _ELIMINATIONS = frozenset((App, Proj1, Proj2))  # the only constructors a head redex can hide under
@@ -198,13 +203,12 @@ _ELIMINATIONS = frozenset((App, Proj1, Proj2))  # the only constructors a head r
 def _conv(
     a: Term, b: Term, env_a: dict, env_b: dict, depth: int, same: bool, f: Fuel, stable: bool = False
 ) -> bool:
-    # Variables and binders as in terms._alpha: bound ones compare by binder
-    # depth, and a binder binds its two variables in place and puts back what
-    # they shadowed. `same` holds while every binder entered bound one name on
-    # both sides, so the two environments agree and `is` implies convertible.
-    # `stable` marks the spine parts of two eliminations that came out of
-    # `_whnf`: each has its elimination's head, so it is stable too.
-    if same and a is b:
+    # Variables and binders as in terms._alpha. One object on both sides is
+    # convertible with itself when the environments agree on its free
+    # variables, as they do on all while `same` holds: while every binder
+    # entered bound one name on both sides. `stable` marks the spine parts of
+    # two eliminations out of `_whnf`: each has its elimination's head.
+    if a is b and (same or all(env_a.get(v) == env_b.get(v) for v in free_vars(a))):
         return True
     if not stable:
         if type(a) in _ELIMINATIONS:

@@ -20,10 +20,14 @@ de Bruijn forms, with no environment to keep, and `oracle_conv` is
 conversion spelled out from those oracles: both normal forms compared.
 `oracle_lazy_conv` is conversion head first, from `oracle_whnf` and de
 Bruijn forms; it answers wherever `oracle_conv` does, the same, and on
-some pairs whose normal forms do not exist. The oracles spell out each
-constructor's parts with their own `match` (`oracle_parts`,
-`oracle_rebuild`), so the shape table in `terms` is checked against a
-separate implementation.
+some pairs whose normal forms do not exist. `oracle_relate` is the
+cumulativity walk as it was before it bound names in place: every level
+runs a whole-term alpha test and renames both bound bodies apart, and it
+reduces with `oracle_whnf`; its conversions are the program's `conv`.
+The walk under test must answer as it does, on no more fuel. The
+oracles spell out each constructor's parts with their own `match`
+(`oracle_parts`, `oracle_rebuild`), so the shape table in `terms` is
+checked against a separate implementation.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from ecckernel import (
     Term,
     Type,
     Var,
+    conv,
     fresh_name,
     universe_level,
 )
@@ -232,6 +237,37 @@ def _oracle_opened(x: str, b1: Term, y: str, b2: Term) -> tuple[Term, Term]:
         return b1, b2
     z = fresh_name(x, oracle_free_vars(b1) | oracle_free_vars(b2))
     return oracle_subst(b1, x, Var(z)), oracle_subst(b2, y, Var(z))
+
+
+def oracle_relate(a: Term, b: Term, f: Fuel, strict_only: bool = False) -> tuple[int, bool] | None:
+    """Oracle: None when unrelated, else (least level, strict), by renaming."""
+    if oracle_alpha_eq(a, b):
+        return 0, False
+    ha, hb = _oracle_whnf(a, f), _oracle_whnf(b, f)
+    la, lb = universe_level(ha), universe_level(hb)
+    if la is not None or lb is not None:
+        if la is None or lb is None or la > lb:
+            return None
+        return 0, la < lb
+    cls = type(ha)
+    if cls is not type(hb):
+        return None
+    if cls is Pi:
+        if not conv(ha.domain, hb.domain, f):
+            return None
+        codomain = oracle_relate(*_oracle_opened(ha.var, ha.codomain, hb.var, hb.codomain), f, strict_only)
+        if codomain is None or not codomain[1]:
+            return codomain
+        return 1 + codomain[0], True
+    if cls is Sigma:
+        first = oracle_relate(ha.first, hb.first, f)
+        second = None if first is None else oracle_relate(*_oracle_opened(ha.var, ha.second, hb.var, hb.second), f)
+        if second is None or not (first[1] or second[1]):
+            return second
+        return 1 + max(first[0], second[0]), True
+    if not strict_only and conv(ha, hb, f):
+        return 0, False
+    return None
 
 
 def oracle_free_vars(t: Term) -> frozenset[str]:

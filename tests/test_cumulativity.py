@@ -1,10 +1,15 @@
+import collections
 import random
+import sys
 
 import pytest
 
 from ecckernel import (
     PROP,
     App,
+    Fuel,
+    FuelExhausted,
+    Lam,
     Pi,
     Sigma,
     Type,
@@ -23,7 +28,9 @@ from ecckernel import (
     universe_level,
 )
 
-from genterms import at_level, expand, normal_type, strict_above
+from ecckernel import cumulativity, reduction, terms
+
+from genterms import alpha_rename, at_level, expand, normal_type, oracle_relate, strict_above
 
 FUEL = 10**4
 
@@ -212,3 +219,142 @@ def test_strictness_excludes_conversion():
 def test_min_level_zero_via_alpha_on_divergent_terms():
     loop = self_application()
     assert min_subtype_level(loop, loop, 100) == 0
+
+
+_OPS = (
+    (subtype, False, lambda related: related is not None),
+    (strict_subtype, True, lambda related: related is not None and related[1]),
+    (min_subtype_level, False, lambda related: None if related is None else related[0]),
+)
+
+
+def _spent(call, budget: int):
+    # (answer, or "exhausted", and the fuel spent) of call on a fresh budget
+    f = Fuel(budget)
+    try:
+        answer = call(f)
+    except FuelExhausted:
+        answer = "exhausted"
+    return answer, budget - f.remaining
+
+
+def test_walk_answers_as_the_renaming_oracle_on_no_more_fuel():
+    rng = random.Random(83)
+    pairs = []
+    for _ in range(60):
+        t = normal_type(rng, 3, ("u", "v"))
+        up = strict_above(rng, t) or t
+        pairs += [
+            (t, up),
+            (up, t),
+            (expand(rng, t), expand(rng, up)),
+            (alpha_rename(t, "'"), expand(rng, up)),
+            (expand(rng, up), alpha_rename(t, "'")),
+            (t, normal_type(rng, 3, ("u", "v"))),
+        ]
+    outcomes = collections.Counter()
+    for a, b in pairs:
+        for budget in (1, 2, 3, 5, 8, 30, 10_000):
+            for op, strict_only, read in _OPS:
+                want, allowed = _spent(lambda f: read(oracle_relate(a, b, f, strict_only)), budget)
+                if want == "exhausted":
+                    outcomes["oracle exhausted"] += 1
+                    continue
+                got, spent = _spent(lambda f: op(a, b, f), budget)
+                assert got == want and spent <= allowed, (op.__name__, a, b, budget, want, allowed, got, spent)
+                outcomes["unrelated" if want is None or want is False else "related"] += 1
+    # not vacuous: both verdicts occur, and so do budgets the oracle runs out of
+    assert min(outcomes["related"], outcomes["unrelated"], outcomes["oracle exhausted"]) > 100, outcomes
+
+
+def _alpha_guarded_pairs():
+    # each right side differs from its left only by renamed binders, Prop
+    # for `red`, and a second copy of the divergent term, so only `red` needs
+    # a contraction; a conv reaching `loop` against `loop_` runs out of fuel
+    red = App(Lam("w", Type(1), Var("w")), PROP)
+    loop, loop_ = self_application(), self_application()
+    return [
+        (
+            Pi("x", red, Lam("y", PROP, App(Var("y"), loop))),
+            Pi("z", PROP, Lam("v", PROP, App(Var("v"), loop_))),
+        ),
+        (Pi("x", red, App(Var("x"), loop)), Pi("z", PROP, App(Var("z"), loop_))),
+        (Pi("x", red, Pi("q", App(Var("x"), loop), PROP)), Pi("z", PROP, Pi("q", App(Var("z"), loop_), PROP))),
+        (
+            Sigma("x", red, Sigma("q", App(Var("x"), loop), PROP)),
+            Sigma("z", PROP, Sigma("q", App(Var("z"), loop_), PROP)),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("pair", range(4))
+def test_alpha_equal_parts_under_renamed_binders_cost_no_fuel(pair):
+    # the walk tests alpha under its environments before it would hand a
+    # part to conv, so each call spends the one contraction of `red`
+    a, b = _alpha_guarded_pairs()[pair]
+    for op, want in ((subtype, True), (strict_subtype, False), (min_subtype_level, 0)):
+        assert _spent(lambda f: op(a, b, f), 50) == (want, 1), op.__name__
+
+
+def test_an_object_shared_under_renamed_binders_is_not_reduced():
+    # `shared` is one object on both sides, and neither renamed binder is
+    # free in it, so it is convertible with itself: only `red` is contracted
+    shared = App(Lam("w", Type(1), Var("w")), PROP)
+    red = App(Lam("w", Type(1), Var("w")), Type(0))
+    g = Var("g")
+    a = Pi("x", PROP, Pi("u", App(App(App(g, Var("x")), shared), red), PROP))
+    b = Pi("y", PROP, Pi("u", App(App(App(g, Var("y")), shared), Type(0)), PROP))
+    assert _spent(lambda f: subtype(a, b, f), 50) == (True, 1)
+    assert _spent(lambda f: conv(a, b, f), 50) == (True, 1)
+
+
+def _renamed_chains(binder, n: int, mention: bool) -> tuple:
+    # n Prop binders over `red`, against n binders named apart over Type 0;
+    # with `mention` the innermost body names every bound variable, so a
+    # walk that renamed each level would copy it each time
+    red = App(Lam("w", Type(1), Var("w")), PROP)
+
+    def chain(stem, leaf):
+        if mention:
+            spine = Var("f")
+            for i in range(n):
+                spine = App(spine, Var(f"{stem}{i}"))
+            leaf = binder("u", spine, leaf)
+        for i in reversed(range(n)):
+            leaf = binder(f"{stem}{i}", PROP, leaf)
+        return leaf
+
+    return chain("x", red), chain("y", Type(0))
+
+
+@pytest.mark.parametrize("binder", [Pi, Sigma])
+def test_relate_calls_grow_linearly_in_depth(monkeypatch, binder):
+    # deterministic counters, not wall time: no whole-term alpha test or
+    # renaming copy per level
+    calls = collections.Counter()
+    for module, name in (
+        (terms, "_alpha"), (reduction, "_alpha"), (cumulativity, "_alpha"), (terms, "_subst"),
+        (reduction, "_whnf"), (cumulativity, "_whnf"), (cumulativity, "_relate"),
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, name=name, original=original: calls.update((name,)) or original(*args)
+        )
+    counts, limit = [], sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # each counted call is two frames
+    try:
+        for n in (150, 300):
+            calls.clear()
+            assert min_subtype_level(*_renamed_chains(binder, n, True)) == n + 1
+            counts.append(dict(calls))
+    finally:
+        sys.setrecursionlimit(limit)
+    small, big = counts
+    assert small.keys() == big.keys() >= {"_alpha", "_whnf", "_relate"}
+    for name, count in big.items():
+        assert count <= 2 * small[name], (name, small[name], count)
+    # the one substitution is the contraction of `red`: nothing is renamed
+    assert small["_subst"] == big["_subst"] == 1
+    monkeypatch.undo()
+    # one interpreter frame per level: deep chains answer at the default limit
+    assert subtype(*_renamed_chains(binder, 900, False))

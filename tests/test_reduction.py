@@ -192,8 +192,13 @@ def test_conv_calls_grow_linearly_in_depth(monkeypatch, family):
 
 
 def test_fuel_validation():
+    # a budget that is not an int would never read exactly 0, so it would
+    # never run out
+    for budget in (0, 1.5, 2.0, True):
+        with pytest.raises(ValueError, match="fuel budget must be a positive integer"):
+            Fuel(budget)
     with pytest.raises(ValueError):
-        Fuel(0)
+        normalize(self_application(), 2.5)
     shared = Fuel(3)
     assert Fuel.coerce(shared) is shared
 
