@@ -3,7 +3,9 @@
 The only contractions are beta and pair projection. Everything is
 fuel-bounded: raw terms of this calculus can diverge (see
 counterexamples.self_application), so exhaustion is reported, never a
-silent loop. One fuel unit is spent per contracted redex.
+silent loop. One fuel unit is spent per contracted redex. `normalize`
+skips only contractions it proves must use up the fuel, and spends that
+fuel at once, so the accounting is unchanged (see its docstring).
 
 `whnf` and `normalize` return their input when no redex fires, and
 otherwise keep every part that no contraction touched as the same object.
@@ -118,8 +120,13 @@ def _whnf(t: Term, f: Fuel) -> Term:
     return t
 
 
-_BUILD = object()  # on the work stack: rebuild the node below from its parts' results
-_STABLE = object()  # on the work stack: the term below is whnf-stable
+class _Marker:  # an instruction on normalize's work stack: one type test tells it from a term
+    __slots__ = ()
+
+
+_BUILD = _Marker()  # rebuild the node below from its parts' results
+_STABLE = _Marker()  # the term below is whnf-stable
+_CLOSE = _Marker()  # the key below: its redex's reduct is now normal
 
 
 def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
@@ -136,31 +143,50 @@ def normalize(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Term:
     innermost elimination, so it is stable too: the marker `_STABLE` above
     it skips its `_whnf`, and a neutral spine is walked once, not once per
     elimination.
+
+    An application whose `_whnf` fires into a term with parts stays open,
+    keyed by the ids of its two parts, until `_CLOSE` says its reduct is
+    normal. `subst` puts one replacement object at every occurrence, so
+    self-application meets its open key again: that normal form needs
+    itself first and every round contracts the redex, so the rest of the
+    fuel is spent at once. A projection's key could never come back: its
+    contraction takes its pair apart.
     """
     f = Fuel.coerce(fuel)
     done: list[Term] = []
     todo: list = [t]
+    open_redexes: dict[tuple, Term] = {}  # the stored redex keeps its key's ids valid
     while todo:
         u = todo.pop()
-        if u is _BUILD:
-            u = todo.pop()
-            fields = SHAPES[type(u)]
-            vals = done[-len(fields) :]
-            del done[-len(fields) :]
-            for field, val in zip(fields, vals):
-                if getattr(u, field) is not val:
-                    # a node whose parts all came back unchanged is kept as it is
-                    u = _rebuild(u, vals)
-                    break
-            done.append(u)
-            continue
         cls = type(u)
-        if u is _STABLE:
-            u = todo.pop()
+        if cls is _Marker:
+            if u is _BUILD:
+                u = todo.pop()
+                fields = SHAPES[type(u)]
+                vals = done[-len(fields) :]
+                del done[-len(fields) :]
+                for field, val in zip(fields, vals):
+                    if getattr(u, field) is not val:
+                        # a node whose parts all came back unchanged is kept as it is
+                        u = _rebuild(u, vals)
+                        break
+                done.append(u)
+                continue
+            if u is _CLOSE:
+                del open_redexes[todo.pop()]
+                continue
+            u = todo.pop()  # under _STABLE
             cls = type(u)
         elif cls is App or cls is Proj1 or cls is Proj2:  # the only possible head redexes
-            u = _whnf(u, f)
-            cls = type(u)
+            v = _whnf(u, f)
+            if cls is App and v is not u and SHAPES[type(v)]:  # an atomic reduct is normal at once
+                key = (id(u.fn), id(u.arg))
+                if key in open_redexes:  # raise as the endless rounds would
+                    f.remaining = 0
+                    f.spend()
+                open_redexes[key] = u
+                todo += (key, _CLOSE)
+            u, cls = v, type(v)
         fields = SHAPES.get(cls)
         if fields is None:
             raise TypeError(f"not a term: {u!r}")

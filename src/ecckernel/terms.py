@@ -53,6 +53,8 @@ class Type(Term):
     level: int
 
     def __post_init__(self):
+        if type(self.level) is not int:
+            raise TypeError(f"universe level must be an int, got {self.level!r}")
         if self.level < 0:
             raise ValueError("universe levels are non-negative")
 

@@ -33,6 +33,7 @@ from ecckernel import (
     descending_chain,
     free_vars,
     normalize,
+    parse_term,
     print_term,
     self_application,
     subst,
@@ -134,11 +135,72 @@ def test_whnf_and_normalize_equal_the_oracles_in_result_and_fuel():
     assert lazy_answers > 0
 
 
+def _loops() -> dict:
+    """Divergent terms, fresh objects per call; normalize cuts all but the
+    last two short."""
+    loop = self_application()
+    ann = Sigma("z", PROP, PROP)
+    return {
+        "self application": loop,
+        # two distinct fn objects: the loop closes one round later
+        "parsed": parse_term(print_term(loop)),
+        "under a neutral head": parse_term("(fn x : Prop . f (x x)) (fn x : Prop . f (x x))"),
+        "through fst": parse_term(
+            "fst <(fn x : Prop . Sig y : Prop . x x) (fn x : Prop . Sig y : Prop . x x), Prop> : Sig z : Prop . Prop"
+        ),
+        "under Pi": Pi("z", PROP, loop),
+        "in a Pair component": Pair(PROP, loop, ann),
+        "x x": parse_term("(fn x : Prop . x x) (fn x : Prop . x x)"),
+        "x x x": parse_term("(fn x : Prop . x x x) (fn x : Prop . x x x)"),
+    }
+
+
 def test_divergent_normalize_exhausts_at_the_same_budgets_as_the_oracle():
     for budget in [*range(1, 51), 10_000]:
-        got = _run(normalize, self_application(), budget)
-        assert got == _run(oracle_normalize, self_application(), budget) == (FuelExhausted, 0)
-        assert _run(whnf, self_application(), budget) == _run(oracle_whnf, self_application(), budget)
+        for name, loop in _loops().items():
+            got = _run(normalize, loop, budget)
+            assert got == _run(oracle_normalize, loop, budget) == (FuelExhausted, 0), name
+            assert _run(whnf, loop, budget) == _run(oracle_whnf, loop, budget), name
+
+
+class _Counting(Fuel):
+    """A budget that counts its spend calls, the one that raises included."""
+
+    def __init__(self, budget: int):
+        super().__init__(budget)
+        self.calls = 0
+
+    def spend(self) -> None:
+        self.calls += 1
+        super().spend()
+
+
+def test_a_loop_normalize_meets_again_spends_the_rest_in_one_call():
+    # contracting to the end would take 10,001 calls
+    for name, loop in _loops().items():
+        f = _Counting(10_000)
+        with pytest.raises(FuelExhausted, match="reduction step budget exhausted"):
+            normalize(loop, f)
+        assert f.remaining == 0
+        if name == "self application":
+            assert f.calls <= 3
+        elif name in ("x x", "x x x"):  # only _whnf meets these loops
+            assert f.calls == 10_001
+        else:
+            assert f.calls <= 5, name
+
+
+def test_only_open_redexes_cut_normalization_short():
+    # one shared redex object in two places, with an atomic reduct and with
+    # one whose normal form is built, and its key closed, before its twin
+    atomic = App(Lam("x", Type(1), Var("x")), Type(0))
+    built = App(Lam("x", Type(1), Pi("y", Var("x"), Var("x"))), Type(0))
+    ann = Sigma("z", Type(1), Type(1))
+    for r in (atomic, built):
+        for t in (App(App(Var("g"), r), r), Pair(r, r, ann), Pi("y", r, App(Var("y"), r))):
+            for budget in (1, 2, 3, 4, 10_000):
+                assert _run(normalize, t, budget) == _run(oracle_normalize, t, budget)
+            assert normalize(t) == oracle_normalize(t) != t
 
 
 def test_operations_return_what_they_do_not_change():

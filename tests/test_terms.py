@@ -181,6 +181,11 @@ def test_universe_levels_non_negative():
 
     with pytest.raises(ValueError):
         Type(-1)
+    # bool is an int subclass: Type(True) printed as the variable TypeTrue,
+    # Type(1.5) as Type1.5, which does not parse, and Type(True) was alpha-equal to Type(1)
+    for level in (True, False, 1.5, 2.0, "1", None):
+        with pytest.raises(TypeError, match="universe level must be an int"):
+            Type(level)
 
 
 def test_every_constructor_has_one_shape_entry():
