@@ -8,16 +8,21 @@ components. A strict Pi sits one level above its codomain, a strict
 Sigma one level above the higher of its components. Like `reduction.conv`,
 which it hands off to at Pi domains and other heads, the walk normalizes
 no whole term and binds the two variables of a binder pair at one depth
-in place. Alpha-equivalence, which contracts nothing, is tested wherever
-a contraction or a hand-off could follow: at every level but a pair of
-Pi or Sigma heads, and before each hand-off. `subtype_at_level` compares
-the least level with its index.
+in place. It weak-head-reduces only a side whose head is an elimination
+(an application or a projection), the only place a head redex can hide,
+or a non-term, which `_whnf` rejects with TypeError. Alpha-equivalence,
+which contracts nothing, is tested wherever a contraction or a hand-off
+could follow: at every level but a pair of Pi or Sigma heads, and before
+a hand-off where a head was reduced. `subtype_at_level` compares the
+least level, an int, with its index.
 """
 
 from __future__ import annotations
 
-from .reduction import DEFAULT_FUEL, Fuel, _convertible, _whnf
+from .reduction import _ELIMINATIONS, DEFAULT_FUEL, Fuel, _conv, _convertible, _whnf
 from .terms import SHAPES, Pi, Prop, Sigma, Term, Type, _alpha
+
+_WHNF_HEADS = frozenset(SHAPES) - _ELIMINATIONS  # no head redex can hide under these
 
 
 def universe_level(t: Term) -> int | None:
@@ -55,7 +60,9 @@ def _relate(
     # then skip a conv that may diverge. The other arguments are _conv's.
     if (same and a is b) or (type(a) not in (Pi, Sigma) and _alpha(a, b, env_a, env_b, depth)):
         return 0, False
-    ha, hb = _whnf(a, f), _whnf(b, f)  # f is a Fuel already: whnf would coerce it at every level
+    # f is a Fuel already: whnf would coerce it at every level
+    ha = a if type(a) in _WHNF_HEADS else _whnf(a, f)
+    hb = b if type(b) in _WHNF_HEADS else _whnf(b, f)
     la, lb = universe_level(ha), universe_level(hb)
     if la is not None and lb is not None:
         return (0, la < lb) if la <= lb else None
@@ -67,8 +74,9 @@ def _relate(
     elif cls is Sigma:
         first = _relate(ha.first, hb.first, env_a, env_b, depth, same, f)
         strict_only = False  # a strict Sigma may have one component related by conversion alone
-    else:  # other heads are related by conversion alone
-        return (0, False) if not strict_only and _convertible(ha, hb, env_a, env_b, depth, same, f, True) else None
+    else:  # other heads are related by conversion alone; alpha failed above on an unreduced pair
+        convertible = _conv if ha is a and hb is b else _convertible
+        return (0, False) if not strict_only and convertible(ha, hb, env_a, env_b, depth, same, f, True) else None
     if first is None:
         return None
     q = SHAPES[cls][1]
@@ -93,6 +101,8 @@ def subtype_at_level(a: Term, b: Term, level: int, fuel: int | Fuel = DEFAULT_FU
     components compared one level down). So a is below b at level i
     exactly when the least level relating them is at most i.
     """
+    if type(level) is not int:
+        raise TypeError(f"level must be an int, got {level!r}")
     if level < 0:
         raise ValueError("level must be non-negative")
     least = min_subtype_level(a, b, fuel)

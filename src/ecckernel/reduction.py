@@ -25,7 +25,7 @@ head constructors answer False, and the parts are compared in field
 order, one interpreter frame per level. Variables and binders are
 treated as in alpha-equivalence, with the two variables of a binder bound
 at one depth in place, so no level renames or copies a term. It rejects
-a non-term where it reads, like `whnf`.
+a non-term where it reads, like `whnf`, at a pair of unlike heads too.
 """
 
 from __future__ import annotations
@@ -243,7 +243,9 @@ def _conv(
             b = _whnf(b, f)
     cls = type(a)
     if cls is not type(b):
-        return False
+        if cls in SHAPES and type(b) in SHAPES:
+            return False
+        raise TypeError(f"not a term: {b if cls in SHAPES else a!r}")
     if cls is Var:
         da, db = env_a.get(a.name), env_b.get(b.name)
         if da is None and db is None:

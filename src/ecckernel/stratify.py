@@ -5,11 +5,12 @@ Sigma-headed terms carry a nesting level (one more than the sum of the
 component levels), everything else sits at the base level 0. The measure
 is multiplicative: Prop maps to 2, Type j to 3 + j, binder-headed normal
 forms to the product of their component measures, all other normal forms
-to 1. Both functions recurse on the normal form, which computes the same
-value as the conversion-closed layered definition since convertible terms
-share a normal form. The measure is strictly monotone along the strict
-cumulativity order and makes every strictly descending chain of
-normalizable terms finite.
+to 1. One walk over the normal form, switching on `type(t)` and reading
+Pi and Sigma parts through `terms.SHAPES`, gives the level and the
+measure together; it computes the same values as the conversion-closed
+layered definition since convertible terms share a normal form. The
+measure is strictly monotone along the strict cumulativity order and
+makes every strictly descending chain of normalizable terms finite.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from .reduction import DEFAULT_FUEL, Fuel, normalize
-from .terms import Pi, Prop, Sigma, Term, Type
+from .terms import SHAPES, Pi, Prop, Sigma, Term, Type
 
 
 class StratKind(enum.Enum):
@@ -34,39 +35,28 @@ class StratClass:
     measure: int  # always >= 1
 
 
-def _level(nf: Term) -> int:
-    match nf:
-        case Pi(_, a, b) | Sigma(_, a, b):
-            return _level(a) + _level(b) + 1
-        case _:
-            return 0
+_KINDS = {Pi: StratKind.PI, Sigma: StratKind.SIGMA}
 
 
-def _measure(nf: Term) -> int:
-    match nf:
-        case Prop():
-            return 2
-        case Type(j):
-            return 3 + j
-        case Pi(_, a, b) | Sigma(_, a, b):
-            return _measure(a) * _measure(b)
-        case _:
-            return 1
+def _strata(nf: Term) -> tuple[int, int]:
+    # (level, measure) of a normal form
+    cls = type(nf)
+    if cls is Pi or cls is Sigma:
+        p, q = SHAPES[cls]
+        la, ma = _strata(getattr(nf, p))
+        lb, mb = _strata(getattr(nf, q))
+        return la + lb + 1, ma * mb
+    if cls is Prop:
+        return 0, 2
+    return 0, (3 + nf.level if cls is Type else 1)
 
 
 def classify(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> StratClass:
     """Stratification class of a term that normalizes within fuel."""
     nf = normalize(t, fuel)
-    match nf:
-        case Pi(_, _, _):
-            kind = StratKind.PI
-        case Sigma(_, _, _):
-            kind = StratKind.SIGMA
-        case _:
-            kind = StratKind.BASE
-    return StratClass(kind, _level(nf), _measure(nf))
+    return StratClass(_KINDS.get(type(nf), StratKind.BASE), *_strata(nf))
 
 
 def measure(t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> int:
     """Well-foundedness measure of a term that normalizes within fuel."""
-    return _measure(normalize(t, fuel))
+    return _strata(normalize(t, fuel))[1]

@@ -105,6 +105,18 @@ def test_sigma_covariant_in_both_components():
 def test_level_must_be_non_negative():
     with pytest.raises(ValueError):
         subtype_at_level(PROP, PROP, -1, 10)
+    # a level that is no int is rejected, as Type and Fuel reject one
+    for level in (True, False, 0.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match="level must be an int"):
+            subtype_at_level(PROP, Type(0), level, 10)
+
+
+def test_the_walk_rejects_a_non_term():
+    pairs = ((None, PROP), (PROP, None), (3, PROP), (Pi("x", PROP, None), Pi("x", PROP, PROP)))
+    for a, b in pairs:
+        for decide in (subtype, strict_subtype, min_subtype_level):
+            with pytest.raises(TypeError, match="not a term"):
+                decide(a, b, FUEL)
 
 
 def test_monotone_in_level():
@@ -358,3 +370,34 @@ def test_relate_calls_grow_linearly_in_depth(monkeypatch, binder):
     monkeypatch.undo()
     # one interpreter frame per level: deep chains answer at the default limit
     assert subtype(*_renamed_chains(binder, 900, False))
+
+
+def _universe_chains(binder, n: int) -> tuple:
+    # n binders over Prop against n binders over Type 0; a Pi pair's domains
+    # are equal universes, a Sigma pair's first parts Prop and Type 0
+    lo, hi = PROP, Type(0)
+    for i in reversed(range(n)):
+        if binder is Sigma:
+            lo, hi = Sigma(f"x{i}", PROP, lo), Sigma(f"y{i}", Type(0), hi)
+        else:
+            u = Type(i % 3)
+            lo, hi = Pi(f"x{i}", u, lo), Pi(f"y{i}", u, hi)
+    return lo, hi
+
+
+@pytest.mark.parametrize("binder", [Pi, Sigma])
+def test_chains_of_universes_make_no_whnf_call(monkeypatch, binder):
+    # no head redex can hide under a universe or a binder head, so the walk
+    # never weak-head-reduces one
+    calls = collections.Counter()
+    for module in (reduction, cumulativity):
+        original = module._whnf
+        monkeypatch.setattr(
+            module, "_whnf", lambda *args, original=original: calls.update(("_whnf",)) or original(*args)
+        )
+    lo, hi = _universe_chains(binder, 40)
+    assert subtype(lo, hi) and strict_subtype(lo, hi) and not subtype(hi, lo)
+    assert min_subtype_level(lo, hi) == 40 and min_subtype_level(hi, lo) is None
+    if binder is Pi:  # domains compared by conversion: unlike universes are not convertible
+        assert not subtype(Pi("x", PROP, PROP), Pi("x", Type(0), PROP))
+    assert calls["_whnf"] == 0

@@ -266,6 +266,11 @@ def test_the_free_variable_cache_is_invisible():
     for not_a_term in ("x", None, ("x",), Proj1("x"), App(Lam("y", PROP, Var("y")), None)):
         with pytest.raises(TypeError):
             whnf(not_a_term)
+    # conv rejects one where it reads, a pair of unlike heads included
+    for not_a_term in ("x", None, 3, ("x",), Proj1("x")):
+        for a, b in ((not_a_term, PROP), (PROP, not_a_term), (Pi("x", PROP, not_a_term), Pi("x", PROP, PROP))):
+            with pytest.raises(TypeError, match="not a term"):
+                conv(a, b)
     # alpha_eq answers rather than raises: a non-term equals only itself
     for a, b in zip(not_terms, copy.deepcopy(not_terms)):
         assert alpha_eq(a, a) and alpha_eq(a, b) is (a is b)

@@ -5,10 +5,12 @@ import pytest
 from ecckernel import (
     PROP,
     App,
+    Fuel,
     FuelExhausted,
     Lam,
     Pi,
     Sigma,
+    StratClass,
     StratKind,
     Type,
     Var,
@@ -23,7 +25,7 @@ from ecckernel import (
     subtype,
 )
 
-from genterms import expand, normal_type, strict_above
+from genterms import expand, normal_type, oracle_normalize, strict_above
 
 FUEL = 10**4
 
@@ -39,6 +41,63 @@ def _measure_oracle(nf):
         right = nf.codomain if isinstance(nf, Pi) else nf.second
         return _measure_oracle(left) * _measure_oracle(right)
     return 1
+
+
+def _level_oracle(nf):
+    if isinstance(nf, Pi):
+        return _level_oracle(nf.domain) + _level_oracle(nf.codomain) + 1
+    if isinstance(nf, Sigma):
+        return _level_oracle(nf.first) + _level_oracle(nf.second) + 1
+    return 0
+
+
+def _kind_oracle(nf):
+    if isinstance(nf, Pi):
+        return StratKind.PI
+    return StratKind.SIGMA if isinstance(nf, Sigma) else StratKind.BASE
+
+
+def _outcome(call, budget):
+    # the answer, or the exception's type, and the fuel left
+    f = Fuel(budget)
+    try:
+        out = call(f)
+    except FuelExhausted:
+        out = FuelExhausted
+    return out, f.remaining
+
+
+def test_classify_and_measure_match_the_oracles():
+    rng = random.Random(107)
+    for _ in range(200):
+        t = normal_type(rng, 4, ("u",))
+        for u in (t, expand(rng, t)):
+            nf = oracle_normalize(u, FUEL)
+            want = StratClass(_kind_oracle(nf), _level_oracle(nf), _measure_oracle(nf))
+            assert classify(u, FUEL) == want
+            assert measure(u, FUEL) == want.measure
+
+
+def test_classify_spends_the_fuel_normalize_spends():
+    rng = random.Random(109)
+    terms = [expand(rng, normal_type(rng, 3, ("u",))) for _ in range(30)] + [self_application()]
+    for t in terms:
+        for budget in list(range(1, 51)) + [10_000]:
+            nf, left = _outcome(lambda f: normalize(t, f), budget)
+            cls, cls_left = _outcome(lambda f: classify(t, f), budget)
+            m, m_left = _outcome(lambda f: measure(t, f), budget)
+            assert cls_left == m_left == left
+            if nf is FuelExhausted:
+                assert cls is m is FuelExhausted
+            else:
+                assert cls.measure == m
+
+
+def test_classify_and_measure_reject_a_non_term():
+    for not_a_term in (None, 3, "x", Pi("x", PROP, None), Sigma("x", None, PROP)):
+        for operation in (classify, measure):
+            with pytest.raises(TypeError, match="not a term"):
+                operation(not_a_term)
 
 
 def test_classify_constants_and_lambdas_are_base():
