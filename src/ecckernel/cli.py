@@ -11,6 +11,9 @@ positive integers and `--level` non-negative, or it is a usage error.
 
 `elab` builds derivations with `elaborate`; `verify` checks them with
 `kernel` alone, which imports nothing from inference or elaboration.
+`elab` encodes the whole file before it opens `--out`, then writes over
+the old bytes and cuts a longer file to length, since on ext4 cutting a
+non-empty file to zero makes close() start writeback. It is not atomic.
 
 Derivation files are JSON tables that a verifier reads and re-checks
 from scratch. `save_derivation` writes one compact object
@@ -300,8 +303,12 @@ def derivation_from_dict(obj) -> Derivation:
 def save_derivation(d: Derivation, path: str) -> None:
     # encode before opening: a failed encode leaves a file at path as it was
     text = json.dumps(_table(d), separators=(",", ":")) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
+    # no O_TRUNC (see the module docstring): a longer old file is cut after the write
+    with open(path, "w", encoding="utf-8", opener=lambda p, fl: os.open(p, fl & ~os.O_TRUNC, 0o666)) as handle:
+        old_size = os.fstat(handle.fileno()).st_size  # 0 for /dev/null and pipes, which cannot be cut
         handle.write(text)
+        if old_size and old_size > handle.tell():
+            handle.truncate()
 
 
 def load_derivation(path: str) -> Derivation:

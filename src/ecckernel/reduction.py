@@ -3,9 +3,10 @@
 The only contractions are beta and pair projection. Everything is
 fuel-bounded: raw terms of this calculus can diverge (see
 counterexamples.self_application), so exhaustion is reported, never a
-silent loop. One fuel unit is spent per contracted redex. `normalize`
-skips only contractions it proves must use up the fuel, and spends that
-fuel at once, so the accounting is unchanged (see its docstring).
+silent loop. One fuel unit is spent per contracted redex. `whnf` and
+`normalize` skip only contractions they prove must use up the fuel, and
+spend that fuel at once, so the accounting is unchanged: `whnf` when a
+beta reduct is its own redex again, `normalize` as its docstring says.
 
 `whnf` and `normalize` return their input when no redex fires, and
 otherwise keep every part that no contraction touched as the same object.
@@ -104,7 +105,11 @@ def _whnf(t: Term, f: Fuel) -> Term:
         elif cls is Lam and spine and type(spine[-1]) is App:
             f.spend()
             fired = True
-            t = subst(t.body, t.var, spine.pop().arg)
+            lam, arg = t, spine.pop().arg
+            t = subst(lam.body, lam.var, arg)
+            if type(t) is App and t.fn is lam and t.arg is arg:  # the redex again: a loop
+                f.remaining = 0
+                f.spend()
         elif cls is Pair and spine and type(spine[-1]) is not App:
             f.spend()
             fired = True

@@ -11,8 +11,8 @@ Grammar (whitespace insignificant, line comments start with --):
     IDENT   := [a-zA-Z][a-zA-Z0-9_']*      -- keywords reserved
     NAT     := [0-9]+                      -- "Type0" and "Type 0" both lex
 
-Binder bodies extend to the right. Context files are newline-separated
-entries of the form `IDENT : term`. A `ParseError` gives a 1-based line
+Binder bodies extend to the right. Context files are entries of the form
+`IDENT : term` separated by "\n" only. A `ParseError` gives a 1-based line
 and column in the whole input, context files included.
 
 Printing is deterministic and re-parses to an alpha-equal term. Binder
@@ -71,6 +71,7 @@ _TOKEN = re.compile(
     r"|(?P<nat>[0-9]+)"
     r"|(?P<sym>[()<>,:.])"
 )
+_BLANKS = " \t\r"  # the lexer's whitespace within a line
 _SYMBOLS = {"(": "lparen", ")": "rparen", "<": "langle", ">": "rangle", ",": "comma", ":": "colon", ".": "dot"}
 _KEYWORDS = {"Prop": "prop", "Type": "typekw", "Pi": "pi", "Sig": "sig", "fn": "fn", "fst": "fst", "snd": "snd"}
 
@@ -186,12 +187,13 @@ def parse_term(text: str) -> Term:
 def parse_context(text: str) -> Context:
     entries: list[tuple[str, Term]] = []
     line_start = 0
-    for line in text.splitlines(keepends=True):
+    # only "\n" ends an entry, as only it ends a line for _error
+    for line in text.split("\n"):
         # the entry is the part of the line before any comment, trimmed
         entry = line.partition("--")[0]
-        pos = line_start + len(entry) - len(entry.lstrip())
-        end = line_start + len(entry.rstrip())
-        line_start += len(line)
+        pos = line_start + len(entry) - len(entry.lstrip(_BLANKS))
+        end = line_start + len(entry.rstrip(_BLANKS))
+        line_start += len(line) + 1
         if pos < end:
             parser = _Parser(text, pos, end)
             name = parser.expect("ident", "an entry name")

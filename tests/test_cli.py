@@ -733,3 +733,50 @@ def test_a_failed_save_leaves_the_file_as_it_was(tmp_path):
     with pytest.raises(TypeError, match="not a term: None"):
         save_derivation(d, str(path))
     assert path.read_bytes() == b"earlier output\n"
+
+
+def test_a_failed_save_leaves_a_longer_file_as_it_was(tmp_path):
+    # a 300-binder Pi, which once failed to encode, now writes 28,492 bytes:
+    # a subject that is no term fails the encode instead
+    d = Derivation("Ax", Judgment(Context(), App(PROP, None), Type(0)))
+    path = tmp_path / "d.json"
+    earlier = bytes(range(256)) * 20  # 5,120 bytes, longer than a table of one node
+    path.write_bytes(earlier)
+    with pytest.raises(TypeError, match="not a term: None"):
+        save_derivation(d, str(path))
+    assert path.read_bytes() == earlier
+
+
+@pytest.mark.parametrize("earlier", [b"x" * 5_000, b"x"], ids=["longer", "shorter"])
+def test_elab_over_an_existing_file_writes_the_bytes_of_a_fresh_one(write, tmp_path, capsys, earlier):
+    ctx = write("ctx.ecc", "f : Pi x : Type1 . Prop")
+    term = write("t.ecc", "f Prop")
+    fresh, out = tmp_path / "fresh.json", tmp_path / "out.json"
+    assert run_command(["elab", "--ctx", ctx, term, "--out", str(fresh)]) == EXIT_OK
+    assert 1 < fresh.stat().st_size < 5_000
+    out.write_bytes(earlier)
+    out.chmod(0o640)
+    before = out.stat()
+    assert run_command(["elab", "--ctx", ctx, term, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == fresh.read_bytes()
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert run_command(["verify", str(out)]) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_elab_writes_to_dev_null(write, capsys):
+    assert run_command(["elab", write("t.ecc", "fn x : Prop . x"), "--out", "/dev/null"]) == EXIT_OK
+    assert capsys.readouterr().out == "wrote /dev/null\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_elab_writes_to_a_pipe(write, tmp_path):
+    term = write("t.ecc", "fn x : Prop . x")
+    fresh = tmp_path / "fresh.json"
+    assert run_command(["elab", term, "--out", str(fresh)]) == EXIT_OK
+    # the child's standard output is a pipe, which has no length to cut
+    done = _python_dash_m("elab", term, "--out", "/dev/stdout")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == fresh.read_text(encoding="utf-8") + "wrote /dev/stdout\n"

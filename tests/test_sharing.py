@@ -137,7 +137,7 @@ def test_whnf_and_normalize_equal_the_oracles_in_result_and_fuel():
 
 def _loops() -> dict:
     """Divergent terms, fresh objects per call; normalize cuts all but the
-    last two short."""
+    last short."""
     loop = self_application()
     ann = Sigma("z", PROP, PROP)
     return {
@@ -184,10 +184,29 @@ def test_a_loop_normalize_meets_again_spends_the_rest_in_one_call():
         assert f.remaining == 0
         if name == "self application":
             assert f.calls <= 3
-        elif name in ("x x", "x x x"):  # only _whnf meets these loops
+        elif name == "x x":  # _whnf meets a reduct that is its own redex
+            assert f.calls <= 3
+        elif name == "x x x":  # only _whnf meets this loop, and its spine grows
             assert f.calls == 10_001
         else:
             assert f.calls <= 5, name
+
+
+def test_whnf_spends_the_rest_at_a_reduct_that_is_its_own_redex():
+    # the first round rebuilds "x x" from the argument's fn, the second from the same objects
+    loops = _loops()
+    for name, calls in (("x x", 3), ("x x x", 10_001)):
+        f = _Counting(10_000)
+        with pytest.raises(FuelExhausted, match="reduction step budget exhausted"):
+            whnf(loops[name], f)
+        assert f.remaining == 0
+        assert f.calls == calls, name
+    # the same fn applied to a new argument is no loop: L L -> L y -> y y
+    lam = parse_term("fn x : Prop . x y")
+    t = App(lam, lam)
+    assert whnf(t, 10) == App(Var("y"), Var("y"))
+    for budget in (1, 2, 3):
+        assert _run(whnf, t, budget) == _run(oracle_whnf, t, budget)
 
 
 def test_only_open_redexes_cut_normalization_short():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -119,6 +120,31 @@ def test_context_file_rejects_garbage():
         parse_context("x Prop")
     with pytest.raises(ParseError):
         parse_context("x : Prop Prop extra :")
+
+
+def test_context_entries_end_at_newline_only():
+    # "\r\n" files keep working: "\r" is lexer whitespace
+    assert parse_context("x : Prop\r\ny : Type0\r\n").names() == ("x", "y")
+    # a lone "\r" joins two lines into one entry, and the error is on that line
+    with pytest.raises(ParseError, match=r"^trailing input ':' in context entry \(line 1, column 13\)$"):
+        parse_context("A : Type0\rB : Type0")
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"], ids=repr)
+def test_other_line_breaks_in_a_context_are_errors_where_they_stand(brk):
+    # as in a term file, where they are parse errors too
+    with pytest.raises(ParseError):
+        parse_term(f"Prop{brk}")
+    # between two entries, in one, and at either end of one
+    for text, line, col in (
+        (f"A : Type0{brk}B : Type0", 1, 10),
+        (f"A : Type0\nB : {brk} A", 2, 5),
+        (f"A : Type0\n{brk}B : Type0", 2, 1),
+        (f"A : Type0{brk}\nB : Type0", 1, 10),
+    ):
+        with pytest.raises(ParseError, match="^" + re.escape(f"unexpected character {brk!r}")) as err:
+            parse_context(text)
+        assert (err.value.line, err.value.col) == (line, col), text
 
 
 def test_round_trip_on_random_terms():
