@@ -19,19 +19,21 @@ rebuilds it through the shape table in `terms`, so it rejects a non-term
 anywhere in its input; `whnf` rejects one where it reads: the head it
 stops at.
 
-`conv` normalizes neither side. It walks both head first, the conversion
-check of Coquand ("An algorithm for testing conversion in type theory",
-1991): each pair of parts is brought to weak-head normal form, unlike
-head constructors answer False, and the parts are compared in field
-order, one interpreter frame per level. Variables and binders are
-treated as in alpha-equivalence, with the two variables of a binder bound
-at one depth in place, so no level renames or copies a term. It rejects
-a non-term where it reads, like `whnf`, at a pair of unlike heads too.
+`conv` and the decisions of `cumulativity` are one walk, `_compare`, in
+three modes: conversion, the preorder, and the preorder read only for its
+strict bit. It walks both sides head first, the conversion check of
+Coquand ("An algorithm for testing conversion in type theory", 1991):
+each pair of parts is brought to weak-head normal form, unlike heads are
+unrelated, and the parts are compared in field order, with the two
+variables of a binder bound at one depth in place, so no level renames or
+copies a term. It runs on one explicit work stack, so the fuel, not the
+interpreter stack, bounds it. It rejects a non-term where it reads, like
+`whnf`, at a pair of unlike heads too.
 """
 
 from __future__ import annotations
 
-from .terms import BINDERS, SHAPES, App, Lam, Pair, Proj1, Proj2, Prop, Term, Type, Var
+from .terms import BINDERS, SHAPES, App, Lam, Pair, Pi, Proj1, Proj2, Prop, Sigma, Term, Type, Var
 from .terms import _alpha, free_vars, subst, subterms
 
 DEFAULT_FUEL = 10000
@@ -216,65 +218,111 @@ def conv(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     comparing them would, on no more fuel. It also answers on some pairs
     with no normal form: `f loop` against `g loop` is False.
     """
-    return _convertible(a, b, {}, {}, 0, True, Fuel.coerce(fuel))
-
-
-def _convertible(
-    a: Term, b: Term, env_a: dict, env_b: dict, depth: int, same: bool, f: Fuel, stable: bool = False
-) -> bool:
-    # conv under a caller's environments (see _conv): alpha, then the walk
-    if (same and a is b) or _alpha(a, b, env_a, env_b, depth):
-        return True
-    return _conv(a, b, env_a, env_b, depth, same, f, stable)
+    return _compare(a, b, _CONV, Fuel.coerce(fuel)) is not None
 
 
 _ELIMINATIONS = frozenset((App, Proj1, Proj2))  # the only constructors a head redex can hide under
+_WHNF_HEADS = frozenset(SHAPES) - _ELIMINATIONS  # no head redex can hide under these
+_CONV, _CUMUL, _STRICT = 0, 1, 2  # _compare's modes: conversion, the preorder, its strict bit alone
+_SAME = (0, False)  # (least level, strict) of a convertible pair
 
 
-def _conv(
-    a: Term, b: Term, env_a: dict, env_b: dict, depth: int, same: bool, f: Fuel, stable: bool = False
-) -> bool:
-    # Variables and binders as in terms._alpha. One object on both sides is
-    # convertible with itself when the environments agree on its free
-    # variables, as they do on all while `same` holds: while every binder
-    # entered bound one name on both sides. `stable` marks the spine parts of
-    # two eliminations out of `_whnf`: each has its elimination's head.
-    if a is b and (same or all(env_a.get(v) == env_b.get(v) for v in free_vars(a))):
-        return True
-    if not stable:
-        if type(a) in _ELIMINATIONS:
-            a = _whnf(a, f)
-        if type(b) in _ELIMINATIONS:
-            b = _whnf(b, f)
-    cls = type(a)
-    if cls is not type(b):
-        if cls in SHAPES and type(b) in SHAPES:
-            return False
-        raise TypeError(f"not a term: {b if cls in SHAPES else a!r}")
-    if cls is Var:
-        da, db = env_a.get(a.name), env_b.get(b.name)
-        if da is None and db is None:
-            return a.name == b.name
-        return da == db
-    if cls in BINDERS:
-        p, q = SHAPES[cls]
-        if not _conv(getattr(a, p), getattr(b, p), env_a, env_b, depth, same, f):
-            return False
-        x, y = a.var, b.var
-        shadowed = env_a.get(x), env_b.get(y)
-        env_a[x] = env_b[y] = depth
-        try:
-            return _conv(getattr(a, q), getattr(b, q), env_a, env_b, depth + 1, same and x == y, f)
-        finally:
-            env_a[x], env_b[y] = shadowed
-    if cls is App:
-        return _conv(a.fn, b.fn, env_a, env_b, depth, same, f, True) and _conv(
-            a.arg, b.arg, env_a, env_b, depth, same, f
-        )
-    if cls is Proj1 or cls is Proj2:
-        return _conv(a.pair, b.pair, env_a, env_b, depth, same, f, True)
-    if cls is Pair:
-        return all(_conv(getattr(a, k), getattr(b, k), env_a, env_b, depth, same, f) for k in SHAPES[Pair])
-    if cls is Prop or cls is Type:
-        return a == b
-    raise TypeError(f"not a term: {a!r}")
+def _compare(a: Term, b: Term, mode: int, f: Fuel) -> tuple[int, bool] | None:
+    # None when unrelated, else (least level, strict); _STRICT answers None
+    # at heads related by conversion alone, so it runs no conversion that
+    # may diverge. `depth` binders are open, `same` holds while each bound
+    # one name on both sides, and `stable` marks spine parts out of `_whnf`.
+    # Work items: a pair (a, b, mode, x, y), whose x and y, for a binder
+    # pair's second parts, are bound when it comes up; and a binder's frame,
+    # six long, which restores what they shadowed and combines both answers.
+    # `res` is the answer of the last pair settled.
+    env_a, env_b = {}, {}  # binder depths by name, on each side; None marks a free name again
+    if mode is _CONV and (a is b or _alpha(a, b, env_a, env_b, 0)):
+        return _SAME
+    todo: list[tuple] = []
+    depth, same, stable, res = 0, True, False, _SAME
+    while True:
+        while True:  # settle the pair (a, b), descending into first parts in place
+            if mode is _CONV:
+                if a is b and (same or all(env_a.get(v) == env_b.get(v) for v in free_vars(a))):
+                    res = _SAME
+                    break
+                if not stable:
+                    if type(a) in _ELIMINATIONS:
+                        a = _whnf(a, f)
+                    if type(b) in _ELIMINATIONS:
+                        b = _whnf(b, f)
+                cls = type(a)
+                fields = SHAPES.get(cls)
+                if cls is not type(b) or fields is None:
+                    if fields is not None and type(b) in SHAPES:
+                        return None
+                    raise TypeError(f"not a term: {b if fields is not None else a!r}")
+                if cls in BINDERS:
+                    p, q = fields
+                    todo.append((getattr(a, q), getattr(b, q), _CONV, a.var, b.var))
+                    a, b, stable = getattr(a, p), getattr(b, p), False
+                    continue
+                if fields:  # first parts in place, the rest later; an elimination's spine part keeps its head
+                    todo += [(getattr(a, k), getattr(b, k), _CONV, None, None) for k in reversed(fields[1:])]
+                    a, b, stable = getattr(a, fields[0]), getattr(b, fields[0]), cls is not Pair
+                    continue
+                if cls is Var:
+                    da, db = env_a.get(a.name), env_b.get(b.name)
+                    if da != db or (da is None and a.name != b.name):  # unlike binders, or free names
+                        return None
+                elif cls is Type and a.level != b.level:  # else two equal universes
+                    return None
+                res = _SAME
+                break
+            if (same and a is b) or (type(a) is not Pi and type(a) is not Sigma and _alpha(a, b, env_a, env_b, depth)):
+                res = _SAME
+                break
+            ha = a if type(a) in _WHNF_HEADS else _whnf(a, f)
+            hb = b if type(b) in _WHNF_HEADS else _whnf(b, f)
+            cls = type(ha)
+            if cls is Prop or cls is Type:  # Prop below every Type level
+                if type(hb) is Type and (cls is Prop or ha.level < hb.level):
+                    res = 0, True
+                elif type(hb) is cls and (cls is Prop or ha.level == hb.level):
+                    res = _SAME
+                else:
+                    return None
+                break
+            if cls is not type(hb):
+                return None
+            if cls is Pi:  # domains convertible, codomains in the mode
+                todo.append((ha.codomain, hb.codomain, mode, ha.var, hb.var))
+                a, b, mode, stable = ha.domain, hb.domain, _CONV, False
+                if (same and a is b) or _alpha(a, b, env_a, env_b, depth):
+                    res = _SAME
+                    break
+            elif cls is Sigma:  # a strict Sigma may have one component related by conversion alone
+                todo.append((ha.second, hb.second, _CUMUL, ha.var, hb.var))
+                a, b, mode = ha.first, hb.first, _CUMUL
+            elif mode is _STRICT:  # other heads are related by conversion alone, never strictly
+                return None
+            elif (ha is not a or hb is not b) and ((same and ha is hb) or _alpha(ha, hb, env_a, env_b, depth)):
+                res = _SAME
+                break
+            else:  # convert the two heads; alpha failed above if neither side reduced
+                a, b, mode, stable = ha, hb, _CONV, True
+        while todo:
+            item = todo.pop()
+            if len(item) == 6:  # a binder's frame: put back what it shadowed, then combine
+                x, y, shadowed_a, shadowed_b, same, first = item
+                env_a[x], env_b[y] = shadowed_a, shadowed_b
+                depth -= 1
+                if first[1] or res[1]:
+                    res = 1 + max(first[0], res[0]), True
+                continue
+            a, b, mode, x, y = item
+            if x is not None:  # a binder pair's second parts: bind its variables at one depth
+                todo.append((x, y, env_a.get(x), env_b.get(y), same, res))
+                env_a[x] = env_b[y] = depth
+                depth += 1
+                same = same and x == y
+            stable = False
+            break
+        else:
+            return res

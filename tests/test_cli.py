@@ -115,6 +115,17 @@ def test_nf_fuel_exhaustion_exit(write):
     assert run_command(["nf", term]) == EXIT_FUEL
 
 
+def test_sub_and_minlevel_fuel_exhaustion_exit(write, capsys):
+    # two loops that differ in a binder annotation: the fuel runs out, not
+    # the interpreter stack, so the exit is 3 and not 6
+    loop = "(fn y : {0} . Sig x : Type0 . y y) (fn y : {0} . Sig x : Type0 . y y)"
+    a, b = write("a.ecc", loop.format("Type0")), write("b.ecc", loop.format("Type1"))
+    for args in (["sub", a, b], ["sub", a, b, "--strict"], ["sub", a, b, "--level", "1"], ["minlevel", a, b]):
+        assert run_command(args) == EXIT_FUEL, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("fuel exhausted:"), (args, out, err)
+
+
 def test_fuel_flag_and_env(write, monkeypatch):
     term = write("t.ecc", "(fn x : Prop . x) ((fn x : Prop . x) Prop)")
     assert run_command(["nf", term, "--fuel", "1"]) == EXIT_FUEL

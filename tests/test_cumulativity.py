@@ -28,7 +28,7 @@ from ecckernel import (
     universe_level,
 )
 
-from ecckernel import cumulativity, reduction, terms
+from ecckernel import reduction, terms
 
 from genterms import alpha_rename, at_level, expand, normal_type, oracle_relate, strict_above
 
@@ -228,6 +228,20 @@ def test_strictness_excludes_conversion():
         assert not strict_subtype(e, t, FUEL)
 
 
+@pytest.mark.parametrize("budget", [10_000, 100_000])
+def test_a_divergent_pair_runs_out_of_fuel_before_the_interpreter_stack(budget):
+    # self-applications that differ only in a binder annotation: each
+    # contraction unfolds one more Sigma on a side, so the walk goes one
+    # level deeper per contraction until the fuel is gone
+    fn = Lam("y", Type(1), Sigma("x", Type(0), App(Var("y"), Var("y"))))
+    a, b = self_application(), App(fn, fn)
+    for decide in (conv, subtype, strict_subtype, min_subtype_level):
+        f = Fuel(budget)
+        with pytest.raises(FuelExhausted):
+            decide(a, b, f)
+        assert f.remaining == 0, decide.__name__
+
+
 def test_min_level_zero_via_alpha_on_divergent_terms():
     loop = self_application()
     assert min_subtype_level(loop, loop, 100) == 0
@@ -308,6 +322,16 @@ def test_alpha_equal_parts_under_renamed_binders_cost_no_fuel(pair):
         assert _spent(lambda f: op(a, b, f), 50) == (want, 1), op.__name__
 
 
+def test_a_reduced_head_is_tested_for_alpha_before_conversion():
+    # the left side contracts to `g loop`, alpha-equal to the right, `g` on
+    # a second copy of the loop: one contraction decides, where converting
+    # the two heads would reduce the loops until the fuel is gone
+    loop, loop_ = self_application(), self_application()
+    a, b = App(Lam("w", Type(1), Var("w")), App(Var("g"), loop)), App(Var("g"), loop_)
+    for op, want in ((subtype, True), (strict_subtype, False), (min_subtype_level, 0)):
+        assert _spent(lambda f: op(a, b, f), 50) == (want, 1), op.__name__
+
+
 def test_an_object_shared_under_renamed_binders_is_not_reduced():
     # `shared` is one object on both sides, and neither renamed binder is
     # free in it, so it is convertible with itself: only `red` is contracted
@@ -344,10 +368,7 @@ def test_relate_calls_grow_linearly_in_depth(monkeypatch, binder):
     # deterministic counters, not wall time: no whole-term alpha test or
     # renaming copy per level
     calls = collections.Counter()
-    for module, name in (
-        (terms, "_alpha"), (reduction, "_alpha"), (cumulativity, "_alpha"), (terms, "_subst"),
-        (reduction, "_whnf"), (cumulativity, "_whnf"), (cumulativity, "_relate"),
-    ):
+    for module, name in ((terms, "_alpha"), (reduction, "_alpha"), (terms, "_subst"), (reduction, "_whnf")):
         original = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *args, name=name, original=original: calls.update((name,)) or original(*args)
@@ -362,14 +383,16 @@ def test_relate_calls_grow_linearly_in_depth(monkeypatch, binder):
     finally:
         sys.setrecursionlimit(limit)
     small, big = counts
-    assert small.keys() == big.keys() >= {"_alpha", "_whnf", "_relate"}
+    assert small.keys() == big.keys() >= {"_alpha", "_whnf"}
     for name, count in big.items():
         assert count <= 2 * small[name], (name, small[name], count)
     # the one substitution is the contraction of `red`: nothing is renamed
     assert small["_subst"] == big["_subst"] == 1
     monkeypatch.undo()
-    # one interpreter frame per level: deep chains answer at the default limit
-    assert subtype(*_renamed_chains(binder, 900, False))
+    # an explicit work stack, no interpreter frame per level: deep chains
+    # answer at the default limit
+    deep = _renamed_chains(binder, 5_000, False)
+    assert subtype(*deep) and min_subtype_level(*deep) == 5_000
 
 
 def _universe_chains(binder, n: int) -> tuple:
@@ -390,11 +413,8 @@ def test_chains_of_universes_make_no_whnf_call(monkeypatch, binder):
     # no head redex can hide under a universe or a binder head, so the walk
     # never weak-head-reduces one
     calls = collections.Counter()
-    for module in (reduction, cumulativity):
-        original = module._whnf
-        monkeypatch.setattr(
-            module, "_whnf", lambda *args, original=original: calls.update(("_whnf",)) or original(*args)
-        )
+    original = reduction._whnf
+    monkeypatch.setattr(reduction, "_whnf", lambda *args: calls.update(("_whnf",)) or original(*args))
     lo, hi = _universe_chains(binder, 40)
     assert subtype(lo, hi) and strict_subtype(lo, hi) and not subtype(hi, lo)
     assert min_subtype_level(lo, hi) == 40 and min_subtype_level(hi, lo) is None
