@@ -5,9 +5,17 @@ Exit codes: 0 success or relation true, 1 relation false, 2 type error,
 resource error (usage error, unreadable file, input that is not UTF-8,
 input nested too deeply). `verify` answers 5 for any file that is not a
 derivation, undecodable ones included.
-The global --fuel flag (default 10000) can also be set through the
-ECC_FUEL environment variable; the flag wins. Fuel and `--steps` must be
-positive integers and `--level` non-negative, or it is a usage error.
+
+One table, `_COMMANDS`, gives each command's help line, positionals and
+options with their converters (a flag has none); it drives the parse,
+the help text and every usage error. The parse reads argv once, left to
+right. The global `--fuel N` (default 10000, or ECC_FUEL when no flag is
+given) may come before or after the command, the last value given wins,
+`--opt=value` is `--opt value`, the first `--` ends the options, and an
+option is spelled out in full. Fuel and `--steps` must be positive
+integers and `--level` non-negative. `-h` or `--help` anywhere before
+`--` prints help on stdout and exits 0; a usage error prints
+`ecc: error: ...` on stderr, nothing on stdout, and exits 6.
 
 `elab` builds derivations with `elaborate`; `verify` checks them with
 `kernel` alone, which imports nothing from inference or elaboration.
@@ -33,13 +41,15 @@ extended by one entry, where context 0 is the empty one; node row k is
 or the Cum pair `sub`/`sup` as term numbers. Every number names a term,
 an earlier context or an earlier node; the root is the last node row.
 This table is the only file format: a file of any other shape (the tree
-form earlier versions wrote, or a table whose term rows are surface
-text) is malformed. So is a field of the wrong JSON type (a `true` or
-`1.0` level or number, a string where a list or number belongs), a row
-with an unknown tag or the wrong number of cells, a negative level in a
-term row, a name that is not an identifier or is a keyword, a `side` key
-other than `level`, `sub` and `sup`, or a number that names no earlier
-row: each rejects the file rather than being coerced or ignored. So does
+form earlier versions wrote, a table whose term rows are surface text,
+or a top level that is not an object with exactly the keys `terms`,
+`contexts` and `nodes`) is malformed. So is a field of the wrong JSON
+type (a `true` or `1.0` level or number, a string where a list or
+number belongs), a row with an unknown tag or the wrong number of
+cells, a negative level in a term row, a name that is not an identifier
+or is a keyword, a `side` key other than `level`, `sub` and `sup`, or a
+number that names no earlier row: each rejects the file rather than
+being coerced or ignored. So does
 a term row of more than TERM_SIZE_LIMIT nodes as a tree: rows that name
 one earlier row twice double a term's size per row. So does a row that
 no path from the root uses, which the kernel would never check: counting
@@ -50,11 +60,10 @@ each row but the root is named by a later one.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .counterexamples import descending_chain, level_transfer_triple, self_application
 from .cumulativity import min_subtype_level, strict_subtype, subtype, subtype_at_level
@@ -182,6 +191,7 @@ def _row_shape(cls: type) -> tuple:
 
 _ROWS = {cls.__name__: _row_shape(cls) for cls in SHAPES}  # a term row's tag is its constructor's name
 _SIDE_KEYS = frozenset({"level", "sub", "sup"})
+_TABLE_KEYS = frozenset({"terms", "contexts", "nodes"})
 
 
 def _read_terms(rows) -> tuple[list[Term], bytearray]:
@@ -225,6 +235,10 @@ def _read_terms(rows) -> tuple[list[Term], bytearray]:
 
 
 def _from_table(obj: dict) -> Derivation:
+    if type(obj) is not dict:
+        raise TypeError(f"the top level must be an object, got {type(obj).__name__}")
+    if obj.keys() != _TABLE_KEYS:
+        raise TypeError(f"the top level must have exactly the keys {sorted(_TABLE_KEYS)}, got {sorted(obj)}")
     # a flag per row, set where a later row names it: a row no later row names
     # is one the root cannot reach (see the module docstring)
     terms, term_used = _read_terms(obj["terms"])
@@ -296,7 +310,7 @@ def derivation_from_dict(obj) -> Derivation:
     """Read the table `save_derivation` writes."""
     try:
         return _from_table(obj)
-    except (KeyError, TypeError) as e:
+    except TypeError as e:
         raise DerivationError("file", f"malformed derivation file: {e!r}") from e
 
 
@@ -335,83 +349,129 @@ def _bool_line(value: bool) -> str:
     return "true" if value else "false"
 
 
+class _UsageError(Exception):
+    """A command line that `_COMMANDS` does not describe."""
+
+
 def _at_least(low: int):
     def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise ValueError(f"must be at least {low}, got {value}")
         return value
 
     return integer
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    fuel_parent = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps a subcommand-less occurrence from being overwritten
-    fuel_parent.add_argument(
-        "--fuel", type=_at_least(1), default=argparse.SUPPRESS, help="reduction step budget"
-    )
+_FUEL = _at_least(1)
+_REQUIRED = object()  # the default of an option that must be given
 
-    parser = argparse.ArgumentParser(prog="ecc", description="kernel and type inference driver")
-    parser.add_argument("--fuel", type=_at_least(1), help="reduction step budget")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+# each command's help line, positionals and options: a positional maps to
+# the words it may be (None for any), an option to its converter (None for
+# a flag) and default; every command also takes --fuel, before or after it
+_COMMANDS = {
+    "infer": ("print the principal type", {"termfile": None}, {"--ctx": (str, None)}),
+    "check": ("check a term against an ascription", {"termfile": None, "typefile": None}, {"--ctx": (str, None)}),
+    "nf": ("print the normal form", {"termfile": None}, {}),
+    "whnf": ("print the weak-head normal form", {"termfile": None}, {}),
+    "sub": ("decide the cumulativity relation", {"left": None, "right": None},
+            {"--level": (_at_least(0), None), "--strict": (None, False)}),
+    "minlevel": ("least level relating two terms", {"left": None, "right": None}, {}),
+    "phi": ("well-foundedness measure", {"termfile": None}, {}),
+    "classify": ("stratification class", {"termfile": None}, {}),
+    "elab": ("write a verified kernel derivation", {"termfile": None},
+             {"--ctx": (str, None), "--out": (str, _REQUIRED)}),
+    "verify": ("re-check a derivation file", {"file": None}, {}),
+    "demo": ("built-in demonstrations", {"which": ("prop2", "prop3")}, {"--steps": (_at_least(1), 4)}),
+}
 
-    p = sub.add_parser("infer", parents=[fuel_parent], help="print the principal type")
-    p.add_argument("--ctx", default=None)
-    p.add_argument("termfile")
+_HELP = """usage: ecc [--fuel N] COMMAND [ARGUMENTS]
 
-    p = sub.add_parser("check", parents=[fuel_parent], help="check a term against an ascription")
-    p.add_argument("--ctx", default=None)
-    p.add_argument("termfile")
-    p.add_argument("typefile")
+{}
 
-    p = sub.add_parser("nf", parents=[fuel_parent], help="print the normal form")
-    p.add_argument("termfile")
+--fuel N, the reduction step budget (default {}, or ECC_FUEL), may come before or
+after the command, and the last one wins. --opt=value is --opt value, -- ends the
+options, and -h or --help prints this help."""
 
-    p = sub.add_parser("whnf", parents=[fuel_parent], help="print the weak-head normal form")
-    p.add_argument("termfile")
 
-    p = sub.add_parser("sub", parents=[fuel_parent], help="decide the cumulativity relation")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--level", type=_at_least(0), default=None)
-    p.add_argument("--strict", action="store_true")
+def _usage(cmd: str) -> str:
+    _, positionals, options = _COMMANDS[cmd]
+    words = [cmd]
+    for name, (convert, default) in options.items():
+        word = name if convert is None else f"{name} {name[2:].upper()}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    words += ["|".join(choices) if choices else name.upper() for name, choices in positionals.items()]
+    return " ".join(words)
 
-    p = sub.add_parser("minlevel", parents=[fuel_parent], help="least level relating two terms")
-    p.add_argument("left")
-    p.add_argument("right")
 
-    p = sub.add_parser("phi", parents=[fuel_parent], help="well-foundedness measure")
-    p.add_argument("termfile")
+def _is_option(arg: str) -> bool:
+    # `-` alone and a word that starts `-` and a digit, a negative number, are words
+    return arg[:1] == "-" and arg != "-" and not arg[1].isdecimal()
 
-    p = sub.add_parser("classify", parents=[fuel_parent], help="stratification class")
-    p.add_argument("termfile")
 
-    p = sub.add_parser("elab", parents=[fuel_parent], help="write a verified kernel derivation")
-    p.add_argument("--ctx", default=None)
-    p.add_argument("termfile")
-    p.add_argument("--out", required=True)
+def _convert(name: str, convert, text: str):
+    try:
+        return convert(text)
+    except ValueError as e:
+        raise _UsageError(f"{name}: {e}") from None
 
-    p = sub.add_parser("verify", parents=[fuel_parent], help="re-check a derivation file")
-    p.add_argument("file")
 
-    p = sub.add_parser("demo", parents=[fuel_parent], help="built-in demonstrations")
-    p.add_argument("which", choices=["prop2", "prop3"])
-    p.add_argument("--steps", type=_at_least(1), default=4)
-
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """Read argv once, left to right, against `_COMMANDS`. Returns None
+    when it asks for help, which is printed."""
+    if {"-h", "--help"} & set(argv[:argv.index("--") if "--" in argv else len(argv)]):
+        print(_HELP.format("\n".join(f"  {_usage(c):42s} {_COMMANDS[c][0]}" for c in _COMMANDS), DEFAULT_FUEL))
+        return None
+    words, given, ended = [], {}, False  # the command and its arguments; the options' fields
+    rest = iter(argv)
+    for arg in rest:
+        if ended or not _is_option(arg):
+            if not words and arg not in _COMMANDS:
+                raise _UsageError(f"unknown command {arg!r}; the commands are {', '.join(_COMMANDS)}")
+            words.append(arg)
+            continue
+        if arg == "--":
+            ended = True
+            continue
+        name, eq, value = arg.partition("=")
+        options = _COMMANDS[words[0]][2] if words else {}
+        if name not in options and name != "--fuel":
+            raise _UsageError(f"unknown option {name}" if words else f"{name} before the command")
+        convert = options[name][0] if name in options else _FUEL
+        if convert is None and eq:
+            raise _UsageError(f"{name} takes no value")
+        if convert is not None and not eq:
+            value = next(rest, None)
+            if value is None or _is_option(value):
+                raise _UsageError(f"{name} expects a value")
+        given[name[2:]] = True if convert is None else _convert(name, convert, value)
+    if not words:
+        raise _UsageError("no command given")
+    cmd, *words = words
+    _, positionals, options = _COMMANDS[cmd]
+    if len(words) != len(positionals):
+        raise _UsageError(f"{cmd} takes {len(positionals)} arguments, got {len(words)}")
+    fields = {name[2:]: default for name, (_, default) in options.items()} | given | dict(zip(positionals, words))
+    for name, choices in positionals.items():
+        if choices and fields[name] not in choices:
+            raise _UsageError(f"{name.upper()} must be one of {', '.join(choices)}, got {fields[name]!r}")
+    missing = [name for name in options if fields[name[2:]] is _REQUIRED]
+    if missing:
+        raise _UsageError(f"{cmd} requires {', '.join(missing)}")
+    if "fuel" not in fields:
+        env = os.environ.get("ECC_FUEL")
+        fields["fuel"] = DEFAULT_FUEL if env is None else _convert("ECC_FUEL", _FUEL, env)
+    return SimpleNamespace(cmd=cmd, **fields)
 
 
 def run_command(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    # ECC_FUEL is read on every call; argparse checks a string default only without --fuel
-    parser.set_defaults(fuel=os.environ.get("ECC_FUEL", DEFAULT_FUEL))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 0 after --help and 2 on a usage error; 2 means a type error here
-        return EXIT_OK if e.code == 0 else EXIT_INPUT
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as e:
+        print(f"ecc: error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    if args is None:  # the help text was asked for and printed
+        return EXIT_OK
 
     try:
         return _dispatch(args, args.fuel)
@@ -432,7 +492,7 @@ def run_command(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
-def _dispatch(args: argparse.Namespace, fuel: int) -> int:
+def _dispatch(args: SimpleNamespace, fuel: int) -> int:
     match args.cmd:
         case "infer":
             outcome = infer_type(_read_ctx(args.ctx, fuel), _read_term(args.termfile), fuel)

@@ -571,18 +571,28 @@ def test_verify_rejects_rows_no_path_from_the_root_uses(write, tmp_path, capsys,
     [
         {"rule": "Ax", "ctx": [], "term": "Prop", "type": "Type0", "side": {}, "premises": []},
         {"terms": ["Prop", "Type0"], "contexts": [], "nodes": [["Ax", 0, 0, 1, [], {}]]},
+        {"terms": [["Prop"], ["Type", 0]], "contexts": [], "nodes": [["Ax", 0, 0, 1, [], {}]], "extra": 1},
+        {"terms": [["Prop"], ["Type", 0]], "contexts": [], "nodes": [["Ax", 0, 0, 1, [], {}]], "rule": "Ax"},
     ],
-    ids=["tree-form", "text-term-rows"],
+    ids=["tree-form", "text-term-rows", "extra-key", "tree-form-key"],
 )
 def test_only_the_table_with_constructor_term_rows_loads(tmp_path, capsys, obj):
     # the tree form and surface-text term rows, which earlier versions wrote,
-    # are rejected like the nested form before them; as a table of
-    # constructor rows the same Ax leaf is accepted
+    # are rejected like the nested form before them, and so is a table with
+    # a key besides its three; as a table of constructor rows alone the same
+    # Ax leaf is accepted
     capsys.readouterr()
     assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
     assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
     leaf = {"terms": [["Prop"], ["Type", 0]], "contexts": [], "nodes": [["Ax", 0, 0, 1, [], {}]]}
     assert _verify_exit(tmp_path, leaf) == EXIT_OK
+
+
+@pytest.mark.parametrize("obj", [[], [1], "terms", 3, None], ids=["empty-list", "list", "string", "number", "null"])
+def test_a_top_level_that_is_not_an_object_says_so(tmp_path, capsys, obj):
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
+    assert "malformed derivation file: TypeError('the top level must be an object" in capsys.readouterr().err
 
 
 def test_a_shared_node_is_rejected_at_its_first_path_in_pre_order(tmp_path):
