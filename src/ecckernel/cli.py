@@ -586,20 +586,22 @@ def _demo_prop2(fuel: int) -> int:
 
 
 def _demo_prop3(steps: int, fuel: int) -> int:
+    # every line is built before any is printed, so a failure prints none
     loop = self_application()
-    print(f"start = {print_term(loop)}")
-    print(f"whnf(start) = {print_term(whnf(loop, fuel))}")
+    lines = [f"start = {print_term(loop)}"]
+    lines.append(f"whnf(start) = {print_term(whnf(loop, fuel))}")
     chain = descending_chain(steps)
     for i, t in enumerate(chain, start=1):
-        print(f"A{i} = {print_term(t)}")
+        lines.append(f"A{i} = {print_term(t)}")
     for i in range(len(chain) - 1):
         holds = strict_subtype(chain[i + 1], chain[i], fuel)
-        print(f"cumLt(A{i + 2}, A{i + 1}) = {_bool_line(holds)}")
+        lines.append(f"cumLt(A{i + 2}, A{i + 1}) = {_bool_line(holds)}")
     try:
         normalize(loop, fuel)
-        print("normalize(start) reached a normal form")
+        lines.append("normalize(start) reached a normal form")
     except FuelExhausted:
-        print(f"normalize(start): fuel exhausted after {fuel} steps (no normal form)")
+        lines.append(f"normalize(start): fuel exhausted after {fuel} steps (no normal form)")
+    print("\n".join(lines))
     return EXIT_OK
 
 

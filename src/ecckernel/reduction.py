@@ -26,9 +26,14 @@ Coquand ("An algorithm for testing conversion in type theory", 1991):
 each pair of parts is brought to weak-head normal form, unlike heads are
 unrelated, and the parts are compared in field order, with the two
 variables of a binder bound at one depth in place, so no level renames or
-copies a term. It runs on one explicit work stack, so the fuel, not the
-interpreter stack, bounds it. It rejects a non-term where it reads, like
-`whnf`, at a pair of unlike heads too.
+copies a term. Every pair goes through one settle step, and the modes
+differ in three places only: the shortcut (one object on both sides, and
+in the preorder alpha-equivalence), the universe rule (Prop or a lower
+Type below a higher Type, outside conversion), and the preorder's heads
+(a Pi's domains convert, a Sigma's parts and a Pi's codomains stay in the
+preorder, other heads convert). It runs on one explicit work stack, so
+the fuel, not the interpreter stack, bounds it. It rejects a non-term
+where it reads, through `_whnf`.
 """
 
 from __future__ import annotations
@@ -243,70 +248,55 @@ def _compare(a: Term, b: Term, mode: int, f: Fuel) -> tuple[int, bool] | None:
     depth, same, stable, res = 0, True, False, _SAME
     while True:
         while True:  # settle the pair (a, b), descending into first parts in place
-            if mode is _CONV:
-                if a is b and (same or all(env_a.get(v) == env_b.get(v) for v in free_vars(a))):
-                    res = _SAME
-                    break
-                if not stable:
-                    if type(a) in _ELIMINATIONS:
-                        a = _whnf(a, f)
-                    if type(b) in _ELIMINATIONS:
-                        b = _whnf(b, f)
-                cls = type(a)
-                fields = SHAPES.get(cls)
-                if cls is not type(b) or fields is None:
-                    if fields is not None and type(b) in SHAPES:
-                        return None
-                    raise TypeError(f"not a term: {b if fields is not None else a!r}")
-                if cls in BINDERS:
-                    p, q = fields
-                    todo.append((getattr(a, q), getattr(b, q), _CONV, a.var, b.var))
-                    a, b, stable = getattr(a, p), getattr(b, p), False
-                    continue
-                if fields:  # first parts in place, the rest later; an elimination's spine part keeps its head
-                    todo += [(getattr(a, k), getattr(b, k), _CONV, None, None) for k in reversed(fields[1:])]
-                    a, b, stable = getattr(a, fields[0]), getattr(b, fields[0]), cls is not Pair
-                    continue
-                if cls is Var:
-                    da, db = env_a.get(a.name), env_b.get(b.name)
-                    if da != db or (da is None and a.name != b.name):  # unlike binders, or free names
-                        return None
-                elif cls is Type and a.level != b.level:  # else two equal universes
-                    return None
+            if (a is b and (same or mode is _CONV and all(env_a.get(v) == env_b.get(v) for v in free_vars(a)))) or (
+                mode is not _CONV and type(a) is not Pi and type(a) is not Sigma and _alpha(a, b, env_a, env_b, depth)
+            ):  # the shortcut: the preorder also tests alpha first, but at a Pi or Sigma it descends
                 res = _SAME
                 break
-            if (same and a is b) or (type(a) is not Pi and type(a) is not Sigma and _alpha(a, b, env_a, env_b, depth)):
-                res = _SAME
-                break
-            ha = a if type(a) in _WHNF_HEADS else _whnf(a, f)
-            hb = b if type(b) in _WHNF_HEADS else _whnf(b, f)
+            ha = a if stable or type(a) in _WHNF_HEADS else _whnf(a, f)
+            hb = b if stable or type(b) in _WHNF_HEADS else _whnf(b, f)
             cls = type(ha)
-            if cls is Prop or cls is Type:  # Prop below every Type level
-                if type(hb) is Type and (cls is Prop or ha.level < hb.level):
-                    res = 0, True
-                elif type(hb) is cls and (cls is Prop or ha.level == hb.level):
+            if cls is Prop or cls is Type:  # outside conversion, Prop below every Type level
+                if type(hb) is cls and (cls is Prop or ha.level == hb.level):
                     res = _SAME
+                elif mode is not _CONV and type(hb) is Type and (cls is Prop or ha.level < hb.level):
+                    res = 0, True
                 else:
                     return None
                 break
             if cls is not type(hb):
                 return None
-            if cls is Pi:  # domains convertible, codomains in the mode
-                todo.append((ha.codomain, hb.codomain, mode, ha.var, hb.var))
-                a, b, mode, stable = ha.domain, hb.domain, _CONV, False
-                if (same and a is b) or _alpha(a, b, env_a, env_b, depth):
-                    res = _SAME
+            if mode is not _CONV and cls is not Pi:
+                if cls is Sigma:  # a strict Sigma may have one component related by conversion alone
+                    mode = _CUMUL
+                elif mode is _STRICT:  # other heads are related by conversion alone, never strictly
+                    return None
+                elif (ha is not a or hb is not b) and ((same and ha is hb) or _alpha(ha, hb, env_a, env_b, depth)):
+                    res = _SAME  # a side reduced, and the reducts pass the alpha test
                     break
-            elif cls is Sigma:  # a strict Sigma may have one component related by conversion alone
-                todo.append((ha.second, hb.second, _CUMUL, ha.var, hb.var))
-                a, b, mode = ha.first, hb.first, _CUMUL
-            elif mode is _STRICT:  # other heads are related by conversion alone, never strictly
+                else:  # convert the two heads; alpha failed above if neither side reduced
+                    a, b, mode, stable = ha, hb, _CONV, True
+                    continue
+            fields = SHAPES[cls]
+            if cls in BINDERS:  # second parts later, in the mode, under their variables
+                p, q = fields
+                todo.append((getattr(ha, q), getattr(hb, q), mode, ha.var, hb.var))
+                a, b, stable = getattr(ha, p), getattr(hb, p), False
+                if mode is not _CONV and cls is Pi:  # domains convertible, tested for alpha first
+                    mode = _CONV
+                    if (same and a is b) or _alpha(a, b, env_a, env_b, depth):
+                        res = _SAME
+                        break
+                continue
+            if fields:  # first parts in place, the rest later; an elimination's spine part keeps its head
+                todo += [(getattr(ha, k), getattr(hb, k), _CONV, None, None) for k in reversed(fields[1:])]
+                a, b, stable = getattr(ha, fields[0]), getattr(hb, fields[0]), cls is not Pair
+                continue
+            da, db = env_a.get(ha.name), env_b.get(hb.name)  # a variable, the one head left
+            if da != db or (da is None and ha.name != hb.name):  # unlike binders, or free names
                 return None
-            elif (ha is not a or hb is not b) and ((same and ha is hb) or _alpha(ha, hb, env_a, env_b, depth)):
-                res = _SAME
-                break
-            else:  # convert the two heads; alpha failed above if neither side reduced
-                a, b, mode, stable = ha, hb, _CONV, True
+            res = _SAME
+            break
         while todo:
             item = todo.pop()
             if len(item) == 6:  # a binder's frame: put back what it shadowed, then combine

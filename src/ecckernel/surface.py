@@ -206,43 +206,16 @@ def parse_context(text: str) -> Context:
 
 def print_term(t: Term) -> str:
     """Deterministic text form; parse_term(print_term(t)) is alpha-equal to t."""
-    return _p_term(t)
+    return _p(t, _TERM)
 
 
-def _p_term(t: Term) -> str:
-    match t:
-        case Pi(x, a, b):
-            return f"Pi {x} : {_p_domain(a)} . {_p_term(b)}"
-        case Sigma(x, a, b):
-            return f"Sig {x} : {_p_domain(a)} . {_p_term(b)}"
-        case Lam(x, a, b):
-            return f"fn {x} : {_p_domain(a)} . {_p_term(b)}"
-        case Pair(m, n, ann):
-            return f"< {_p_term(m)} , {_p_term(n)} > : {_p_annot(ann)}"
-        case _:
-            return _p_app(t)
+# the positions a term is printed in: a whole term, a binder's domain, a
+# pair's annotation, an application's function, and an atom
+_TERM, _DOMAIN, _ANNOT, _FN, _ATOM = range(5)
+_WORDS = {Pi: "Pi", Sigma: "Sig", Lam: "fn", Proj1: "fst", Proj2: "snd"}
 
 
-def _p_domain(t: Term) -> str:
-    if isinstance(t, (Pi, Sigma, Lam, Pair)):
-        return f"({_p_term(t)})"
-    return _p_app(t)
-
-
-def _p_annot(t: Term) -> str:
-    if isinstance(t, (Pi, Sigma, Lam)):
-        return _p_term(t)
-    return _p_element(t)
-
-
-def _p_app(t: Term) -> str:
-    if isinstance(t, App):
-        head = _p_app(t.fn) if isinstance(t.fn, App) else _p_element(t.fn)
-        return f"{head} {_p_element(t.arg)}"
-    return _p_element(t)
-
-
-def _p_element(t: Term) -> str:
+def _p(t: Term, at: int) -> str:
     match t:
         case Var(x):
             return x
@@ -250,13 +223,18 @@ def _p_element(t: Term) -> str:
             return "Prop"
         case Type(j):
             return f"Type{j}"
-        case Proj1(m):
-            return f"fst {_p_element(m)}"
-        case Proj2(m):
-            return f"snd {_p_element(m)}"
+        case Proj1(m) | Proj2(m):
+            return f"{_WORDS[type(t)]} {_p(m, _ATOM)}"
+        case App(fn, arg):
+            text = f"{_p(fn, _FN)} {_p(arg, _ATOM)}"
+            return f"({text})" if at is _ANNOT or at is _ATOM else text
+        case Pi(x, a, b) | Sigma(x, a, b) | Lam(x, a, b):
+            text = f"{_WORDS[type(t)]} {x} : {_p(a, _DOMAIN)} . {_p(b, _TERM)}"
+            return text if at is _TERM or at is _ANNOT else f"({text})"
         case Pair(m, n, ann):
-            # a binder-shaped annotation is parenthesized, so the pair stays one atom
-            return f"< {_p_term(m)} , {_p_term(n)} > : {_p_element(ann)}"
-        case Pi() | Sigma() | Lam() | App():
-            return f"({_p_term(t)})"
+            # in a domain the pair is parenthesized for readability; outside a whole
+            # term or a domain its annotation prints as an atom, so the pair stays one
+            whole = at is _TERM or at is _DOMAIN
+            text = f"< {_p(m, _TERM)} , {_p(n, _TERM)} > : {_p(ann, _ANNOT if whole else _ATOM)}"
+            return f"({text})" if at is _DOMAIN else text
     raise TypeError(f"not a term: {t!r}")

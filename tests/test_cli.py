@@ -210,7 +210,7 @@ def test_verify_rejects_tampered_rule(write, tmp_path, capsys):
     term = write("t.ecc", "fn x : Prop . x")
     out_path = str(tmp_path / "d.json")
     assert run_command(["elab", term, "--out", out_path]) == EXIT_OK
-    obj = json.loads(open(out_path).read())
+    obj = json.loads(pathlib.Path(out_path).read_text())
     obj["nodes"][-1][RULE] = "App"  # the root
     (tmp_path / "bad.json").write_text(json.dumps(obj))
     assert run_command(["verify", str(tmp_path / "bad.json")]) == EXIT_REJECTED
@@ -368,6 +368,15 @@ def test_deep_terms_under_the_recursion_limit_answer(write, tmp_path, command, t
     # interpreter frames per level fails here
     out = ("--out", str(tmp_path / "deep.json")) if command == "elab" else ()
     assert _python_dash_m(command, write("deep.ecc", text), *out).returncode == EXIT_OK
+
+
+def test_a_demo_that_fails_prints_nothing_to_stdout():
+    # the 1,500th stage of the chain is too deep to print under the default
+    # recursion limit: the demo exits 6 without the lines it built before
+    done = _python_dash_m("demo", "prop3", "--steps", "1500")
+    assert done.returncode == EXIT_INPUT
+    assert done.stdout == ""
+    assert "recursion" in done.stderr
 
 
 @pytest.mark.parametrize(

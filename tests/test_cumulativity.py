@@ -1,5 +1,6 @@
 import collections
 import random
+import re
 import sys
 
 import pytest
@@ -112,10 +113,17 @@ def test_level_must_be_non_negative():
 
 
 def test_the_walk_rejects_a_non_term():
-    pairs = ((None, PROP), (PROP, None), (3, PROP), (Pi("x", PROP, None), Pi("x", PROP, PROP)))
-    for a, b in pairs:
-        for decide in (subtype, strict_subtype, min_subtype_level):
-            with pytest.raises(TypeError, match="not a term"):
+    # on either side, at the top and under a binder; the message names the object
+    pairs = (
+        (None, PROP, None),
+        (PROP, None, None),
+        (3, PROP, 3),
+        (Pi("x", PROP, None), Pi("x", PROP, PROP), None),
+        (Pi("x", PROP, PROP), Pi("y", PROP, 7), 7),
+    )
+    for a, b, bad in pairs:
+        for decide in (conv, subtype, strict_subtype, min_subtype_level):
+            with pytest.raises(TypeError, match=f"^not a term: {re.escape(repr(bad))}$"):
                 decide(a, b, FUEL)
 
 
@@ -342,6 +350,29 @@ def test_an_object_shared_under_renamed_binders_is_not_reduced():
     b = Pi("y", PROP, Pi("u", App(App(App(g, Var("y")), shared), Type(0)), PROP))
     assert _spent(lambda f: subtype(a, b, f), 50) == (True, 1)
     assert _spent(lambda f: conv(a, b, f), 50) == (True, 1)
+
+
+def _parts_shared_under_renamed_binders(binder) -> list:
+    # (pair, answers of conv, subtype, strict_subtype and min_subtype_level,
+    # fuel each spends); the second parts are one object on both sides
+    red, red0 = App(Lam("w", Type(1), Var("w")), PROP), App(Lam("w", Type(1), Var("w")), Type(0))
+    closed, open_x = Sigma("z", red0, PROP), Pi("q", red0, Var("x"))
+    return [
+        # the left first part contracts; the shared second part needs none
+        ((binder("x", red, closed), binder("y", PROP, closed)), (True, True, False, 0), 1),
+        # x is bound in the shared part on the left and free in it on the right
+        ((binder("x", PROP, open_x), binder("y", PROP, open_x)), (False, False, False, None), 0),
+        # alpha-equal, with every part shared
+        ((binder("x", red0, closed), binder("y", red0, closed)), (True, True, False, 0), 0),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("binder", [Pi, Sigma])
+def test_parts_shared_under_renamed_binders_in_every_mode(binder, case):
+    (a, b), wants, spent = _parts_shared_under_renamed_binders(binder)[case]
+    for op, want in zip((conv, subtype, strict_subtype, min_subtype_level), wants):
+        assert _spent(lambda f: op(a, b, f), 50) == (want, spent), op.__name__
 
 
 def _renamed_chains(binder, n: int, mention: bool) -> tuple:

@@ -151,6 +151,22 @@ def test_conv_compares_bound_variables_by_depth():
     assert conv(Lam("x", redex, App(Var("f"), x)), Lam("y", PROP, App(Var("f"), Var("y"))), 100)
 
 
+@pytest.mark.parametrize(
+    "a, b, want, spent",
+    [
+        (PROP, Type(0), False, 0),  # Prop is below Type 0 in the preorder only
+        (Type(1), Type(1), True, 0),  # two objects
+        (App(Lam("w", Type(2), Var("w")), Type(1)), Type(1), True, 1),
+        (App(Lam("w", Type(1), Var("w")), PROP), Type(0), False, 1),
+        (Type(0), App(Lam("w", Type(1), Var("w")), PROP), False, 1),
+    ],
+)
+def test_conv_on_universes(a, b, want, spent):
+    f = Fuel(50)
+    assert conv(a, b, f) is want
+    assert 50 - f.remaining == spent
+
+
 def _differing_by_one_innermost_redex(n: int) -> dict:
     # a neutral spine n long, and chains of n renamed binders over such a
     # spine applied to every bound variable

@@ -80,6 +80,75 @@ def test_print_examples():
     assert print_term(App(Var("f"), App(Var("a"), Var("b")))) == "f (a b)"
 
 
+# each constructor in each position the printer knows: a whole term, a
+# binder's domain, a pair's annotation, an application's function, an atom
+_PLACES = (
+    lambda t: t,
+    lambda t: Pi("y", t, PROP),
+    lambda t: Pair(PROP, PROP, t),
+    lambda t: App(t, Var("y")),
+    lambda t: App(Var("g"), t),
+)
+
+
+@pytest.mark.parametrize(
+    "t, printed",
+    [
+        (Var("x"), ["x", "Pi y : x . Prop", "< Prop , Prop > : x", "x y", "g x"]),
+        (PROP, ["Prop", "Pi y : Prop . Prop", "< Prop , Prop > : Prop", "Prop y", "g Prop"]),
+        (Type(2), ["Type2", "Pi y : Type2 . Prop", "< Prop , Prop > : Type2", "Type2 y", "g Type2"]),
+        (
+            Pi("x", PROP, Var("x")),
+            [
+                "Pi x : Prop . x",
+                "Pi y : (Pi x : Prop . x) . Prop",
+                "< Prop , Prop > : Pi x : Prop . x",
+                "(Pi x : Prop . x) y",
+                "g (Pi x : Prop . x)",
+            ],
+        ),
+        (
+            Sigma("x", PROP, Var("x")),
+            [
+                "Sig x : Prop . x",
+                "Pi y : (Sig x : Prop . x) . Prop",
+                "< Prop , Prop > : Sig x : Prop . x",
+                "(Sig x : Prop . x) y",
+                "g (Sig x : Prop . x)",
+            ],
+        ),
+        (
+            Lam("x", PROP, Var("x")),
+            [
+                "fn x : Prop . x",
+                "Pi y : (fn x : Prop . x) . Prop",
+                "< Prop , Prop > : fn x : Prop . x",
+                "(fn x : Prop . x) y",
+                "g (fn x : Prop . x)",
+            ],
+        ),
+        (App(Var("f"), Var("x")), ["f x", "Pi y : f x . Prop", "< Prop , Prop > : (f x)", "f x y", "g (f x)"]),
+        (
+            Pair(Var("x"), PROP, Sigma("z", PROP, PROP)),
+            [
+                "< x , Prop > : Sig z : Prop . Prop",
+                "Pi y : (< x , Prop > : Sig z : Prop . Prop) . Prop",
+                "< Prop , Prop > : < x , Prop > : (Sig z : Prop . Prop)",
+                "< x , Prop > : (Sig z : Prop . Prop) y",
+                "g < x , Prop > : (Sig z : Prop . Prop)",
+            ],
+        ),
+        (Proj1(Var("p")), ["fst p", "Pi y : fst p . Prop", "< Prop , Prop > : fst p", "fst p y", "g fst p"]),
+        (Proj2(Var("p")), ["snd p", "Pi y : snd p . Prop", "< Prop , Prop > : snd p", "snd p y", "g snd p"]),
+    ],
+    ids=["Var", "Prop", "Type", "Pi", "Sigma", "Lam", "App", "Pair", "Proj1", "Proj2"],
+)
+def test_print_each_constructor_in_each_position(t, printed):
+    for place, text in zip(_PLACES, printed, strict=True):
+        assert print_term(place(t)) == text
+        assert parse_term(text) == place(t)
+
+
 def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as err:
         parse_term("Pi x Prop . x")
