@@ -17,11 +17,17 @@ integers and `--level` non-negative. `-h` or `--help` anywhere before
 `--` prints help on stdout and exits 0; a usage error prints
 `ecc: error: ...` on stderr, nothing on stdout, and exits 6.
 
+A file is read in one pass as UTF-8, a byte-order mark kept, and its
+"\r\n" and lone "\r" become "\n", as in text mode; error positions count
+on that text. So a lone "\r" ends a context entry in a file, while
+`parse_context` on a string splits at "\n" only ("\r" is whitespace).
+
 `elab` builds derivations with `elaborate`; `verify` checks them with
 `kernel` alone, which imports nothing from inference or elaboration.
-`elab` encodes the whole file before it opens `--out`, then writes over
-the old bytes and cuts a longer file to length, since on ext4 cutting a
-non-empty file to zero makes close() start writeback. It is not atomic.
+`elab` encodes the whole file before it opens `--out`, then writes the
+bytes over the old ones in one buffered binary write and cuts a longer
+file at the encoded length, since on ext4 cutting a non-empty file to
+zero makes close() start writeback. It is not atomic.
 
 Derivation files are JSON tables that a verifier reads and re-checks
 from scratch. `save_derivation` writes one compact object
@@ -84,17 +90,6 @@ EXIT_REJECTED = 5
 EXIT_INPUT = 6
 
 
-def _side(d: Derivation, term) -> dict:
-    side: dict = {}
-    if d.level is not None:
-        side["level"] = d.level
-    if d.sub is not None:
-        side["sub"] = term(d.sub)
-    if d.sup is not None:
-        side["sup"] = term(d.sup)
-    return side
-
-
 # rows can name a term exponentially larger than the file, which the kernel,
 # walking terms as trees, would never finish checking: a term row over this
 # many nodes as a tree is refused
@@ -107,6 +102,7 @@ def _table(d: Derivation) -> dict:
     terms: dict[tuple, int] = {}
     contexts: dict[tuple, int] = {}  # (parent, name, term); context 0 is the empty one
     nodes: dict[tuple, int] = {}
+    node_rows: list[list] = []  # each distinct node's row, as it is written
     term_of, context_of, node_of = {}, {}, {}
 
     def term(t: Term) -> int:
@@ -156,16 +152,19 @@ def _table(d: Derivation) -> dict:
             stack.extend((p, False) for p in reversed(node.premises))
             continue
         c = node.conclusion
-        row = (
-            node.rule, context(c.ctx), term(c.subject), term(c.type),
-            tuple(node_of[id(p)] for p in node.premises), tuple(_side(node, term).items()),
-        )
-        node_of[id(node)] = nodes.setdefault(row, len(nodes))
-    return {
-        "terms": [list(row) for row in terms],
-        "contexts": [list(row) for row in contexts],
-        "nodes": [[*row[:4], list(row[4]), dict(row[5])] for row in nodes],
-    }
+        side = {} if node.level is None else {"level": node.level}
+        premises = [node_of[id(p)] for p in node.premises]
+        row = [node.rule, context(c.ctx), term(c.subject), term(c.type), premises, side]
+        if node.sub is not None:  # numbered after the subject and the type
+            side["sub"] = term(node.sub)
+        if node.sup is not None:
+            side["sup"] = term(node.sup)
+        # the premises are ints and the side items pairs, so the flat key is unambiguous
+        k = node_of[id(node)] = nodes.setdefault((*row[:4], *premises, *side.items()), len(node_rows))
+        if k == len(node_rows):
+            node_rows.append(row)
+    # the encoder writes a tuple as a JSON array, so term and context rows go as they are
+    return {"terms": list(terms), "contexts": list(contexts), "nodes": node_rows}
 
 
 def _field(value, kind: type, what: str):
@@ -192,6 +191,7 @@ def _row_shape(cls: type) -> tuple:
 _ROWS = {cls.__name__: _row_shape(cls) for cls in SHAPES}  # a term row's tag is its constructor's name
 _SIDE_KEYS = frozenset({"level", "sub", "sup"})
 _TABLE_KEYS = frozenset({"terms", "contexts", "nodes"})
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one per call
 
 
 def _read_terms(rows) -> tuple[list[Term], bytearray]:
@@ -316,23 +316,23 @@ def derivation_from_dict(obj) -> Derivation:
 
 def save_derivation(d: Derivation, path: str) -> None:
     # encode before opening: a failed encode leaves a file at path as it was
-    text = json.dumps(_table(d), separators=(",", ":")) + "\n"
-    # no O_TRUNC (see the module docstring): a longer old file is cut after the write
-    with open(path, "w", encoding="utf-8", opener=lambda p, fl: os.open(p, fl & ~os.O_TRUNC, 0o666)) as handle:
+    data = (_ENCODER.encode(_table(d)) + "\n").encode()
+    # no O_TRUNC (see the module docstring); a buffered handle retries a partial write
+    with open(path, "wb", opener=lambda p, fl: os.open(p, fl & ~os.O_TRUNC, 0o666)) as handle:
         old_size = os.fstat(handle.fileno()).st_size  # 0 for /dev/null and pipes, which cannot be cut
-        handle.write(text)
-        if old_size and old_size > handle.tell():
-            handle.truncate()
+        handle.write(data)
+        if old_size > len(data):
+            handle.truncate(len(data))
 
 
 def load_derivation(path: str) -> Derivation:
-    with open(path, encoding="utf-8") as handle:
-        return derivation_from_dict(json.load(handle))
+    return derivation_from_dict(json.loads(_read(path)))
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    # one read to EOF, with newlines as text mode reads them (see the module docstring)
+    with open(path, "rb", buffering=0) as handle:
+        return handle.read().decode().replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_term(path: str):

@@ -801,12 +801,62 @@ def test_elab_writes_to_dev_null(write, capsys):
     assert capsys.readouterr().out == "wrote /dev/null\n"
 
 
+# 128 entries of 1 to 12 binders: its derivation file is about 93 KB, more
+# than a pipe's 64 KiB buffer holds
+_WIDE_CONTEXT = "\n".join(
+    ["A0 : Type0"] + [f"h{i} : " + "Pi x : A0 . " * (i % 12 + 1) + "A0" for i in range(128)]
+)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 def test_elab_writes_to_a_pipe(write, tmp_path):
-    term = write("t.ecc", "fn x : Prop . x")
-    fresh = tmp_path / "fresh.json"
-    assert run_command(["elab", term, "--out", str(fresh)]) == EXIT_OK
-    # the child's standard output is a pipe, which has no length to cut
-    done = _python_dash_m("elab", term, "--out", "/dev/stdout")
-    assert done.returncode == EXIT_OK, done.stderr
-    assert done.stdout == fresh.read_text(encoding="utf-8") + "wrote /dev/stdout\n"
+    cases = [("", "fn x : Prop . x", range(1, 1_000)), (_WIDE_CONTEXT, "h127", range(65_537, 1_000_000))]
+    for ctx_text, subject, size in cases:
+        ctx, term = write("ctx.ecc", ctx_text), write("t.ecc", subject)
+        fresh = tmp_path / "fresh.json"
+        assert run_command(["elab", "--ctx", ctx, term, "--out", str(fresh)]) == EXIT_OK
+        assert fresh.stat().st_size in size
+        # the child's standard output is a pipe, which has no length to cut
+        done = _python_dash_m("elab", "--ctx", ctx, term, "--out", "/dev/stdout")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == fresh.read_text(encoding="utf-8") + "wrote /dev/stdout\n"
+
+
+_TABLE_WITH_CRLF = b'{"terms":[["Prop"],["Type",0]],\r\n"contexts":[],\r\n"nodes":[["Ax",0,0,1,[],{}]]}\r\n'
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, out, err",
+    [
+        (
+            {"d.json": b'{"terms":\r\n[["Prop"]],\r\n"contexts":[],\r"nodes":[x]}'}, ["verify", "d.json"],
+            EXIT_REJECTED, "", "rejected: Expecting value: line 4 column 10 (char 46)\n",
+        ),
+        ({"d.json": _TABLE_WITH_CRLF}, ["verify", "d.json"], EXIT_OK, "accepted\n", ""),
+        (
+            {"d.json": b'{"terms":\xff}'}, ["verify", "d.json"],
+            EXIT_REJECTED, "", "rejected: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n",
+        ),
+        (
+            {"t.ecc": b"\xef\xbb\xbfProp"}, ["infer", "t.ecc"],
+            EXIT_PARSE, "", "parse error: unexpected character '\\ufeff' (line 1, column 1)\n",
+        ),
+        (
+            {"t.ecc": b"Pr\xffop"}, ["infer", "t.ecc"],
+            EXIT_INPUT, "", "input or resource error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n",
+        ),
+        # a lone \r ends a context entry in a file, though parse_context reads it as whitespace
+        ({"ctx.ecc": b"A : Type0\rB : A\r", "t.ecc": b"B"}, ["infer", "--ctx", "ctx.ecc", "t.ecc"], EXIT_OK, "A\n", ""),
+        (
+            {"t.ecc": b"Pi x : Prop .\r x\r\r)"}, ["infer", "t.ecc"],
+            EXIT_PARSE, "", "parse error: trailing input ')' (line 4, column 1)\n",
+        ),
+    ],
+    ids=["json-error-position", "crlf-table", "json-not-utf-8", "bom", "term-not-utf-8", "lone-cr-context", "cr-lines"],
+)
+def test_files_are_read_as_utf_8_with_universal_newlines(tmp_path, capsys, files, argv, code, out, err):
+    # "\r\n" and a lone "\r" read as "\n", so error lines and columns count them as line breaks
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert run_command([str(tmp_path / word) if word in files else word for word in argv]) == code
+    assert capsys.readouterr() == (out, err)
