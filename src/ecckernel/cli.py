@@ -94,75 +94,80 @@ EXIT_INPUT = 6
 # walking terms as trees, would never finish checking: a term row over this
 # many nodes as a tree is refused
 TERM_SIZE_LIMIT = 100_000
+_DONE = object()  # on _table's stacks: the object last put in `waiting` has its parts numbered
 
 
 def _table(d: Derivation) -> dict:
-    # each table maps a row to its number, so equal rows get one number; the
-    # id-keyed maps only spare walking a term, context or node object twice
+    # each table maps a row to its number, so equal rows get one number; one id map
+    # numbers term, context and node objects, so an object met again, an interned
+    # atom above all, costs one lookup; an object is numbered once its parts are
     terms: dict[tuple, int] = {}
     contexts: dict[tuple, int] = {}  # (parent, name, term); context 0 is the empty one
-    nodes: dict[tuple, int] = {}
+    nodes, number = {}, {}  # node rows, and object ids, to numbers
     node_rows: list[list] = []  # each distinct node's row, as it is written
-    term_of, context_of, node_of = {}, {}, {}
 
     def term(t: Term) -> int:
-        if id(t) in term_of:
-            return term_of[id(t)]
-        stack = [t]  # a term is numbered once its parts are
+        stack, waiting = [t], []
         while stack:
-            u = stack[-1]
-            if id(u) in term_of:
-                stack.pop()
+            u = stack.pop()
+            if u is _DONE:
+                u, parts = waiting.pop()
+            elif id(u) in number:
                 continue
-            cls = type(u)
-            fields = SHAPES.get(cls)
-            if fields is None:
-                raise TypeError(f"not a term: {u!r}")
-            parts = [getattr(u, field) for field in fields]
-            todo = [p for p in parts if id(p) not in term_of]
-            if todo:
-                stack.extend(reversed(todo))
+            elif type(u) is Var or type(u) is Type:  # an atom, met once
+                row = ("Var", u.name) if type(u) is Var else ("Type", u.level)
+                number[id(u)] = terms.setdefault(row, len(terms))
                 continue
-            stack.pop()
-            if cls is Var:
-                row = ("Var", u.name)
-            elif cls is Type:
-                row = ("Type", u.level)
             else:
-                cells = [term_of[id(p)] for p in parts]
-                row = (cls.__name__, u.var, *cells) if cls in BINDERS else (cls.__name__, *cells)
-            term_of[id(u)] = terms.setdefault(row, len(terms))
-        return term_of[id(t)]
+                fields = SHAPES.get(type(u))
+                if fields is None:
+                    raise TypeError(f"not a term: {u!r}")
+                parts = [getattr(u, field) for field in fields]
+                todo = [p for p in parts if id(p) not in number]
+                if todo:
+                    waiting.append((u, parts))
+                    stack += (_DONE, *reversed(todo))
+                    continue
+            cls, cells = type(u), [number[id(p)] for p in parts]
+            row = (cls.__name__, u.var, *cells) if cls in BINDERS else (cls.__name__, *cells)
+            number[id(u)] = terms.setdefault(row, len(terms))
+        return number[id(t)]
 
-    def context(g: Context) -> int:
-        if id(g) not in context_of:
-            k = 0
-            for name, t in g.entries:
-                k = contexts.setdefault((k, name, term(t)), len(contexts) + 1)
-            context_of[id(g)] = k
-        return context_of[id(g)]
-
-    stack = [(d, False)]  # a node is numbered once its premises are
+    stack, waiting = [d], []
     while stack:
-        node, premises_done = stack.pop()
-        if id(node) in node_of:
+        node = stack.pop()
+        if node is _DONE:
+            node = waiting.pop()
+        elif id(node) in number:
             continue
-        if not premises_done:
-            stack.append((node, True))
-            stack.extend((p, False) for p in reversed(node.premises))
+        elif todo := [p for p in node.premises if id(p) not in number]:
+            waiting.append(node)
+            stack += (_DONE, *reversed(todo))
             continue
         c = node.conclusion
-        side = {} if node.level is None else {"level": node.level}
-        premises = [node_of[id(p)] for p in node.premises]
-        row = [node.rule, context(c.ctx), term(c.subject), term(c.type), premises, side]
-        if node.sub is not None:  # numbered after the subject and the type
-            side["sub"] = term(node.sub)
-        if node.sup is not None:
-            side["sup"] = term(node.sup)
-        # the premises are ints and the side items pairs, so the flat key is unambiguous
-        k = node_of[id(node)] = nodes.setdefault((*row[:4], *premises, *side.items()), len(node_rows))
+        ctx = number.get(id(c.ctx))
+        if ctx is None:
+            ctx = 0
+            for name, t in c.ctx.entries:
+                k = number.get(id(t))
+                ctx = contexts.setdefault((ctx, name, term(t) if k is None else k), len(contexts) + 1)
+            number[id(c.ctx)] = ctx
+        subject, ty = number.get(id(c.subject)), number.get(id(c.type))
+        if subject is None:
+            subject = term(c.subject)
+        if ty is None:
+            ty = term(c.type)
+        sub = None if node.sub is None else term(node.sub)
+        sup = None if node.sup is None else term(node.sup)
+        premises = [number[id(p)] for p in node.premises]
+        k = number[id(node)] = nodes.setdefault((node.rule, ctx, subject, ty, node.level, sub, sup, *premises), len(node_rows))
         if k == len(node_rows):
-            node_rows.append(row)
+            side = {} if node.level is None else {"level": node.level}
+            if sub is not None:
+                side["sub"] = sub
+            if sup is not None:
+                side["sup"] = sup
+            node_rows.append([node.rule, ctx, subject, ty, premises, side])
     # the encoder writes a tuple as a JSON array, so term and context rows go as they are
     return {"terms": list(terms), "contexts": list(contexts), "nodes": node_rows}
 

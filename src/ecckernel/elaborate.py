@@ -11,9 +11,11 @@ becomes a subsumption node whose target is typed the same way. The
 conclusion judgment of every node is preserved. Nothing here is trusted:
 `kernel.verify` re-checks what it builds.
 
-Within one call only the `_shared` builders are memoised: `T` and `var`
-nodes and re-expanded validity typings can repeat as equal objects,
-which `verify` checks again and a derivation file stores once.
+Within one call only validity chains and `type_typing` typings are
+memoised; a chain is built front to back from its longest prefix in the
+memo, so a long context costs no interpreter frame per entry. `T` and
+`var` nodes and re-expanded validity typings can repeat as equal
+objects, which `verify` checks again and a derivation file stores once.
 """
 
 from __future__ import annotations
@@ -25,20 +27,12 @@ from .terms import PROP, Context, Judgment, Prop, Term, Type, alpha_eq, subst
 
 
 class _Build(dict):
-    """One public call's fuel and memo. The memo makes each `_shared` build one
-    object: hash-consing (Filliatre and Conchon, 2006) restricted to the call."""
+    """One public call's fuel and memo, which keeps a context's validity chain
+    under the context and a typing under its (context, term) pair, so each is
+    one object: hash-consing (Filliatre and Conchon, 2006) restricted to the call."""
 
     def __init__(self, fuel: int | Fuel):
         self.fuel = Fuel.coerce(fuel)
-
-    def __missing__(self, key):
-        built = self[key] = key[0](*key[1:], self)
-        return built
-
-
-def _shared(build):
-    # build once per call and arguments: the last argument is the call's _Build
-    return lambda *args: args[-1][(build, *args[:-1])]
 
 
 def universe_derivation(g: Context, u: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
@@ -60,11 +54,12 @@ def type_typing(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivat
     return _type_typing(g, t, _Build(fuel))
 
 
-@_shared
 def _type_typing(g: Context, t: Term, b: _Build) -> Derivation:
     # g types t at the exact universe its principal type converts to, Prop lifted
-    tr, lvl = infer_universe(g, t, b.fuel)
-    return _lift(_full(tr, b), Type(max(lvl, 0)), b)
+    if (d := b.get((g, t))) is None:
+        tr, lvl = infer_universe(g, t, b.fuel)
+        d = b[g, t] = _lift(_full(tr, b), Type(max(lvl, 0)), b)
+    return d
 
 
 def _lift(d: Derivation, target: Term, b: _Build) -> Derivation:
@@ -134,14 +129,20 @@ def _full(tr: Trace, b: _Build) -> Derivation:
     raise ValueError(f"unknown trace rule: {tr.rule!r}")
 
 
-@_shared
 def _validity(g: Context, b: _Build) -> Derivation:
-    # the context-formation chain: g types Prop at Type 0
-    if not g:
-        return Derivation("Ax", Judgment(g, PROP, Type(0)))
-    front, _, entry_ty = g.pop()
-    entry_tr, _ = infer_universe(front, entry_ty, b.fuel)
-    return Derivation("C", Judgment(g, PROP, Type(0)), (_full(entry_tr, b),))
+    # the context-formation chain, g typing Prop at Type 0, built front to back
+    # from the longest prefix in the memo; each entry is typed in the prefix before it
+    longer = []
+    while (d := b.get(g)) is None and g:
+        longer.append(g)
+        g = g.pop()[0]
+    if d is None:
+        d = b[g] = Derivation("Ax", Judgment(g, PROP, Type(0)))
+    for ext in reversed(longer):
+        entry_tr, _ = infer_universe(g, ext.entries[-1][1], b.fuel)
+        g = ext
+        d = b[g] = Derivation("C", Judgment(g, PROP, Type(0)), (_full(entry_tr, b),))
+    return d
 
 
 def principal_of(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tuple[Term, Derivation]:

@@ -12,6 +12,11 @@ level. A non-term has no entry: `free_vars` and `subst` reject it with
 TypeError wherever it sits, and `subst` a replacement with a non-term
 anywhere in it when the variable is free.
 
+The atoms are interned for the life of the process: `Var`, `Type` and
+`Prop` return one object per `str` name, per level and `PROP`, so the
+tables grow with the distinct names and levels seen, and equal atoms
+compare by identity. Copies and pickles call the constructor.
+
 Operations keep what they do not change. `free_vars` is computed once
 per term object and kept on it, outside the dataclass fields, so
 equality, hashing and printing never see it. `subst` returns a subterm
@@ -35,28 +40,54 @@ class Term:
     # dataclass field
     _free_vars = None
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle call the constructor: an atom comes back
+        # interned, and no cache is copied or written
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
-@dataclass(frozen=True)
+
+def _atom(cls: type, field: str, value, table: dict | None = None) -> Term:
+    # a new atom, kept in table as the one for its value
+    atom = object.__new__(cls)
+    object.__setattr__(atom, field, value)
+    return atom if table is None else table.setdefault(value, atom)
+
+
+@dataclass(frozen=True, init=False)
 class Var(Term):
     name: str
 
+    def __new__(cls, name: str) -> "Var":
+        if type(name) is not str:  # not interned: 1 and True would be one key, and a list none
+            return _atom(cls, "name", name)
+        return _VARS.get(name) or _atom(cls, "name", name, _VARS)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Prop(Term):
     """The impredicative universe of propositions."""
 
+    def __new__(cls) -> "Prop":
+        return PROP
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Type(Term):
     """Predicative universe at a non-negative level."""
 
     level: int
 
-    def __post_init__(self):
-        if type(self.level) is not int:
-            raise TypeError(f"universe level must be an int, got {self.level!r}")
-        if self.level < 0:
+    def __new__(cls, level: int) -> "Type":
+        if type(level) is not int:
+            raise TypeError(f"universe level must be an int, got {level!r}")
+        if level < 0:
             raise ValueError("universe levels are non-negative")
+        return _TYPES.get(level) or _atom(cls, "level", level, _TYPES)
+
+
+_VARS: dict[str, Var] = {}
+_TYPES: dict[int, Type] = {}
+PROP = object.__new__(Prop)
 
 
 @dataclass(frozen=True)
@@ -104,8 +135,6 @@ class Proj1(Term):
 class Proj2(Term):
     pair: Term
 
-
-PROP = Prop()
 
 # Each constructor's immediate subterms, in field order. The binders Pi,
 # Sigma and Lam also carry their `var`, bound in the second of their two
@@ -272,8 +301,8 @@ def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
             return _alpha(getattr(a, q), getattr(b, q), env_a, env_b, depth + 1)
         finally:
             env_a[x], env_b[y] = shadowed
-    if not fields:  # a universe
-        return a == b
+    if not fields:  # a universe, one object per level
+        return a is b
     for field in fields:
         if not _alpha(getattr(a, field), getattr(b, field), env_a, env_b, depth):
             return False

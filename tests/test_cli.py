@@ -26,6 +26,7 @@ from ecckernel import (
     parse_context,
     parse_term,
     principal_of,
+    print_term,
     type_typing,
     universe_derivation,
     verify,
@@ -665,6 +666,25 @@ def test_context_chain_files_grow_linearly(tmp_path, k):
     assert [len(table[name]) for name in ("terms", "contexts", "nodes")] == [6, 2 * k + 1, 5 * k + 4]
     assert path.stat().st_size <= 150 * k + 200  # 4,913 bytes at k = 32
     assert verify(load_derivation(str(path)))
+
+
+@pytest.mark.parametrize("k", [150, 1000])
+def test_elab_and_verify_a_long_context_chain_in_process(write, capsys, k):
+    # the validity chain is built front to back, so no interpreter frame is
+    # spent per context entry
+    g, m = context_chain(k)
+    ctx = write("chain.ctx", "\n".join(f"{name} : {print_term(ty)}" for name, ty in g))
+    term, out = write("chain.ecc", print_term(m)), write("chain.json", "")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert run_command(["elab", "--ctx", ctx, term, "--out", out]) == EXIT_OK
+        assert run_command(["verify", out]) == EXIT_OK
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().out.split() == ["wrote", out, "accepted"]
+    table = json.loads(pathlib.Path(out).read_text(encoding="utf-8"))
+    assert [len(table[name]) for name in ("terms", "contexts", "nodes")] == [6, 2 * k + 1, 5 * k + 4]
 
 
 def test_nested_binder_files_grow_linearly(tmp_path):

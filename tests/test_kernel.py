@@ -28,6 +28,7 @@ from ecckernel import (
     verify,
 )
 from ecckernel.kernel import KERNEL_RULES
+from ecckernel.terms import SHAPES
 
 from corpus import context_chain, typed_corpus
 from genterms import strict_above
@@ -432,6 +433,23 @@ def test_trace_expansion_builds_as_many_node_objects_as_principal_of():
     for g, m in typed_corpus():
         expanded = to_full(trace_to_derivation(infer_type(g, m)))
         assert len(_objects(expanded)) == len(_objects(principal_of(g, m)[1]))
+
+
+def test_term_objects_over_the_corpus():
+    # term objects reachable from one principal_of call per corpus item, counted
+    # per derivation; atoms are interned, so each level and name is one object
+    count = 0
+    for g, m in typed_corpus():
+        nodes, seen = _objects(principal_of(g, m)[1]), set()
+        stack = [t for node in nodes for _, t in node.conclusion.ctx]
+        stack += [t for node in nodes for t in (node.conclusion.subject, node.conclusion.type, node.sub, node.sup)]
+        while stack:
+            t = stack.pop()
+            if t is not None and id(t) not in seen:
+                seen.add(id(t))
+                stack += [getattr(t, field) for field in SHAPES[type(t)]]
+        count += len(seen)
+    assert count == 466
 
 
 def test_node_and_cum_objects_over_the_corpus():

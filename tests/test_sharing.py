@@ -6,7 +6,8 @@ equal results, the same fuel left and exhaustion at the same budgets.
 `conv`, which walks head first, answers as the normal-form oracle does
 wherever that answers, on no more fuel, and as the head-first oracle does
 where it answers and that one runs out.
-Then the sharing itself, and the invisibility of the free-variable cache.
+Then the sharing itself, the invisibility of the free-variable cache, and
+the interned atoms: one object per universe level, per name and `PROP`.
 """
 
 import copy
@@ -25,6 +26,7 @@ from ecckernel import (
     Pair,
     Pi,
     Proj1,
+    Prop,
     Sigma,
     Type,
     Var,
@@ -39,6 +41,7 @@ from ecckernel import (
     subst,
     whnf,
 )
+from ecckernel.cli import _read_terms
 from genterms import (
     expand,
     normal_type,
@@ -294,3 +297,56 @@ def test_the_free_variable_cache_is_invisible():
     for a, b in zip(not_terms, copy.deepcopy(not_terms)):
         assert alpha_eq(a, a) and alpha_eq(a, b) is (a is b)
         assert not alpha_eq(a, PROP) and not alpha_eq(PROP, a)
+
+
+def test_atoms_are_interned_however_they_are_made():
+    for level in (0, 1, 7, 10**30):
+        assert Type(level) is Type(level) is dataclasses.replace(Type(level + 1), level=level)
+    assert Var("x") is Var("x") is dataclasses.replace(Var("y"), name="x")
+    assert Var("x") is not Var("y") and Type(1) is not Type(2)
+    assert Prop() is PROP is dataclasses.replace(PROP)
+    parsed = parse_term("Pi x : Type3 . x Prop (fn y : Type3 . x)")
+    assert parsed.domain is Type(3) and parsed.codomain.fn.fn is Var("x") and parsed.codomain.fn.arg is PROP
+    assert parsed.codomain.arg.annotation is Type(3) and parsed.codomain.arg.body is Var("x")
+    read, _ = _read_terms([["Prop"], ["Type", 3], ["Var", "x"], ["App", 2, 0], ["Var", "x"], ["Type", 3]])
+    assert read[0] is PROP and read[1] is read[5] is Type(3) and read[2] is read[4] is read[3].fn is Var("x")
+
+
+def test_interned_atoms_look_and_fail_as_before():
+    assert (repr(Type(2)), repr(Var("x")), repr(PROP)) == ("Type(level=2)", "Var(name='x')", "Prop()")
+    assert [f.name for f in dataclasses.fields(Type)] == ["level"] and Type.__match_args__ == ("level",)
+    assert [f.name for f in dataclasses.fields(Var)] == ["name"] and Var.__match_args__ == ("name",)
+    assert dataclasses.fields(Prop) == () and Prop.__match_args__ == ()
+    assert hash(Type(2)) == hash((2,)) and Type(2) == Type(2) != Type(3) and Var("x") != Type(0)
+    match Pi("x", Type(4), Var("x")):
+        case Pi(_, Type(level), Var(name)):
+            assert (level, name) == (4, "x")
+    for level, error, text in (
+        (-1, ValueError, "universe levels are non-negative"),
+        (True, TypeError, "universe level must be an int, got True"),
+        (1.0, TypeError, "universe level must be an int, got 1.0"),
+        ("1", TypeError, "universe level must be an int, got '1'"),
+        (None, TypeError, "universe level must be an int, got None"),
+    ):
+        with pytest.raises(error) as err:
+            Type(level)
+        assert str(err.value) == text
+    # a name that is no str is not interned: each call makes a new Var
+    for name in (1, True, ("x",), ["x"], None):
+        v = Var(name)
+        assert type(v) is Var and v.name is name and v == Var(name)
+    assert Var(True).name is True and Var(1).name == 1
+
+
+def test_copies_and_pickles_of_an_atom_are_the_atom():
+    for atom in (PROP, Type(2), Var("x"), Var("a1")):
+        free_vars(atom)  # fill the cache, so vars() holds more than the fields
+        before = dict(vars(atom))
+        copies = [copy.copy(atom), copy.deepcopy(atom), dataclasses.replace(atom)]
+        copies += [pickle.loads(pickle.dumps(atom, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(c is atom for c in copies)
+        assert vars(atom) == before
+    # inside a term too, where a copy of the term shares the one atom
+    t = Pi("x", Type(2), App(Var("f"), Var("x")))
+    for c in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert c == t and c is not t and c.domain is Type(2) and c.codomain.fn is Var("f")
