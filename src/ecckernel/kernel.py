@@ -17,6 +17,16 @@ Each check is an inline test; a failing node's path and reason are
 spelled out only when it fails, and fuel that runs out while a node is
 checked names its path and rule.
 
+Every rule is checked by its parts. A binder in a conclusion (a formation
+or Lam subject, a Lam type, a Pair annotation) is matched against its
+premise's last context entry in one helper, `_binds`: its domain against
+the entry's type, its body against the premise's subject or type, under
+the two names. App compares its function and argument directly. So a part
+shared with a premise costs one `is` test and is not walked again;
+elaboration shares every part but the body of a binder it renamed away
+from a context name. The kernel builds terms only as substitution
+instances (App's codomain, Pair's family, Proj2's type).
+
 Contexts need no separate check: every rule other than Ax and C has a
 premise whose context is the node's own or extends it, so every
 non-empty context is a prefix of one that some C node concludes; a C
@@ -35,7 +45,8 @@ from typing import NoReturn
 
 from .cumulativity import subtype, universe_level
 from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted
-from .terms import App, Context, Judgment, Lam, Pair, Pi, Proj1, Proj2, Prop, Sigma, Term, Type, Var, alpha_eq, subst
+from .terms import SHAPES, App, Context, Judgment, Lam, Pair, Pi, Proj1, Proj2, Prop, Sigma, Term, Type, Var
+from .terms import _alpha, alpha_eq, subst
 
 # rule: (premise contexts, carries a universe index, carries a side pair)
 _RULES = {
@@ -110,6 +121,16 @@ def _extends(a: Context, b: Context, extra: int) -> bool:
     return True
 
 
+def _binds(t: Term, cons: type, ctx: Context, body: Term) -> bool:
+    # t is cons binding ctx's last entry over body, up to alpha, compared part
+    # by part: a part shared with the premise costs one `is` test
+    (y, dom), (first, second) = ctx.entries[-1], SHAPES[cons]
+    if type(t) is not cons or not alpha_eq(getattr(t, first), dom):
+        return False
+    x, part = t.var, getattr(t, second)
+    return alpha_eq(part, body) if x == y else _alpha(part, body, {x: 0}, {y: 0}, 1)
+
+
 def verify(d: Derivation, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     """Accept iff every node is a correct instance of its rule schema.
 
@@ -169,12 +190,11 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
         case "T":
             if not _is_validity(ps[0]):
                 _fail(path, "T premise must be the context validity judgment")
-            s, t = c.subject, c.type
-            if not isinstance(s, Type):
+            if not isinstance(c.subject, Type):
                 _fail(path, "T concludes a Type universe")
-            if type(d.level) is not int or d.level != s.level:
+            if type(d.level) is not int or d.level != c.subject.level:
                 _fail(path, "T side index mismatch")
-            if not (type(t) is Type and t.level == s.level + 1):
+            if not (type(c.type) is Type and c.type.level == c.subject.level + 1):
                 _fail(path, "T must type Type j at Type j+1")
 
         case "C":
@@ -183,9 +203,8 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
                 _fail(path, "C premise must type the new entry")
             if universe_level(ps[0].type) is None:
                 _fail(path, "C entry type must live in a universe")
-            for other, _ in ps[0].ctx.entries:
-                if other == name:
-                    _fail(path, "C entry name must be fresh")
+            if name in ps[0].ctx.names():
+                _fail(path, "C entry name must be fresh")
             if not _is_validity(c):
                 _fail(path, "C types Prop at Type 0")
 
@@ -226,10 +245,9 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
             cons = Sigma if rule == "Sigma" else Pi
             if not isinstance(c.subject, cons):
                 _fail(path, "%s concludes a %s type", rule, cons.__name__)
-            y, dom = ps[1].ctx.entries[-1]
-            if not alpha_eq(dom, ps[0].subject):
+            if not alpha_eq(ps[1].ctx.entries[-1][1], ps[0].subject):
                 _fail(path, "formation body premise must extend by the domain")
-            if not alpha_eq(c.subject, cons(y, dom, ps[1].subject)):
+            if not _binds(c.subject, cons, ps[1].ctx, ps[1].subject):
                 _fail(path, "formation subject must bind the body premise subject")
             if rule == "Pi1":
                 if not isinstance(c.type, Prop):
@@ -251,20 +269,19 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
                 _fail(path, "App function premise must have a Pi type")
             if not alpha_eq(ps[1].type, fn_ty.domain):
                 _fail(path, "App argument must be typed exactly at the domain")
-            if not isinstance(c.subject, App):
+            if type(c.subject) is not App:
                 _fail(path, "App concludes an application")
-            if not alpha_eq(c.subject, App(ps[0].subject, ps[1].subject)):
+            if not (alpha_eq(c.subject.fn, ps[0].subject) and alpha_eq(c.subject.arg, ps[1].subject)):
                 _fail(path, "App subject must apply the premise subjects")
             if not alpha_eq(c.type, subst(fn_ty.codomain, fn_ty.var, ps[1].subject)):
                 _fail(path, "App type must be the instantiated codomain")
 
         case "Lam":
-            y, dom = ps[0].ctx.entries[-1]
             if not isinstance(c.subject, Lam):
                 _fail(path, "Lam concludes an abstraction")
-            if not alpha_eq(c.subject, Lam(y, dom, ps[0].subject)):
+            if not _binds(c.subject, Lam, ps[0].ctx, ps[0].subject):
                 _fail(path, "Lam subject must bind the premise subject")
-            if not alpha_eq(c.type, Pi(y, dom, ps[0].type)):
+            if not _binds(c.type, Pi, ps[0].ctx, ps[0].type):
                 _fail(path, "Lam type must be the Pi over the premise type")
 
         case "Pair":
@@ -283,8 +300,7 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
                 _fail(path, "Pair first component must be typed at the annotation domain")
             if not alpha_eq(ps[1].type, subst(ann.second, ann.var, ps[0].subject)):
                 _fail(path, "Pair second component must be typed at the instantiated family")
-            y, dom = ps[2].ctx.entries[-1]
-            if not alpha_eq(Sigma(y, dom, ps[2].subject), ann):
+            if not _binds(ann, Sigma, ps[2].ctx, ps[2].subject):
                 _fail(path, "Pair family premise must type the annotation family")
             t = ps[2].type
             if not (isinstance(t, Type) and t.level >= 0):

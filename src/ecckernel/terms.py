@@ -189,9 +189,6 @@ class Context:
     def __len__(self):
         return len(self.entries)
 
-    def __bool__(self):
-        return bool(self.entries)
-
 
 @dataclass(frozen=True)
 class Judgment:

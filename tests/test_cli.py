@@ -336,14 +336,15 @@ def test_verify_rejects_ill_typed_fields(write, tmp_path, capsys, where, new):
     assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
 
 
-def _python_dash_m(*argv: str) -> subprocess.CompletedProcess:
+def _python(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "ecckernel", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+def _python_dash_m(*argv: str) -> subprocess.CompletedProcess:
+    return _python("-m", "ecckernel", *argv)
 
 
 def test_python_dash_m_runs_the_cli(write):
@@ -701,6 +702,28 @@ def test_nested_binder_files_grow_linearly(tmp_path):
         sizes[d] = out_path.stat().st_size
     assert all(rows[d] == rows[50] + (d - 50) for d in rows)
     assert all(sizes[d] <= 100 * d for d in sizes)  # 28,492 bytes at d = 300
+
+
+_SAVE_NESTED_PI = """
+import sys
+sys.setrecursionlimit(10_000)  # inference recurses about 3 frames per binder
+from ecckernel import Context, parse_term, principal_of
+from ecckernel.cli import save_derivation
+depth, path = int(sys.argv[1]), sys.argv[2]
+pis = parse_term("".join(f"Pi x{i} : Prop . " for i in range(depth)) + "Prop")
+save_derivation(principal_of(Context(), pis)[1], path)
+"""
+
+
+def test_verify_accepts_a_1000_deep_binder_file_under_the_default_limit(tmp_path):
+    # the kernel compares each binder with its premise part by part, and a
+    # part shared with the premise is one `is` test, so checking spends no
+    # interpreter frame per binder; `ecc elab` stops near 330 binders
+    path = tmp_path / "pis1000.json"
+    built = _python("-c", _SAVE_NESTED_PI, "1000", str(path))
+    assert built.returncode == 0, built.stderr
+    done = _python_dash_m("verify", str(path))
+    assert (done.returncode, done.stdout.strip()) == (EXIT_OK, "accepted")
 
 
 def test_rows_nested_past_the_recursion_limit_are_an_input_error(tmp_path):

@@ -28,7 +28,7 @@ from ecckernel import (
     verify,
 )
 from ecckernel.kernel import KERNEL_RULES
-from ecckernel.terms import SHAPES
+from ecckernel.terms import SHAPES, Var, free_vars, fresh_name, subst
 
 from corpus import context_chain, typed_corpus
 from genterms import strict_above
@@ -522,3 +522,83 @@ def test_equality_compares_each_pair_of_node_objects_once():
     changed = _replaced(d, leaf, dataclasses.replace(leaf, level=0))
     assert changed != d and d != changed
     assert d != d.conclusion
+
+
+_BIND = "formation subject must bind the body premise subject"
+# (rule, binder) -> the reason a node is rejected for each change of that
+# binder in its conclusion; a Pair's binder is its annotation, which is also
+# its type
+_BINDER_REJECTIONS = {
+    ("Lam", "subject"): dict.fromkeys(("captured", "domain", "body"), "Lam subject must bind the premise subject"),
+    ("Lam", "type"): dict.fromkeys(("captured", "domain", "body"), "Lam type must be the Pi over the premise type"),
+    ("Pi1", "subject"): dict.fromkeys(("captured", "domain", "body"), _BIND),
+    ("Pi2", "subject"): dict.fromkeys(("captured", "domain", "body"), _BIND),
+    ("Sigma", "subject"): dict.fromkeys(("captured", "domain", "body"), _BIND),
+    ("Pair", "annotation"): {
+        "domain": "Pair first component must be typed at the annotation domain",
+        "body": "Pair second component must be typed at the instantiated family",
+    },
+}
+
+
+def _bumped(t):
+    # t with its first leaf in pre-order changed: Prop to Type0, Type i to
+    # Type i+1, a variable to a free one no term here uses; so the same shape,
+    # and never alpha-equivalent to t
+    cls = type(t)
+    if cls is Prop or cls is Type:
+        return Type(0 if cls is Prop else t.level + 1)
+    if cls is Var:
+        return Var("nowhere")
+    first = SHAPES[cls][0]
+    return dataclasses.replace(t, **{first: _bumped(getattr(t, first))})
+
+
+def _binder_variants(t):
+    # t renamed to a fresh name, which is alpha-equivalent; to a name free in
+    # its body, which captures it; and with its domain or its body changed
+    cls, (first, second) = type(t), SHAPES[type(t)]
+    dom, body = getattr(t, first), getattr(t, second)
+    fresh = fresh_name(t.var, free_vars(body) | {t.var})
+    yield "fresh", cls(fresh, dom, subst(body, t.var, Var(fresh)))
+    for name in sorted(free_vars(body) - {t.var})[:1]:
+        yield "captured", cls(name, dom, subst(body, t.var, Var(name)))
+    yield "domain", cls(t.var, _bumped(dom), body)
+    yield "body", cls(t.var, dom, _bumped(body))
+
+
+def _with_binder(node: Derivation, binder: str, t) -> Derivation:
+    c = node.conclusion
+    if binder == "annotation":
+        return dataclasses.replace(node, conclusion=Judgment(c.ctx, dataclasses.replace(c.subject, annotation=t), t))
+    return dataclasses.replace(node, conclusion=dataclasses.replace(c, **{binder: t}))
+
+
+def test_binder_rules_compare_the_binder_with_the_premise_entry_up_to_alpha():
+    # each changed node is checked as the root of its own derivation, so the
+    # first failing node is the changed one
+    nodes = {}
+    for g, m in typed_corpus():
+        for node in _objects(principal_of(g, m)[1]):
+            nodes.setdefault(node, node)
+    cases = set()
+    for node in nodes:
+        for (rule, binder), reasons in _BINDER_REJECTIONS.items():
+            if rule != node.rule:
+                continue
+            c = node.conclusion
+            t = c.subject.annotation if binder == "annotation" else getattr(c, binder)
+            for case, changed in _binder_variants(t):
+                assert alpha_eq(changed, t) == (case == "fresh")
+                bad = _with_binder(node, binder, changed)
+                if case == "fresh":
+                    assert verify(bad)
+                else:
+                    with pytest.raises(DerivationError) as err:
+                        verify(bad)
+                    assert (err.value.path, err.value.reason) == ("root", reasons[case])
+                cases.add((rule, binder, case))
+    # every change of every binder is met, but a name free in the body: no Pi2
+    # or Pair in the corpus binds over a body with a free name of its own
+    every = {(rule, binder, case) for (rule, binder), reasons in _BINDER_REJECTIONS.items() for case in ("fresh", *reasons)}
+    assert cases == every - {("Pi2", "subject", "captured")}
