@@ -61,7 +61,8 @@ one earlier row twice double a term's size per row. So does a row that
 no path from the root uses, which the kernel would never check: counting
 term rows first, then context rows, then node rows, every number names
 an earlier row, so every row is reachable from the root exactly when
-each row but the root is named by a later one.
+each row but the root is named by a later one. One function, `_earlier`,
+checks every cell that names a row and flags the row it names.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _table(d: Derivation) -> dict:
         ctx = number.get(id(c.ctx))
         if ctx is None:
             ctx = 0
-            for name, t in c.ctx.entries:
+            for name, t in c.ctx:
                 k = number.get(id(t))
                 ctx = contexts.setdefault((ctx, name, term(t) if k is None else k), len(contexts) + 1)
             number[id(c.ctx)] = ctx
@@ -175,15 +176,18 @@ def _table(d: Derivation) -> dict:
 def _field(value, kind: type, what: str):
     # bool is an int subclass; a JSON `true` is never a universe level or a number
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise TypeError(f"{what} must be a {kind.__name__}, got {value!r}")
+        raise TypeError(f"{what} must be {'an' if kind is int else 'a'} {kind.__name__}, got {value!r}")
     return value
 
 
-def _earlier(rows: list, number, what: str, used: bytearray):
-    if type(number) is not int or not 0 <= number < len(rows):
-        raise TypeError(f"{what} {number!r} names no earlier row")
+def _earlier(number, bound: int, used: bytearray, what: str, row: int | None = None) -> int:
+    # a cell naming one of the first `bound` rows of a table: flags that row as
+    # named and returns the number; the message `what` is formatted with the
+    # cell and the number of the `row` holding it only when the check fails
+    if type(number) is not int or not 0 <= number < bound:
+        raise TypeError(what.format(number, row))
     used[number] = 1
-    return rows[number]
+    return number
 
 
 def _row_shape(cls: type) -> tuple:
@@ -200,8 +204,7 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one
 
 
 def _read_terms(rows) -> tuple[list[Term], bytearray]:
-    # the checks are written out in the loop, which is most of reading a file;
-    # also returns a flag per row, set where a later row names it
+    # the terms, and a flag per row, set where a later row names it
     terms: list[Term] = []
     sizes: list[int] = []  # each row's node count as a tree, or a bound on it
     used = bytearray(len(_field(rows, list, "terms")))
@@ -228,10 +231,7 @@ def _read_terms(rows) -> tuple[list[Term], bytearray]:
             parts = row[1 + names:]
             size = 1
             for k in parts:
-                if type(k) is not int or not 0 <= k < n:
-                    raise TypeError(f"term row {n} cell {k!r} names no earlier term row")
-                size += sizes[k]
-                used[k] = 1
+                size += sizes[_earlier(k, n, used, "term row {1} cell {0!r} names no earlier term row", n)]
             if size > TERM_SIZE_LIMIT:
                 raise TypeError(f"term row {n} has {size} nodes as a tree, over the limit of {TERM_SIZE_LIMIT}")
             terms.append(cls(*row[1:1 + names], *map(terms.__getitem__, parts)))
@@ -255,14 +255,10 @@ def _from_table(obj: dict) -> Derivation:
         if type(row) is not list or len(row) != 3:
             raise TypeError(f"context row must be a list of 3 cells, got {row!r}")
         parent, name, entry_ty = row
-        if type(parent) is not int or not 0 <= parent < len(contexts):
-            raise TypeError(f"context parent {parent!r} names no earlier row")
+        parent = contexts[_earlier(parent, len(contexts), context_used, "context parent {!r} names no earlier row")]
         if not is_name(name):
             raise TypeError(f"ctx name {name!r} is not an identifier")
-        if type(entry_ty) is not int or not 0 <= entry_ty < count:
-            raise TypeError(f"ctx type {entry_ty!r} names no term row")
-        context_used[parent] = term_used[entry_ty] = 1
-        contexts.append(Context(contexts[parent].entries + ((name, terms[entry_ty]),)))
+        contexts.append(parent.extend(name, terms[_earlier(entry_ty, count, term_used, "ctx type {!r} names no term row")]))
     nodes: list[Derivation] = []
     node_rows = _field(obj["nodes"], list, "nodes")
     node_used = bytearray(len(node_rows))
@@ -272,20 +268,14 @@ def _from_table(obj: dict) -> Derivation:
         rule, ctx, subject, ty, premises, side = row
         if type(rule) is not str:
             raise TypeError(f"rule must be a str, got {rule!r}")
-        if type(ctx) is not int or not 0 <= ctx < len(contexts):
-            raise TypeError(f"ctx {ctx!r} names no earlier row")
-        if type(subject) is not int or not 0 <= subject < count:
-            raise TypeError(f"term {subject!r} names no term row")
-        if type(ty) is not int or not 0 <= ty < count:
-            raise TypeError(f"type {ty!r} names no term row")
-        context_used[ctx] = term_used[subject] = term_used[ty] = 1
+        judgment = Judgment(
+            contexts[_earlier(ctx, len(contexts), context_used, "ctx {!r} names no earlier row")],
+            terms[_earlier(subject, count, term_used, "term {!r} names no term row")],
+            terms[_earlier(ty, count, term_used, "type {!r} names no term row")],
+        )
         if type(premises) is not list:
             raise TypeError(f"premises must be a list, got {premises!r}")
-        earlier = len(nodes)
-        for p in premises:
-            if type(p) is not int or not 0 <= p < earlier:
-                raise TypeError(f"premise {p!r} names no earlier row")
-            node_used[p] = 1
+        premises = tuple([nodes[_earlier(p, len(nodes), node_used, "premise {!r} names no earlier row")] for p in premises])
         if type(side) is not dict:
             raise TypeError(f"side must be a dict, got {side!r}")
         level = sub = sup = None
@@ -295,13 +285,10 @@ def _from_table(obj: dict) -> Derivation:
             if "level" in side:
                 level = _field(side["level"], int, "side level")
             if "sub" in side:
-                sub = _earlier(terms, side["sub"], "side sub", term_used)
+                sub = terms[_earlier(side["sub"], count, term_used, "side sub {!r} names no earlier row")]
             if "sup" in side:
-                sup = _earlier(terms, side["sup"], "side sup", term_used)
-        nodes.append(Derivation(
-            rule, Judgment(contexts[ctx], terms[subject], terms[ty]),
-            tuple(map(nodes.__getitem__, premises)), level, sub, sup,
-        ))
+                sup = terms[_earlier(side["sup"], count, term_used, "side sup {!r} names no earlier row")]
+        nodes.append(Derivation(rule, judgment, premises, level, sub, sup))
     if not nodes:
         raise TypeError("no nodes")
     node_used[-1] = 1  # the root

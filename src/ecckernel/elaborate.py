@@ -63,19 +63,14 @@ def _type_typing(g: Context, t: Term, b: _Build) -> Derivation:
 
 
 def _lift(d: Derivation, target: Term, b: _Build) -> Derivation:
-    # d's typing at target: d itself when its type already is target, else one Cum
-    if alpha_eq(d.conclusion.type, target):
-        return d
-    return _cum(d, _type_typing(d.conclusion.ctx, target, b))
-
-
-def _cum(d: Derivation, target_typing: Derivation) -> Derivation:
-    # subsumption of d's type below the subject of target_typing
+    # d's typing at target: d itself when its type already is target, else one
+    # Cum, the subsumption of d's type below target, which is typed in d's context
     c = d.conclusion
-    target = target_typing.conclusion.subject
-    return Derivation(
-        "Cum", Judgment(c.ctx, c.subject, target), (d, target_typing), sub=c.type, sup=target
-    )
+    if alpha_eq(c.type, target):
+        return d
+    typing = _type_typing(c.ctx, target, b)
+    target = typing.conclusion.subject  # one object on both sides of the kernel's comparison
+    return Derivation("Cum", Judgment(c.ctx, c.subject, target), (d, typing), sub=c.type, sup=target)
 
 
 def trace_to_derivation(outcome: InferOutcome | Trace, fuel: int | Fuel = DEFAULT_FUEL) -> Trace:
@@ -124,7 +119,8 @@ def _full(tr: Trace, b: _Build) -> Derivation:
             return Derivation("Pair", c, (*lifted, family), level=tr.level)
 
         case "Conv":
-            return _cum(_full(tr.premises[0], b), _type_typing(c.ctx, c.type, b))
+            # inference adds a Conv node only where the two types differ, so this is one Cum
+            return _lift(_full(tr.premises[0], b), c.type, b)
 
     raise ValueError(f"unknown trace rule: {tr.rule!r}")
 

@@ -336,6 +336,26 @@ def test_verify_rejects_ill_typed_fields(write, tmp_path, capsys, where, new):
     assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
 
 
+@pytest.mark.parametrize(
+    "where, new, message",
+    [
+        pytest.param(("nodes", -1, SIDE, "level"), None, "side level must be an int, got None", id="level-null"),
+        pytest.param(("contexts",), None, "contexts must be a list, got None", id="contexts-null"),
+    ],
+)
+def test_verify_names_the_kind_a_field_must_be(write, tmp_path, capsys, where, new, message):
+    ctx = write("ctx.ecc", "A : Type0")
+    term = write("t.ecc", "Type1")
+    out_path = tmp_path / "t.json"
+    assert run_command(["elab", "--ctx", ctx, term, "--out", str(out_path)]) == EXIT_OK
+    obj = json.loads(out_path.read_text(encoding="utf-8"))
+    *path, last = where
+    functools.reduce(operator.getitem, path, obj)[last] = new
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
+    assert capsys.readouterr().err == f"rejected: file: malformed derivation file: TypeError({message!r})\n"
+
+
 def _python(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -466,24 +486,98 @@ def _bad_number(bad: str, ref: int, rows: int, own: int | None = None, later: in
     }[bad]
 
 
-KINDS = ["out-of-range", "negative", "forward", "self", "true", "float", "string"]
+# (cell, test id prefix): each bad kind and the message that rejects it. The file is
+# `f Prop` in `f : Pi x : Type1 . Prop`, 8 term rows, 2 context rows and 11 node rows.
+# A cell that names a row of another table cannot point forward or at its own row.
+BAD_REFERENCES = {
+    ("premise", ""): {
+        "out-of-range": "premise 11 names no earlier row",
+        "negative": "premise -1 names no earlier row",
+        "forward": "premise 10 names no earlier row",
+        "self": "premise 1 names no earlier row",
+        "true": "premise True names no earlier row",
+        "float": "premise 0.0 names no earlier row",
+        "string": "premise '0' names no earlier row",
+    },
+    ("context parent", "context-parent-"): {
+        "out-of-range": "context parent 3 names no earlier row",
+        "negative": "context parent -1 names no earlier row",
+        "forward": "context parent 2 names no earlier row",
+        "self": "context parent 1 names no earlier row",
+        "true": "context parent True names no earlier row",
+        "float": "context parent 0.0 names no earlier row",
+        "string": "context parent '0' names no earlier row",
+    },
+    ("context entry type", "context-entry-type-"): {
+        "out-of-range": "ctx type 8 names no term row",
+        "negative": "ctx type -1 names no term row",
+        "true": "ctx type True names no term row",
+        "float": "ctx type 2.0 names no term row",
+        "string": "ctx type '2' names no term row",
+    },
+    ("node ctx", "node-ctx-"): {
+        "out-of-range": "ctx 3 names no earlier row",
+        "negative": "ctx -1 names no earlier row",
+        "true": "ctx True names no earlier row",
+        "float": "ctx 2.0 names no earlier row",
+        "string": "ctx '2' names no earlier row",
+    },
+    ("term", "term-"): {
+        "out-of-range": "term 8 names no term row",
+        "negative": "term -1 names no term row",
+        "true": "term True names no term row",
+        "float": "term 7.0 names no term row",
+        "string": "term '7' names no term row",
+    },
+    ("node type", "node-type-"): {
+        "out-of-range": "type 8 names no term row",
+        "negative": "type -1 names no term row",
+        "true": "type True names no term row",
+        "float": "type 0.0 names no term row",
+        "string": "type '0' names no term row",
+    },
+    ("side sub", "side-sub-"): {
+        "out-of-range": "side sub 8 names no earlier row",
+        "negative": "side sub -1 names no earlier row",
+        "true": "side sub True names no earlier row",
+        "float": "side sub 1.0 names no earlier row",
+        "string": "side sub '1' names no earlier row",
+    },
+    ("side sup", "side-sup-"): {
+        "out-of-range": "side sup 8 names no earlier row",
+        "negative": "side sup -1 names no earlier row",
+        "true": "side sup True names no earlier row",
+        "float": "side sup 3.0 names no earlier row",
+        "string": "side sup '3' names no earlier row",
+    },
+    ("term row", "term-row-"): {
+        "out-of-range": "term row 5 cell 8 names no earlier term row",
+        "negative": "term row 5 cell -1 names no earlier term row",
+        "forward": "term row 5 cell 7 names no earlier term row",
+        "self": "term row 5 cell 5 names no earlier term row",
+        "true": "term row 5 cell True names no earlier term row",
+        "float": "term row 5 cell 2.0 names no earlier term row",
+        "string": "term row 5 cell '2' names no earlier term row",
+    },
+}
 
 
 @pytest.mark.parametrize(
-    "where, bad",
-    [pytest.param("premise", bad, id=bad) for bad in KINDS]
-    + [pytest.param("context parent", bad, id=f"context-parent-{bad}") for bad in KINDS]
-    # a node's term number names no row of its own table, so it cannot point forward or at itself
-    + [pytest.param("term", bad, id=f"term-{bad}") for bad in KINDS if bad not in ("forward", "self")]
-    + [pytest.param("term row", bad, id=f"term-row-{bad}") for bad in KINDS],
+    "where, bad, message",
+    [
+        pytest.param(where, bad, message, id=prefix + bad)
+        for (where, prefix), messages in BAD_REFERENCES.items()
+        for bad, message in messages.items()
+    ],
 )
-def test_verify_rejects_bad_back_references(write, tmp_path, capsys, where, bad):
+def test_verify_rejects_bad_back_references(write, tmp_path, capsys, where, bad, message):
     ctx = write("ctx.ecc", "f : Pi x : Type1 . Prop")
     term = write("t.ecc", "f Prop")
     out_path = tmp_path / "elab.json"
     assert run_command(["elab", "--ctx", ctx, term, "--out", str(out_path)]) == EXIT_OK
     obj = json.loads(out_path.read_text(encoding="utf-8"))
-    nodes, contexts = obj["nodes"], obj["contexts"]
+    terms, contexts, nodes = obj["terms"], obj["contexts"], obj["nodes"]
+    root = nodes[-1]
     if where == "premise":
         # the first row with a premise is not the root, so the root is a forward reference
         number = next(k for k, row in enumerate(nodes) if row[PREMISES])
@@ -494,18 +588,26 @@ def test_verify_rejects_bad_back_references(write, tmp_path, capsys, where, bad)
         # row 0 is context 1; context 2 comes later
         assert len(contexts) >= 2 and contexts[0][0] == 0
         contexts[0][0] = _bad_number(bad, 0, len(contexts) + 1, 1, 2)
-    elif where == "term row":
+    elif where == "context entry type":
+        contexts[0][2] = _bad_number(bad, contexts[0][2], len(terms))
+    elif where == "node ctx":
+        root[CTX] = _bad_number(bad, root[CTX], len(contexts) + 1)
+    elif where == "term":
+        root[TERM] = _bad_number(bad, root[TERM], len(terms))
+    elif where == "node type":
+        root[TYPE] = _bad_number(bad, root[TYPE], len(terms))
+    elif where in ("side sub", "side sup"):
+        key = where.split()[1]
+        side = next(row[SIDE] for row in nodes if key in row[SIDE])  # the first Cum row
+        side[key] = _bad_number(bad, side[key], len(terms))
+    else:
         # the Pi row's domain; the Var and App rows come after it
-        terms = obj["terms"]
         number = next(k for k, row in enumerate(terms) if row[0] == "Pi")
         assert number < len(terms) - 1
         terms[number][2] = _bad_number(bad, terms[number][2], len(terms), number, len(terms) - 1)
-    else:
-        root = nodes[-1]
-        root[TERM] = _bad_number(bad, root[TERM], len(obj["terms"]))
     capsys.readouterr()
     assert _verify_exit(tmp_path, obj) == EXIT_REJECTED
-    assert capsys.readouterr().err.startswith("rejected: file: malformed derivation file")
+    assert capsys.readouterr().err == f"rejected: file: malformed derivation file: TypeError({message!r})\n"
 
 
 @pytest.mark.parametrize(

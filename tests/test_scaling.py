@@ -12,10 +12,13 @@ import collections
 import contextlib
 import dataclasses
 import math
+import os
 import sys
+import tempfile
 
 from ecckernel import Context, Judgment, alpha_eq, parse_term, principal_of, verify
 from ecckernel import kernel, terms
+from ecckernel.cli import load_derivation, save_derivation
 
 from corpus import context_chain
 
@@ -112,7 +115,13 @@ def _chain_counts(k: int) -> dict[str, int]:
     # cli._table walks the entries of each distinct context object once
     contexts = {id(node.conclusion.ctx): node.conclusion.ctx for node in _nodes(d)}
     written = sum(len(ctx.entries) for ctx in contexts.values())
-    return {"hashed": built["hashed"], "extends": checked["extends"], "table": written}
+    # cli._from_table builds each context row with Context.extend, which copies the parent's entries
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        save_derivation(d, path)
+        with counting(copied=(Context, "extend", lambda ctx, name, ty: len(ctx) + 1)) as read:
+            load_derivation(path)
+    return {"hashed": built["hashed"], "extends": checked["extends"], "table": written, "copied": read["copied"]}
 
 
 def _pi_counts(n: int) -> dict[str, int]:
@@ -127,6 +136,7 @@ COST_ROWS = [
     ("`principal_of`: context entries hashed (`Context.__hash__`)", "context_chain(k)", "hashed", (32, 64, 128)),
     ("`verify`: context entries `_extends` compares", "context_chain(k)", "extends", (32, 64, 128)),
     ("`cli._table`: context entries visited", "context_chain(k)", "table", (32, 64, 128)),
+    ("`cli._from_table`: context entries copied", "context_chain(k)", "copied", (32, 64, 128)),
     ("`verify`: context entries `_extends` compares", "nested_pi(n)", "extends", (50, 100, 200)),
 ]
 
