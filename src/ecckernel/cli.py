@@ -104,7 +104,7 @@ def _table(d: Derivation) -> dict:
     # atom above all, costs one lookup; an object is numbered once its parts are
     terms: dict[tuple, int] = {}
     contexts: dict[tuple, int] = {}  # (parent, name, term); context 0 is the empty one
-    nodes, number = {}, {}  # node rows, and object ids, to numbers
+    nodes, number = {}, {id(Context()): 0}  # node rows, and object ids, to numbers
     node_rows: list[list] = []  # each distinct node's row, as it is written
 
     def term(t: Term) -> int:
@@ -148,11 +148,14 @@ def _table(d: Derivation) -> dict:
         c = node.conclusion
         ctx = number.get(id(c.ctx))
         if ctx is None:
-            ctx = 0
-            for name, t in c.ctx:
-                k = number.get(id(t))
-                ctx = contexts.setdefault((ctx, name, term(t) if k is None else k), len(contexts) + 1)
-            number[id(c.ctx)] = ctx
+            # a context is its parent's row plus one entry: walk up to the first
+            # numbered one, then number the rest front to back
+            longer, g = [], c.ctx
+            while (ctx := number.get(id(g))) is None:
+                longer.append(g)
+                g = g.parent
+            for g in reversed(longer):
+                ctx = number[id(g)] = contexts.setdefault((ctx, g.name, term(g.type)), len(contexts) + 1)
         subject, ty = number.get(id(c.subject)), number.get(id(c.type))
         if subject is None:
             subject = term(c.subject)

@@ -129,14 +129,13 @@ def _validity(g: Context, b: _Build) -> Derivation:
     # the context-formation chain, g typing Prop at Type 0, built front to back
     # from the longest prefix in the memo; each entry is typed in the prefix before it
     longer = []
-    while (d := b.get(g)) is None and g:
+    while (d := b.get(g)) is None and g.length:
         longer.append(g)
-        g = g.pop()[0]
+        g = g.parent
     if d is None:
         d = b[g] = Derivation("Ax", Judgment(g, PROP, Type(0)))
-    for ext in reversed(longer):
-        entry_tr, _ = infer_universe(g, ext.entries[-1][1], b.fuel)
-        g = ext
+    for g in reversed(longer):
+        entry_tr, _ = infer_universe(g.parent, g.type, b.fuel)
         d = b[g] = Derivation("C", Judgment(g, PROP, Type(0)), (_full(entry_tr, b),))
     return d
 

@@ -76,7 +76,7 @@ def _extend(g: Context, binder: str, ty: Term, body: Term) -> tuple[Context, str
     # rename the binder when it would collide with a context name
     if g.lookup(binder) is None:
         return g.extend(binder, ty), binder, body
-    renamed = fresh_name(binder, set(g.names()) | free_vars(body) | free_vars(ty))
+    renamed = fresh_name(binder, {name for name, _ in g} | free_vars(body) | free_vars(ty))
     return g.extend(renamed, ty), renamed, subst(body, binder, Var(renamed))
 
 

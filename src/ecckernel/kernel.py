@@ -31,7 +31,11 @@ Contexts need no separate check: every rule other than Ax and C has a
 premise whose context is the node's own or extends it, so every
 non-empty context is a prefix of one that some C node concludes; a C
 node checks that its last entry is typed and fresh, and its premise
-sits in the context before that entry.
+sits in the context before that entry. A premise context is compared
+with the node's from the last entry back, up to alpha, until the two
+reach one object: where one was built by extending the other, that is
+one `is` test; contexts built apart are compared entry by entry down to
+the first object they share.
 
 The verifier never looks at how a tree was produced: this module
 depends only on `terms`, `reduction` and `cumulativity`, never on
@@ -57,6 +61,7 @@ _RULES = {
     "Cum": ("==", False, True),
 }
 KERNEL_RULES = frozenset(_RULES)
+_ABSENT = object()  # what a context lookup finds for a name no entry has
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,25 +114,18 @@ def _is_validity(j: Judgment) -> bool:
     return type(j.subject) is Prop and type(j.type) is Type and j.type.level == 0
 
 
-def _extends(a: Context, b: Context, extra: int) -> bool:
-    # a is b followed by `extra` more entries, compared up to alpha
-    ea, eb = a.entries, b.entries
-    if len(ea) != len(eb) + extra:
-        return False
-    if a is not b:
-        for (na, ta), (nb, tb) in zip(ea, eb):
-            if na != nb or not alpha_eq(ta, tb):
-                return False
-    return True
+def _extends(a: Context, b: Context, extra: bool) -> bool:
+    # a is b, followed by one more entry when `extra`, compared up to alpha
+    return a.length == b.length + extra and (a.parent if extra else a).matches(b, alpha_eq)
 
 
 def _binds(t: Term, cons: type, ctx: Context, body: Term) -> bool:
     # t is cons binding ctx's last entry over body, up to alpha, compared part
     # by part: a part shared with the premise costs one `is` test
-    (y, dom), (first, second) = ctx.entries[-1], SHAPES[cons]
-    if type(t) is not cons or not alpha_eq(getattr(t, first), dom):
+    first, second = SHAPES[cons]
+    if type(t) is not cons or not alpha_eq(getattr(t, first), ctx.type):
         return False
-    x, part = t.var, getattr(t, second)
+    x, y, part = t.var, ctx.name, getattr(t, second)
     return alpha_eq(part, body) if x == y else _alpha(part, body, {x: 0}, {y: 0}, 1)
 
 
@@ -182,7 +180,7 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
     if len(ps) != len(contexts):
         _fail(path, "rule %s expects %d premises, got %d", rule, len(contexts), len(ps))
     for i, (at, p) in enumerate(zip(contexts, ps)):
-        if not (_extends(c.ctx, p.ctx, 1) if at == "-" else _extends(p.ctx, c.ctx, at == "+")):
+        if not (_extends(c.ctx, p.ctx, True) if at == "-" else _extends(p.ctx, c.ctx, at == "+")):
             _fail(path, "%s premise %d context mismatch", rule, i)
 
     # the most frequent rules first; a `+` premise is always the last
@@ -198,12 +196,11 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
                 _fail(path, "T must type Type j at Type j+1")
 
         case "C":
-            name, entry_ty = c.ctx.entries[-1]
-            if not alpha_eq(ps[0].subject, entry_ty):
+            if not alpha_eq(ps[0].subject, c.ctx.type):
                 _fail(path, "C premise must type the new entry")
             if universe_level(ps[0].type) is None:
                 _fail(path, "C entry type must live in a universe")
-            if name in ps[0].ctx.names():
+            if ps[0].ctx.lookup(c.ctx.name, _ABSENT) is not _ABSENT:
                 _fail(path, "C entry name must be fresh")
             if not _is_validity(c):
                 _fail(path, "C types Prop at Type 0")
@@ -220,7 +217,7 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
                 _fail(path, "var type must match its context entry")
 
         case "Ax":
-            if c.ctx.entries:
+            if c.ctx.length:
                 _fail(path, "Ax requires the empty context")
             if not _is_validity(c):
                 _fail(path, "Ax types Prop at Type 0")
@@ -245,7 +242,7 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
             cons = Sigma if rule == "Sigma" else Pi
             if not isinstance(c.subject, cons):
                 _fail(path, "%s concludes a %s type", rule, cons.__name__)
-            if not alpha_eq(ps[1].ctx.entries[-1][1], ps[0].subject):
+            if not alpha_eq(ps[1].ctx.type, ps[0].subject):
                 _fail(path, "formation body premise must extend by the domain")
             if not _binds(c.subject, cons, ps[1].ctx, ps[1].subject):
                 _fail(path, "formation subject must bind the body premise subject")

@@ -185,8 +185,7 @@ def parse_term(text: str) -> Term:
 
 
 def parse_context(text: str) -> Context:
-    entries: list[tuple[str, Term]] = []
-    line_start = 0
+    g, line_start = Context(), 0
     # only "\n" ends an entry, as only it ends a line for _error
     for line in text.split("\n"):
         # the entry is the part of the line before any comment, trimmed
@@ -200,8 +199,8 @@ def parse_context(text: str) -> Context:
             parser.expect("colon", "':'")
             ty = parser.term()
             parser.end(" in context entry")
-            entries.append((name.value, ty))
-    return Context(tuple(entries))
+            g = g.extend(name.value, ty)
+    return g
 
 
 def print_term(t: Term) -> str:

@@ -26,11 +26,23 @@ variable and checks the replacement once, at the top, and its inner
 into the parts that hold the variable. Alpha-equivalence binds each
 binder's variable in its two environments in place and puts back what
 it shadowed on every exit, an early False included.
+
+A context is a persistent snoc-list, built one entry at a time as the
+derivation file's context rows and the kernel's premise contexts are:
+each `Context` holds its `parent`, that entry's `name` and `type`, and its
+`length`. `extend` costs O(1) and shares its parent, so every prefix of a
+context is one object, and `Context()` is the one empty context. `==` is
+by value, but it walks the two lists back only until they reach one object
+(`matches`, which the kernel calls up to alpha), and the hash reads only
+the length and the last entry: neither recurses, and a shared prefix costs
+one `is` test. `lookup` gives the type of the first entry with a name.
+Contexts are frozen; copies and pickles rebuild them with `Context.of`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from operator import eq
 
 
 class Term:
@@ -156,38 +168,83 @@ def subterms(t: Term) -> tuple[Term, ...]:
     return tuple([getattr(t, field) for field in fields])
 
 
-@dataclass(frozen=True)
 class Context:
-    """Ordered assumptions; earlier entries are in scope for later ones."""
+    """Ordered assumptions; earlier entries are in scope for later ones.
 
-    entries: tuple[tuple[str, Term], ...] = ()
+    A non-empty context is `parent`, the context before its last entry,
+    extended by that entry's `name` and `type`; `length` counts the entries.
+    Iterating gives the (name, type) entries front to back.
+    """
+
+    __slots__ = ("parent", "name", "type", "length")
+
+    def __new__(cls) -> "Context":
+        return _EMPTY
 
     @classmethod
     def of(cls, *entries: tuple[str, Term]) -> "Context":
-        return cls(tuple(entries))
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
-    def lookup(self, name: str) -> Term | None:
-        for entry_name, entry_type in self.entries:
-            if entry_name == name:
-                return entry_type
-        return None
+        g = _EMPTY
+        for name, ty in entries:
+            g = g.extend(name, ty)
+        return g
 
     def extend(self, name: str, ty: Term) -> "Context":
-        return Context(self.entries + ((name, ty),))
+        g = object.__new__(Context)
+        _PARENT(g, self), _NAME(g, name), _TYPE(g, ty), _LENGTH(g, self.length + 1)
+        return g
 
-    def pop(self) -> tuple["Context", str, Term]:
-        """Split off the last entry; context must be non-empty."""
-        name, ty = self.entries[-1]
-        return Context(self.entries[:-1]), name, ty
+    def lookup(self, name: str, default=None) -> Term | None:
+        """The type of the first entry with this name, or `default`."""
+        found, g = default, self
+        while g.length:
+            if g.name == name:
+                found = g.type
+            g = g.parent
+        return found
 
     def __iter__(self):
-        return iter(self.entries)
+        entries, g = [], self
+        while g.length:
+            entries.append((g.name, g.type))
+            g = g.parent
+        return reversed(entries)
 
-    def __len__(self):
-        return len(self.entries)
+    def __len__(self) -> int:
+        return self.length
+
+    def matches(self, other: "Context", same) -> bool:
+        """Whether the two have one length, and entries of equal names whose
+        types `same` relates, walked from the last entry back until the two
+        lists reach one object."""
+        while self is not other:
+            if self.length != other.length or self.name != other.name or not same(self.type, other.type):
+                return False
+            self, other = self.parent, other.parent
+        return True
+
+    def __eq__(self, other) -> bool:
+        return self.matches(other, eq) if type(other) is Context else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.name, self.type))
+
+    def __repr__(self) -> str:
+        return f"Context.of{tuple(self)!r}"
+
+    def __reduce__(self):
+        # copies and pickles rebuild the list front to back, in no interpreter frame per entry
+        return Context.of, tuple(self)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__  # called without a value
+
+
+# the slots' own setters, which the frozen __setattr__ leaves to the constructors
+_PARENT, _NAME, _TYPE, _LENGTH = (getattr(Context, slot).__set__ for slot in Context.__slots__)
+_EMPTY = object.__new__(Context)
+_PARENT(_EMPTY, None), _NAME(_EMPTY, None), _TYPE(_EMPTY, None), _LENGTH(_EMPTY, 0)
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,7 @@ def _validity_chain(g: Context) -> Derivation:
     # other entry at Type 0 by a var node, whether or not it is well formed
     if not g:
         return Derivation("Ax", Judgment(g, PROP, Type(0)))
-    front, _, entry_ty = g.pop()
+    front, entry_ty = g.parent, g.type
     if entry_ty == PROP:
         typing = _validity_chain(front)
     else:
@@ -268,17 +268,19 @@ def _validity_chain(g: Context) -> Derivation:
 
 
 @pytest.mark.parametrize(
-    "ctx",
+    "ctx, message",
     [
-        Context.of(("x", Var("zz"))),
-        Context.of(("x", PROP), ("x", PROP)),
+        (Context.of(("x", Var("zz"))), "root.0.0: var not bound in the context"),
+        (Context.of(("x", PROP), ("x", PROP)), "root.0: C entry name must be fresh"),
+        # the root types x at its last entry, and var reads the first
+        (Context.of(("x", PROP), ("x", Type(0))), "root: var type must match its context entry"),
     ],
-    ids=["unbound-entry", "duplicate-name"],
+    ids=["unbound-entry", "duplicate-name", "duplicate-name-other-type"],
 )
-def test_verify_rejects_ill_formed_contexts(tmp_path, capsys, ctx):
-    name, entry_ty = ctx.entries[-1]
-    root = Derivation("var", Judgment(ctx, Var(name), entry_ty), (_validity_chain(ctx),))
+def test_verify_rejects_ill_formed_contexts(tmp_path, capsys, ctx, message):
+    root = Derivation("var", Judgment(ctx, Var(ctx.name), ctx.type), (_validity_chain(ctx),))
     assert _verify_exit(tmp_path, saved(root, tmp_path / "d.json")) == EXIT_REJECTED
+    assert capsys.readouterr().err == f"rejected: {message}\n"
 
 
 DROP = object()

@@ -185,7 +185,7 @@ def test_check_type_rejects_non_type_ascription():
 def test_corpus_infers_and_subjects_are_closed_in_context():
     for g, m in typed_corpus():
         out = infer_type(g, m)
-        assert free_vars(m) <= set(g.names())
+        assert free_vars(m) <= {name for name, _ in g}
         # the principal type is a type in the same context
         assert check_type(g, m, out.principal)
 

@@ -452,6 +452,21 @@ def test_term_objects_over_the_corpus():
     assert count == 466
 
 
+def _node_contexts(d: Derivation) -> tuple[int, int]:
+    # the context objects d's nodes conclude in, and how many are distinct by value
+    contexts = {id(node.conclusion.ctx): node.conclusion.ctx for node in _objects(d)}
+    return len(contexts), len(set(contexts.values()))
+
+
+def test_context_objects_over_the_chain_and_the_corpus():
+    # extend shares its parent, so each prefix of a context is one object: 194
+    # objects for the chain's 130 contexts, and 268 over the corpus, while a
+    # context was a tuple that extend and its inverse copied
+    assert _node_contexts(principal_of(*context_chain(64))[1]) == (130, 130)
+    counts = [_node_contexts(principal_of(g, m)[1]) for g, m in typed_corpus()]
+    assert [sum(column) for column in zip(*counts)] == [212, 211]
+
+
 def test_node_and_cum_objects_over_the_corpus():
     # deterministic counters of what one principal_of call per corpus item builds
     built = [node for g, m in typed_corpus() for node in _objects(principal_of(g, m)[1])]

@@ -1,23 +1,27 @@
 """Cost as a counted function of input size.
 
 Deterministic counters, not wall time: `counting` wraps functions in place
-for one block and adds up a weight per call, so a test can pin how a count
-grows when its input doubles. A family that is linear gets an assertion.
-The rows that are still superlinear have none yet; run this file as a
-script (`PYTHONPATH=src python tests/test_scaling.py`) to print them as the
-README's "Cost" table does.
+for one block and adds up a weight per call, and `slot_reads` counts the
+reads of a `Context`'s slots made while given functions run, so a test can
+pin how a count grows when its input doubles. A family that is linear gets
+an assertion; the one row that stays quadratic has none. Run this file as a
+script (`PYTHONPATH=src python tests/test_scaling.py`) to print every row
+as the README's "Cost" table does.
 """
 
 import collections
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import sys
 import tempfile
 
+import pytest
+
 from ecckernel import Context, Judgment, alpha_eq, parse_term, principal_of, verify
-from ecckernel import kernel, terms
+from ecckernel import cli, kernel, terms
 from ecckernel.cli import load_derivation, save_derivation
 
 from corpus import context_chain
@@ -51,24 +55,52 @@ def counting(**targets):
 _ALPHA_CALLS = {"alpha": (terms, "_alpha", lambda *args: 1), "kernel_alpha": (kernel, "_alpha", lambda *args: 1)}
 
 
-def _extends_visits(a: Context, b: Context, extra: int) -> int:
-    # the entries kernel._extends compares one by one
-    return len(b.entries) if a is not b and len(a.entries) == len(b.entries) + extra else 0
+@contextlib.contextmanager
+def slot_reads(*within):
+    """Count reads of `Context`'s slots made while one of `within` runs.
+
+    Each of `within` is (owner, name), a function wrapped in place for the
+    block; the reads of the calls it makes count too. A read is what a walk
+    over a context pays per entry, so this counts entries visited.
+    """
+    calls, active = collections.Counter(), [0]
+    slots = {name: getattr(Context, name) for name in Context.__slots__}
+    saved = [(owner, name, getattr(owner, name)) for owner, name in within]
+
+    def read(slot):
+        def get(g):
+            if active[0]:
+                calls["reads"] += 1
+            return slot.__get__(g, Context)
+
+        return property(get)
+
+    def entered(original):
+        def wrapped(*args):
+            active[0] += 1
+            try:
+                return original(*args)
+            finally:
+                active[0] -= 1
+
+        return wrapped
+
+    try:
+        for name, slot in slots.items():
+            setattr(Context, name, read(slot))
+        for owner, name, original in saved:
+            setattr(owner, name, entered(original))
+        yield calls
+    finally:
+        for owner, name, original in reversed(saved):
+            setattr(owner, name, original)
+        for name, slot in slots.items():
+            setattr(Context, name, slot)
 
 
 def nested_pi(n: int):
     """`Pi x0 : Prop . ... Pi x(n-1) : Prop . Prop`."""
     return parse_term("".join(f"Pi x{i} : Prop . " for i in range(n)) + "Prop")
-
-
-def _nodes(d) -> list:
-    seen, stack = {}, [d]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node.premises)
-    return list(seen.values())
 
 
 def test_counting_counts_every_level_and_puts_the_functions_back():
@@ -106,39 +138,54 @@ def test_verify_alpha_calls_grow_linearly_in_pi_depth():
     assert big <= 2.2 * small, counts
 
 
+@functools.cache
 def _chain_counts(k: int) -> dict[str, int]:
     g, m = context_chain(k)
-    with counting(hashed=(Context, "__hash__", lambda ctx: len(ctx.entries))) as built:
+    with slot_reads((Context, "__hash__"), (Context, "__eq__")) as built:
         _, d = principal_of(g, m)
-    with counting(extends=(kernel, "_extends", _extends_visits)) as checked:
+    with slot_reads((kernel, "_extends")) as checked:
         verify(d)
-    # cli._table walks the entries of each distinct context object once
-    contexts = {id(node.conclusion.ctx): node.conclusion.ctx for node in _nodes(d)}
-    written = sum(len(ctx.entries) for ctx in contexts.values())
-    # cli._from_table builds each context row with Context.extend, which copies the parent's entries
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.json")
-        save_derivation(d, path)
-        with counting(copied=(Context, "extend", lambda ctx, name, ty: len(ctx) + 1)) as read:
+        with slot_reads((cli, "_table")) as written:
+            save_derivation(d, path)
+        with slot_reads((cli, "_from_table")) as read:
             load_derivation(path)
-    return {"hashed": built["hashed"], "extends": checked["extends"], "table": written, "copied": read["copied"]}
+    with slot_reads((Context, "lookup"), (kernel, "_check_node")) as looked:
+        principal_of(g, m)
+        verify(d)
+    return {
+        "hashed": built["reads"],
+        "extends": checked["reads"],
+        "table": written["reads"],
+        "copied": read["reads"],
+        "lookup": looked["reads"],
+    }
 
 
+@functools.cache
 def _pi_counts(n: int) -> dict[str, int]:
     _, d = principal_of(Context(), nested_pi(n))
-    with counting(extends=(kernel, "_extends", _extends_visits)) as checked:
+    with slot_reads((kernel, "_extends")) as checked:
         verify(d)
-    return {"extends": checked["extends"]}
+    return {"extends": checked["reads"]}
 
 
-# the rows that are still superlinear: (what is counted, family, key, sizes)
-COST_ROWS = [
-    ("`principal_of`: context entries hashed (`Context.__hash__`)", "context_chain(k)", "hashed", (32, 64, 128)),
-    ("`verify`: context entries `_extends` compares", "context_chain(k)", "extends", (32, 64, 128)),
-    ("`cli._table`: context entries visited", "context_chain(k)", "table", (32, 64, 128)),
-    ("`cli._from_table`: context entries copied", "context_chain(k)", "copied", (32, 64, 128)),
-    ("`verify`: context entries `_extends` compares", "nested_pi(n)", "extends", (50, 100, 200)),
+# (what is counted, family, key, sizes); each count is of `Context` slots read
+LINEAR_ROWS = [
+    ("`principal_of`: read by `Context.__hash__` and `__eq__`", "context_chain(k)", "hashed", (32, 64, 128)),
+    ("`verify`: read by `_extends`", "context_chain(k)", "extends", (32, 64, 128)),
+    ("`cli._table`: read while writing", "context_chain(k)", "table", (32, 64, 128)),
+    ("`cli._from_table`: read while reading", "context_chain(k)", "copied", (32, 64, 128)),
+    ("`verify`: read by `_extends`", "nested_pi(n)", "extends", (50, 100, 200)),
 ]
+# still quadratic, with no assertion: `lookup` and the C rule's freshness test
+# walk the whole context, and the chain has an entry of each length
+QUADRATIC_ROWS = [
+    ("`principal_of` and `verify`: read by `lookup` and the kernel's rule checks",
+     "context_chain(k)", "lookup", (32, 64, 128)),
+]
+COST_ROWS = LINEAR_ROWS + QUADRATIC_ROWS
 
 
 def cost_rows(rows=COST_ROWS) -> list[tuple[str, str, tuple[int, ...], list[int]]]:
@@ -146,8 +193,16 @@ def cost_rows(rows=COST_ROWS) -> list[tuple[str, str, tuple[int, ...], list[int]
     return [(what, fam, sizes, [family[fam](size)[key] for size in sizes]) for what, fam, key, sizes in rows]
 
 
+@pytest.mark.parametrize("row", LINEAR_ROWS, ids=[f"{fam}-{key}" for _, fam, key, _ in LINEAR_ROWS])
+def test_cost_row_grows_linearly(row):
+    # each walk stops at the first object it has already seen: an entry
+    # shared with a context met before costs one read, not a walk
+    what, fam, key, sizes = row
+    [(_, _, _, (small, big))] = cost_rows([(what, fam, key, sizes[1:])])
+    assert 0 < big <= 2.2 * small, (small, big)
+
+
 def test_cost_rows_count_something_at_small_sizes():
-    # no growth assertion: these rows wait for the change that makes them linear
     for _, _, _, counts in cost_rows([(what, fam, key, (2, 4)) for what, fam, key, _ in COST_ROWS]):
         assert all(type(count) is int and count > 0 for count in counts)
 

@@ -179,7 +179,7 @@ def test_parse_error_reports_later_lines():
 
 def test_context_files():
     g = parse_context("x : Prop\n-- a comment line\ny : Pi a : Prop . Prop\n")
-    assert g.names() == ("x", "y")
+    assert [name for name, _ in g] == ["x", "y"]
     assert g.lookup("y") == Pi("a", PROP, PROP)
     assert len(parse_context("")) == 0
 
@@ -193,7 +193,7 @@ def test_context_file_rejects_garbage():
 
 def test_context_entries_end_at_newline_only():
     # "\r\n" files keep working: "\r" is lexer whitespace
-    assert parse_context("x : Prop\r\ny : Type0\r\n").names() == ("x", "y")
+    assert [name for name, _ in parse_context("x : Prop\r\ny : Type0\r\n")] == ["x", "y"]
     # a lone "\r" joins two lines into one entry, and the error is on that line
     with pytest.raises(ParseError, match=r"^trailing input ':' in context entry \(line 1, column 13\)$"):
         parse_context("A : Type0\rB : Type0")

@@ -166,14 +166,20 @@ def test_free_vars_of_subst_bound():
 
 
 def test_context_invariant_checks():
+    import pytest
+
     from ecckernel import Context
 
     g = Context.of(("x", PROP), ("y", Type(0)))
     assert g.lookup("x") == PROP
     assert g.lookup("missing") is None
-    assert g.names() == ("x", "y")
-    front, name, ty = g.pop()
-    assert name == "y" and ty == Type(0) and front.names() == ("x",)
+    assert list(g) == [("x", PROP), ("y", Type(0))]
+    assert g.name == "y" and g.type == Type(0) and g.parent == Context.of(("x", PROP))
+    # the first entry with a name answers, as when a context was a tuple
+    assert Context.of(("x", PROP), ("x", Type(0))).lookup("x") == PROP
+    for change in (lambda: setattr(g, "name", "z"), lambda: delattr(g, "parent")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change()
 
 
 def test_universe_levels_non_negative():
