@@ -42,8 +42,8 @@ outcome = infer_type(ctx, term)
 
 
 def show(node, indent="  "):
-    concl = node.conclusion if hasattr(node, "conclusion") else node.judgment
-    print(f"{indent}{node.rule:6} |- {print_term(concl.subject)} : {print_term(concl.type)}")
+    c = node.conclusion
+    print(f"{indent}{node.rule:6} |- {print_term(c.subject)} : {print_term(c.type)}")
     for p in node.premises:
         show(p, indent + "    ")
 

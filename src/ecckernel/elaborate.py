@@ -1,15 +1,18 @@
 """Elaboration: from inference traces to full kernel derivations.
 
-An inference `Trace` is the syntax-directed derivation: its formation
-and elimination rules carry cumulativity side conditions instead of
-subsumption nodes. `to_full` expands it rule by rule in one pass: the
-leaf rules get their context-validity chain, binder formation rules
-lift a premise to the target universe, and application and pairing lift
-the argument sides to the expected types, each only when its type
-differs; the lifted type is typed by `type_typing`. Each conversion node
-becomes a subsumption node whose target is typed the same way. The
-conclusion judgment of every node is preserved. Nothing here is trusted:
-`kernel.verify` re-checks what it builds.
+An inference trace is the syntax-directed derivation, a `Derivation`
+whose algorithmic nodes (`Pi2'`, `Sigma'`, `App'`, `Pair'`) carry
+cumulativity side conditions instead of subsumption nodes and whose
+`Conv` nodes mark an exposed head; `verify` knows none of these rules.
+`to_full` expands it rule by rule in one pass into a derivation of the
+kernel's rules alone: the leaf rules get their context-validity chain,
+binder formation rules lift a premise to the target universe, and
+application and pairing lift the argument sides to the expected types,
+each only when its type differs; the lifted type is typed by
+`type_typing`. Each conversion node becomes a subsumption node whose
+target is typed the same way. The conclusion judgment of every node is
+preserved. Nothing here is trusted: `kernel.verify` re-checks what it
+builds.
 
 Within one call only validity chains and `type_typing` typings are
 memoised; a chain is built front to back from its longest prefix in the
@@ -20,7 +23,7 @@ objects, which `verify` checks again and a derivation file stores once.
 
 from __future__ import annotations
 
-from .inference import InferOutcome, Trace, infer_type, infer_universe
+from .inference import InferOutcome, infer_type, infer_universe
 from .kernel import Derivation
 from .reduction import DEFAULT_FUEL, Fuel
 from .terms import PROP, Context, Judgment, Prop, Term, Type, alpha_eq, subst
@@ -73,7 +76,7 @@ def _lift(d: Derivation, target: Term, b: _Build) -> Derivation:
     return Derivation("Cum", Judgment(c.ctx, c.subject, target), (d, typing), sub=c.type, sup=target)
 
 
-def trace_to_derivation(outcome: InferOutcome | Trace, fuel: int | Fuel = DEFAULT_FUEL) -> Trace:
+def trace_to_derivation(outcome: InferOutcome | Derivation, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
     """The outcome's inference trace, which `to_full` expands as it is.
 
     Does no work and leaves `fuel` unused: `to_full` takes the trace as it
@@ -82,7 +85,7 @@ def trace_to_derivation(outcome: InferOutcome | Trace, fuel: int | Fuel = DEFAUL
     return outcome.trace if isinstance(outcome, InferOutcome) else outcome
 
 
-def to_full(tr: Trace, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
+def to_full(tr: Derivation, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
     """Expand an inference trace into a kernel derivation.
 
     The conclusion judgment of every trace node is preserved.
@@ -90,8 +93,8 @@ def to_full(tr: Trace, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
     return _full(tr, _Build(fuel))
 
 
-def _full(tr: Trace, b: _Build) -> Derivation:
-    c = tr.judgment
+def _full(tr: Derivation, b: _Build) -> Derivation:
+    c = tr.conclusion
     match tr.rule:
         case "Ax" | "C":
             return _validity(c.ctx, b)

@@ -2,8 +2,12 @@
 
 Every subject form has exactly one applicable clause, so accepted terms
 get a unique principal type (up to conversion) together with a trace:
-the syntax-directed derivation, one node per rule application, which
-`elaborate` expands into a full kernel derivation (`to_full`).
+the syntax-directed derivation, one `Derivation` node per rule
+application, which `elaborate` expands into a full kernel derivation
+(`to_full`). Its nodes carry the kernel's rule names except where the
+rule is algorithmic: `Pi2'`, `Sigma'`, `App'` and `Pair'` take
+cumulativity side conditions in place of subsumption nodes, and `Conv`
+marks an exposed head.
 
 Universe bookkeeping treats Prop as level -1 while forming Pi and Sigma
 types: a Pi whose codomain lands in Prop is itself a Prop (rule Pi1),
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cumulativity import subtype, universe_level
+from .kernel import Derivation
 from .reduction import DEFAULT_FUEL, Fuel, whnf
 from .terms import (
     PROP,
@@ -57,19 +62,9 @@ class TypeCheckError(Exception):
 
 
 @dataclass(frozen=True)
-class Trace:
-    """One node of the syntax-directed derivation skeleton."""
-
-    rule: str
-    judgment: Judgment
-    premises: tuple["Trace", ...] = ()
-    level: int | None = None
-
-
-@dataclass(frozen=True)
 class InferOutcome:
     principal: Term
-    trace: Trace
+    trace: Derivation
 
 
 def _extend(g: Context, binder: str, ty: Term, body: Term) -> tuple[Context, str, Term]:
@@ -80,7 +75,7 @@ def _extend(g: Context, binder: str, ty: Term, body: Term) -> tuple[Context, str
     return g.extend(renamed, ty), renamed, subst(body, binder, Var(renamed))
 
 
-def infer_universe(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tuple[Trace, int]:
+def infer_universe(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tuple[Derivation, int]:
     """Infer t and expose its principal type as an exact universe.
 
     Returns the trace (conversion-wrapped so its conclusion type is
@@ -95,12 +90,12 @@ def infer_universe(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tupl
     return tr, lvl
 
 
-def _exposed(g: Context, t: Term, f: Fuel) -> tuple[Trace, Term]:
+def _exposed(g: Context, t: Term, f: Fuel) -> tuple[Derivation, Term]:
     # infer t and weak-head-normalize its type; a changed head is a Conv node
     tr = _infer(g, t, f)
-    head = whnf(tr.judgment.type, f)
-    if not alpha_eq(head, tr.judgment.type):
-        tr = Trace("Conv", Judgment(g, t, head), (tr,))
+    head = whnf(tr.conclusion.type, f)
+    if not alpha_eq(head, tr.conclusion.type):
+        tr = Derivation("Conv", Judgment(g, t, head), (tr,))
     return tr, head
 
 
@@ -108,21 +103,21 @@ def infer_type(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> InferOut
     """Principal type of t in g; g is assumed valid (see check_context)."""
     f = Fuel.coerce(fuel)
     tr = _infer(g, t, f)
-    return InferOutcome(tr.judgment.type, tr)
+    return InferOutcome(tr.conclusion.type, tr)
 
 
-def _infer(g: Context, t: Term, f: Fuel) -> Trace:
+def _infer(g: Context, t: Term, f: Fuel) -> Derivation:
     match t:
         case Prop():
             rule = "C" if g else "Ax"
-            return Trace(rule, Judgment(g, t, Type(0)))
+            return Derivation(rule, Judgment(g, t, Type(0)))
         case Type(j):
-            return Trace("T", Judgment(g, t, Type(j + 1)), level=j)
+            return Derivation("T", Judgment(g, t, Type(j + 1)), level=j)
         case Var(x):
             ty = g.lookup(x)
             if ty is None:
                 raise TypeCheckError(UNBOUND_VARIABLE, t, f"variable {x!r} is not bound")
-            return Trace("var", Judgment(g, t, ty))
+            return Derivation("var", Judgment(g, t, ty))
 
         case Pi(x, a, b) | Sigma(x, a, b):
             a_tr, j = infer_universe(g, a, f)
@@ -130,30 +125,30 @@ def _infer(g: Context, t: Term, f: Fuel) -> Trace:
             b_tr, k = infer_universe(g2, b2, f)
             if k == -1 and isinstance(t, Pi):
                 # impredicativity: the codomain lives in Prop, so the Pi does
-                return Trace("Pi1", Judgment(g, t, PROP), (a_tr, b_tr))
+                return Derivation("Pi1", Judgment(g, t, PROP), (a_tr, b_tr))
             # a Prop-level Sigma component contributes -1 and is absorbed by the 0
             lvl = max(j, k, 0)
             rule = "Pi2'" if isinstance(t, Pi) else "Sigma'"
-            return Trace(rule, Judgment(g, t, Type(lvl)), (a_tr, b_tr), level=lvl)
+            return Derivation(rule, Judgment(g, t, Type(lvl)), (a_tr, b_tr), level=lvl)
 
         case Lam(x, ann, body):
             infer_universe(g, ann, f)  # the annotation must be a type
             g2, x2, body2 = _extend(g, x, ann, body)
             body_tr = _infer(g2, body2, f)
-            pi = Pi(x2, ann, body_tr.judgment.type)
-            return Trace("Lam", Judgment(g, t, pi), (body_tr,))
+            pi = Pi(x2, ann, body_tr.conclusion.type)
+            return Derivation("Lam", Judgment(g, t, pi), (body_tr,))
 
         case App(fn, arg):
             fn_tr, fn_ty = _exposed(g, fn, f)
             if not isinstance(fn_ty, Pi):
                 raise TypeCheckError(NOT_A_FUNCTION, fn, "applied term has no Pi type")
             arg_tr = _infer(g, arg, f)
-            if not subtype(arg_tr.judgment.type, fn_ty.domain, f):
+            if not subtype(arg_tr.conclusion.type, fn_ty.domain, f):
                 raise TypeCheckError(
                     CUMULATIVITY_VIOLATION, arg, "argument type is not below the domain"
                 )
             result = subst(fn_ty.codomain, fn_ty.var, arg)
-            return Trace("App'", Judgment(g, t, result), (fn_tr, arg_tr))
+            return Derivation("App'", Judgment(g, t, result), (fn_tr, arg_tr))
 
         case Pair(first, second, ann):
             if not isinstance(ann, Sigma):
@@ -167,24 +162,24 @@ def _infer(g: Context, t: Term, f: Fuel) -> Trace:
                 raise TypeCheckError(
                     NOT_A_UNIVERSE, ann.second, "pair family must land in a Type universe"
                 )
-            if not subtype(fst_tr.judgment.type, ann.first, f):
+            if not subtype(fst_tr.conclusion.type, ann.first, f):
                 raise TypeCheckError(
                     CUMULATIVITY_VIOLATION, first, "first component is not below the annotation"
                 )
             expected = subst(ann.second, ann.var, first)
-            if not subtype(snd_tr.judgment.type, expected, f):
+            if not subtype(snd_tr.conclusion.type, expected, f):
                 raise TypeCheckError(
                     CUMULATIVITY_VIOLATION, second, "second component is not below the family"
                 )
-            return Trace("Pair'", Judgment(g, t, ann), (fst_tr, snd_tr, fam_tr), level=k)
+            return Derivation("Pair'", Judgment(g, t, ann), (fst_tr, snd_tr, fam_tr), level=k)
 
         case Proj1(m) | Proj2(m):
             m_tr, sig = _exposed(g, m, f)
             if not isinstance(sig, Sigma):
                 raise TypeCheckError(NOT_A_PAIR, m, "projected term has no Sigma type")
             if isinstance(t, Proj1):
-                return Trace("Proj1", Judgment(g, t, sig.first), (m_tr,))
-            return Trace("Proj2", Judgment(g, t, subst(sig.second, sig.var, Proj1(m))), (m_tr,))
+                return Derivation("Proj1", Judgment(g, t, sig.first), (m_tr,))
+            return Derivation("Proj2", Judgment(g, t, subst(sig.second, sig.var, Proj1(m))), (m_tr,))
 
     raise TypeError(f"not a term: {t!r}")
 

@@ -1,11 +1,15 @@
 """Explicit kernel derivations and an independent verifier.
 
-`Derivation` is the declarative kernel system: thirteen rules including
-explicit subsumption (Cum). `verify` re-checks every node against its
-rule schema from scratch: premise conclusions must instantiate the
-schema (compared up to alpha), substitutions are recomputed, and
-universe arithmetic and recorded cumulativity side conditions are
-re-decided semantically.
+A `Derivation` is any derivation tree: a rule name, a conclusion, the
+premises and the side data. Inference builds its syntax-directed trace
+of them, and `elaborate` expands that trace into a derivation of the
+declarative kernel system's thirteen rules alone, explicit subsumption
+(Cum) included. `verify` accepts exactly those thirteen rules: to it a
+trace's algorithmic node (`Pi2'`, `Sigma'`, `App'`, `Pair'`, `Conv`) is
+an unknown rule. It re-checks every node against its rule schema from
+scratch: premise conclusions must instantiate the schema (compared up to
+alpha), substitutions are recomputed, and universe arithmetic and
+recorded cumulativity side conditions are re-decided semantically.
 
 Each rule has one row in `_RULES`, read with one lookup: its premise
 contexts, one character per premise (`=` for the node's context, `+` for
@@ -66,7 +70,8 @@ _ABSENT = object()  # what a context lookup finds for a name no entry has
 
 @dataclass(frozen=True, eq=False)
 class Derivation:
-    """Kernel derivation node; side data: universe index, Cum pair.
+    """Derivation node, of the kernel or of an inference trace; side data:
+    universe index, Cum pair.
 
     Equal by value. A derivation shares subderivations, so `==` compares each
     pair of node objects once rather than walking the tree, and the hash reads

@@ -33,7 +33,8 @@ Type below a higher Type, outside conversion), and the preorder's heads
 (a Pi's domains convert, a Sigma's parts and a Pi's codomains stay in the
 preorder, other heads convert). It runs on one explicit work stack, so
 the fuel, not the interpreter stack, bounds it. It rejects a non-term
-where it reads, through `_whnf`.
+where it reads: through `_whnf`, or through `free_vars` of one object on
+both sides under renamed binders, in every mode alike.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def _compare(a: Term, b: Term, mode: int, f: Fuel) -> tuple[int, bool] | None:
     depth, same, stable, res = 0, True, False, _SAME
     while True:
         while True:  # settle the pair (a, b), descending into first parts in place
-            if (a is b and (same or mode is _CONV and all(env_a.get(v) == env_b.get(v) for v in free_vars(a)))) or (
+            if (a is b and (same or all(env_a.get(v) == env_b.get(v) for v in free_vars(a)))) or (
                 mode is not _CONV and type(a) is not Pi and type(a) is not Sigma and _alpha(a, b, env_a, env_b, depth)
             ):  # the shortcut: the preorder also tests alpha first, but at a Pi or Sigma it descends
                 res = _SAME

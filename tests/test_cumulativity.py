@@ -11,7 +11,9 @@ from ecckernel import (
     Fuel,
     FuelExhausted,
     Lam,
+    Pair,
     Pi,
+    Proj1,
     Sigma,
     Type,
     Var,
@@ -114,12 +116,15 @@ def test_level_must_be_non_negative():
 
 def test_the_walk_rejects_a_non_term():
     # on either side, at the top and under a binder; the message names the object
+    shared = Proj1(Pair(Var("x"), None, PROP))
     pairs = (
         (None, PROP, None),
         (PROP, None, None),
         (3, PROP, 3),
         (Pi("x", PROP, None), Pi("x", PROP, PROP), None),
         (Pi("x", PROP, PROP), Pi("y", PROP, 7), 7),
+        # one object under renamed binders: every mode reads its free variables
+        (Pi("x", PROP, shared), Pi("y", PROP, shared), None),
     )
     for a, b, bad in pairs:
         for decide in (conv, subtype, strict_subtype, min_subtype_level):

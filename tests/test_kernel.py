@@ -79,7 +79,7 @@ def test_trace_materialization_shapes():
     tr = infer_type(Context(), parse_term("Sig x : Prop . Type0")).trace
     assert (tr.rule, tr.level) == ("Sigma'", 1)
     d = to_full(tr)
-    assert (d.rule, d.level, d.conclusion) == ("Sigma", 1, tr.judgment)
+    assert (d.rule, d.level, d.conclusion) == ("Sigma", 1, tr.conclusion)
     dom, body = d.premises
     assert (dom.rule, dom.conclusion.type, dom.premises[0].rule) == ("Cum", Type(1), "Ax")
     assert (body.rule, body.level, body.premises[0].rule) == ("T", 0, "C")
@@ -87,6 +87,10 @@ def test_trace_materialization_shapes():
     check_context(g)
     tr = infer_type(g, parse_term("f Prop")).trace
     assert tr.rule == "App'"
+    # a trace is a derivation, but the kernel knows none of its algorithmic rules
+    with pytest.raises(DerivationError) as err:
+        verify(tr)
+    assert str(err.value) == "root: unknown rule \"App'\""
     d = to_full(tr)
     assert (d.rule, d.conclusion.type) == ("App", PROP)
     fn, arg = d.premises
@@ -96,7 +100,7 @@ def test_trace_materialization_shapes():
 
 def _unlifted(a, f):
     # the builder wraps a premise in a Cum only where its type changes
-    if f.conclusion == a.judgment:
+    if f.conclusion == a.conclusion:
         return f
     assert f.rule == "Cum"
     return f.premises[0]
@@ -135,15 +139,16 @@ def test_conv_nodes_carry_rho():
     # a conversion expands to a Cum from its premise's type to its target
     for a, f in _conv_expansions():
         assert f.rule == "Cum"
-        assert f.premises[0].conclusion == a.premises[0].judgment
-        assert (f.sub, f.sup) == (a.premises[0].judgment.type, a.judgment.type)
+        assert f.premises[0].conclusion == a.premises[0].conclusion
+        assert (f.sub, f.sup) == (a.premises[0].conclusion.type, a.conclusion.type)
 
 
 def test_expansion_preserves_conclusions():
     rules = set()
     for g, m in typed_corpus():
         for a, f in _expansion(infer_type(g, m).trace):
-            assert f.conclusion == a.judgment
+            assert type(a) is Derivation  # one node type from inference to the verifier
+            assert f.conclusion == a.conclusion
             rules.add(a.rule)
     assert rules == {"Ax", "C", "T", "var", "Pi1", "Pi2'", "Sigma'", "Lam", "App'", "Pair'",
                      "Proj1", "Proj2", "Conv"}
@@ -154,7 +159,7 @@ def test_conv_expansion_reuses_rho_verbatim():
     for a, f in _conv_expansions():
         rho = f.premises[1]
         assert verify(rho)
-        assert rho == type_typing(a.judgment.ctx, a.judgment.type)
+        assert rho == type_typing(a.conclusion.ctx, a.conclusion.type)
 
 
 def test_end_to_end_soundness_on_corpus():

@@ -20,7 +20,7 @@ import tempfile
 
 import pytest
 
-from ecckernel import Context, Judgment, alpha_eq, parse_term, principal_of, verify
+from ecckernel import Context, Judgment, Term, alpha_eq, parse_context, parse_term, principal_of, verify
 from ecckernel import cli, kernel, terms
 from ecckernel.cli import load_derivation, save_derivation
 
@@ -103,6 +103,13 @@ def nested_pi(n: int):
     return parse_term("".join(f"Pi x{i} : Prop . " for i in range(n)) + "Prop")
 
 
+def spine(n: int) -> tuple[Context, Term]:
+    """`c : Pi X1 : Type1 . ... Pi Xn : Type1 . Prop`, and `c` applied to n
+    arguments, `Prop` and `Type0` in turn, each typed at or below `Type1`."""
+    g = parse_context("c : " + "".join(f"Pi X{i} : Type1 . " for i in range(1, n + 1)) + "Prop")
+    return g, parse_term(" ".join(["c", *(("Prop", "Type0")[i % 2] for i in range(n))]))
+
+
 def test_counting_counts_every_level_and_puts_the_functions_back():
     original = terms._alpha
     with counting(**_ALPHA_CALLS) as calls:
@@ -171,34 +178,53 @@ def _pi_counts(n: int) -> dict[str, int]:
     return {"extends": checked["reads"]}
 
 
-# (what is counted, family, key, sizes); each count is of `Context` slots read
+@functools.cache
+def _spine_counts(n: int) -> dict[str, int]:
+    _, d = principal_of(*spine(n))
+    objects, stack = set(), [d]
+    while stack:
+        node = stack.pop()
+        if id(node) not in objects:
+            objects.add(id(node))
+            stack += node.premises
+    with counting(checked=(kernel, "_check_node", lambda *args: 1)) as calls:
+        verify(d)
+    return {"objects": len(objects), "checked": calls["checked"], "rows": len(cli._table(d)["nodes"])}
+
+
+# (what is counted, family, key, sizes); the first five count `Context` slots read
 LINEAR_ROWS = [
-    ("`principal_of`: read by `Context.__hash__` and `__eq__`", "context_chain(k)", "hashed", (32, 64, 128)),
-    ("`verify`: read by `_extends`", "context_chain(k)", "extends", (32, 64, 128)),
-    ("`cli._table`: read while writing", "context_chain(k)", "table", (32, 64, 128)),
-    ("`cli._from_table`: read while reading", "context_chain(k)", "copied", (32, 64, 128)),
-    ("`verify`: read by `_extends`", "nested_pi(n)", "extends", (50, 100, 200)),
+    ("`principal_of`: `Context` slots read by `Context.__hash__` and `__eq__`", "context_chain(k)", "hashed",
+     (32, 64, 128)),
+    ("`verify`: `Context` slots read by `_extends`", "context_chain(k)", "extends", (32, 64, 128)),
+    ("`cli._table`: `Context` slots read while writing", "context_chain(k)", "table", (32, 64, 128)),
+    ("`cli._from_table`: `Context` slots read while reading", "context_chain(k)", "copied", (32, 64, 128)),
+    ("`verify`: `Context` slots read by `_extends`", "nested_pi(n)", "extends", (50, 100, 200)),
+    ("`principal_of`: node objects built", "spine(n)", "objects", (16, 32, 64, 128)),
+    ("`verify`: `_check_node` calls", "spine(n)", "checked", (16, 32, 64, 128)),
+    ("`cli._table`: node rows", "spine(n)", "rows", (16, 32, 64, 128)),
 ]
 # still quadratic, with no assertion: `lookup` and the C rule's freshness test
 # walk the whole context, and the chain has an entry of each length
 QUADRATIC_ROWS = [
-    ("`principal_of` and `verify`: read by `lookup` and the kernel's rule checks",
+    ("`principal_of` and `verify`: `Context` slots read by `lookup` and the kernel's rule checks",
      "context_chain(k)", "lookup", (32, 64, 128)),
 ]
 COST_ROWS = LINEAR_ROWS + QUADRATIC_ROWS
 
 
 def cost_rows(rows=COST_ROWS) -> list[tuple[str, str, tuple[int, ...], list[int]]]:
-    family = {"context_chain(k)": _chain_counts, "nested_pi(n)": _pi_counts}
+    family = {"context_chain(k)": _chain_counts, "nested_pi(n)": _pi_counts, "spine(n)": _spine_counts}
     return [(what, fam, sizes, [family[fam](size)[key] for size in sizes]) for what, fam, key, sizes in rows]
 
 
 @pytest.mark.parametrize("row", LINEAR_ROWS, ids=[f"{fam}-{key}" for _, fam, key, _ in LINEAR_ROWS])
 def test_cost_row_grows_linearly(row):
     # each walk stops at the first object it has already seen: an entry
-    # shared with a context met before costs one read, not a walk
+    # shared with a context met before costs one read, not a walk; a spine
+    # argument adds a fixed number of nodes
     what, fam, key, sizes = row
-    [(_, _, _, (small, big))] = cost_rows([(what, fam, key, sizes[1:])])
+    [(_, _, _, (small, big))] = cost_rows([(what, fam, key, sizes[-2:])])
     assert 0 < big <= 2.2 * small, (small, big)
 
 
