@@ -26,7 +26,7 @@ from __future__ import annotations
 from .inference import InferOutcome, infer_type, infer_universe
 from .kernel import Derivation
 from .reduction import DEFAULT_FUEL, Fuel
-from .terms import PROP, Context, Judgment, Prop, Term, Type, alpha_eq, subst
+from .terms import PROP, Context, Judgment, Term, Type, alpha_eq, subst
 
 
 class _Build(dict):
@@ -38,21 +38,12 @@ class _Build(dict):
         self.fuel = Fuel.coerce(fuel)
 
 
-def universe_derivation(g: Context, u: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
-    """Kernel derivation typing a universe in a valid context.
-
-    Prop is typed at Type 0 by the context-formation chain itself; Type j
-    sits at Type j+1 on top of it.
-    """
-    if not isinstance(u, (Prop, Type)):
-        raise ValueError(f"not a universe: {u!r}")
-    return type_typing(g, u, fuel)
-
-
 def type_typing(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
     """Kernel derivation of g typing t at some Type universe (level >= 0).
 
-    A Prop-level principal type is lifted one cumulativity step.
+    A Prop-level principal type is lifted one cumulativity step. A universe
+    needs none: Prop is typed at Type 0 by the context-formation chain itself,
+    and Type j at Type j+1 on top of it.
     """
     return _type_typing(g, t, _Build(fuel))
 

@@ -15,8 +15,11 @@ Each rule has one row in `_RULES`, read with one lookup: its premise
 contexts, one character per premise (`=` for the node's context, `+` for
 it plus one entry, `-` for it minus its last entry), and whether it
 carries a universe index (an `int`, never a bool or a float) and a side
-pair. A node is checked against its row before the rule's own clauses
-run, so no clause checks arity, contexts or foreign side data by hand.
+pair, and which judgment, if any, is the context validity judgment
+`G types Prop at Type 0`: the first premise (T, var) or the conclusion
+(Ax, C). A node is checked against its row before the rule's own clauses
+run, so no clause checks arity, contexts, foreign side data or validity
+by hand; a conclusion's validity is checked after them.
 Each check is an inline test; a failing node's path and reason are
 spelled out only when it fails, and fuel that runs out while a node is
 checked names its path and rule.
@@ -56,13 +59,14 @@ from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted
 from .terms import SHAPES, App, Context, Judgment, Lam, Pair, Pi, Proj1, Proj2, Prop, Sigma, Term, Type, Var
 from .terms import _alpha, alpha_eq, subst
 
-# rule: (premise contexts, carries a universe index, carries a side pair)
+# rule: (premise contexts, carries a universe index, carries a side pair,
+# the judgment that is the context validity judgment)
 _RULES = {
-    "Ax": ("", False, False), "C": ("-", False, False), "T": ("=", True, False),
-    "var": ("=", False, False), "Pi1": ("=+", False, False), "Pi2": ("=+", True, False),
-    "Sigma": ("=+", True, False), "Lam": ("+", False, False), "App": ("==", False, False),
-    "Pair": ("==+", True, False), "Proj1": ("=", False, False), "Proj2": ("=", False, False),
-    "Cum": ("==", False, True),
+    "Ax": ("", False, False, "conclusion"), "C": ("-", False, False, "conclusion"),
+    "T": ("=", True, False, "premise"), "var": ("=", False, False, "premise"),
+    "Pi1": ("=+", False, False, None), "Pi2": ("=+", True, False, None), "Sigma": ("=+", True, False, None),
+    "Lam": ("+", False, False, None), "App": ("==", False, False, None), "Pair": ("==+", True, False, None),
+    "Proj1": ("=", False, False, None), "Proj2": ("=", False, False, None), "Cum": ("==", False, True, None),
 }
 KERNEL_RULES = frozenset(_RULES)
 _ABSENT = object()  # what a context lookup finds for a name no entry has
@@ -177,7 +181,7 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
     row = _RULES.get(rule)
     if row is None:
         _fail(path, "unknown rule %r", rule)
-    contexts, leveled, sided = row
+    contexts, leveled, sided, validity = row
     if not leveled and d.level is not None:
         _fail(path, "rule %s carries no universe index", rule)
     if not sided and (d.sub is not None or d.sup is not None):
@@ -187,12 +191,12 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
     for i, (at, p) in enumerate(zip(contexts, ps)):
         if not (_extends(c.ctx, p.ctx, True) if at == "-" else _extends(p.ctx, c.ctx, at == "+")):
             _fail(path, "%s premise %d context mismatch", rule, i)
+    if validity == "premise" and not _is_validity(ps[0]):
+        _fail(path, "%s premise must be the context validity judgment", rule)
 
     # the most frequent rules first; a `+` premise is always the last
     match rule:
         case "T":
-            if not _is_validity(ps[0]):
-                _fail(path, "T premise must be the context validity judgment")
             if not isinstance(c.subject, Type):
                 _fail(path, "T concludes a Type universe")
             if type(d.level) is not int or d.level != c.subject.level:
@@ -207,12 +211,8 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
                 _fail(path, "C entry type must live in a universe")
             if ps[0].ctx.lookup(c.ctx.name, _ABSENT) is not _ABSENT:
                 _fail(path, "C entry name must be fresh")
-            if not _is_validity(c):
-                _fail(path, "C types Prop at Type 0")
 
         case "var":
-            if not _is_validity(ps[0]):
-                _fail(path, "var premise must be the context validity judgment")
             if not isinstance(c.subject, Var):
                 _fail(path, "var concludes a variable")
             entry = c.ctx.lookup(c.subject.name)
@@ -224,11 +224,9 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
         case "Ax":
             if c.ctx.length:
                 _fail(path, "Ax requires the empty context")
-            if not _is_validity(c):
-                _fail(path, "Ax types Prop at Type 0")
 
         case "Cum":
-            if not (isinstance(ps[1].type, Type) and ps[1].type.level >= 0):
+            if type(ps[1].type) is not Type:
                 _fail(path, "Cum target must be typed at a Type universe")
             if not alpha_eq(c.subject, ps[0].subject):
                 _fail(path, "Cum subject mismatch")
@@ -305,7 +303,7 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
             if not _binds(ann, Sigma, ps[2].ctx, ps[2].subject):
                 _fail(path, "Pair family premise must type the annotation family")
             t = ps[2].type
-            if not (isinstance(t, Type) and t.level >= 0):
+            if type(t) is not Type:
                 _fail(path, "Pair family must land in a Type universe")
             if type(d.level) is not int or d.level != t.level:
                 _fail(path, "Pair side index mismatch")
@@ -324,3 +322,6 @@ def _check_node(d: Derivation, f: Fuel, path: tuple) -> None:
                 _fail(path, "%s subject mismatch", rule)
             if not alpha_eq(c.type, want):
                 _fail(path, "%s type must be its component's type", rule)
+
+    if validity == "conclusion" and not _is_validity(c):
+        _fail(path, "%s types Prop at Type 0", rule)

@@ -28,10 +28,9 @@ from ecckernel import (
     principal_of,
     print_term,
     type_typing,
-    universe_derivation,
     verify,
 )
-from ecckernel import kernel
+from ecckernel import cli, kernel
 from ecckernel.terms import SHAPES
 from ecckernel.cli import (
     EXIT_FALSE,
@@ -143,7 +142,7 @@ def test_fuel_exhausted_in_verify_names_the_node_path_and_rule(tmp_path, capsys)
     target = parse_term("(fn a : Type2 . a) ((fn b : Type2 . b) Type1)")
     g = Context.of(("f", Pi("x", target, PROP)))
     lift = Derivation("Cum", Judgment(g, PROP, target),
-                      (universe_derivation(g, PROP), type_typing(g, target)), sub=Type(0), sup=target)
+                      (type_typing(g, PROP), type_typing(g, target)), sub=Type(0), sup=target)
     d = Derivation("App", Judgment(g, App(Var("f"), PROP), PROP), (principal_of(g, Var("f"))[1], lift))
     path = str(tmp_path / "d.json")
     save_derivation(d, path)
@@ -403,22 +402,28 @@ def test_a_demo_that_fails_prints_nothing_to_stdout():
     assert "recursion" in done.stderr
 
 
+_RECURSION = "input or resource error: maximum recursion depth exceeded"
+_UNDECODABLE = "'utf-8' codec can't decode byte 0xff"
+
+
 @pytest.mark.parametrize(
-    "argv, env, expected",
+    "argv, env, expected, message",
     [
-        (["--fuel", "0", "verify", "{good}"], {}, EXIT_INPUT),
-        (["--fuel", "5", "verify", "{good}"], {}, EXIT_OK),
-        (["--fuel", "0", "nf", "{term}"], {}, EXIT_INPUT),
-        (["verify", "{good}"], {"ECC_FUEL": "abc"}, EXIT_INPUT),
-        (["nf", "{missing}"], {}, EXIT_INPUT),
-        (["sub", "{deep_term}", "{term}"], {}, EXIT_INPUT),
-        (["verify", "{deep_json}"], {}, EXIT_INPUT),
-        (["sub", "{term}"], {}, EXIT_INPUT),
-        (["sub", "{term}", "{term}", "--level", "-1"], {}, EXIT_INPUT),
-        (["demo", "prop3", "--steps", "0"], {}, EXIT_INPUT),
-        (["--help"], {}, EXIT_OK),
-        (["sub", "{undecodable}", "{term}"], {}, EXIT_INPUT),
-        (["verify", "{undecodable}"], {}, EXIT_REJECTED),
+        (["--fuel", "0", "verify", "{good}"], {}, EXIT_INPUT, "ecc: error: --fuel: must be at least 1, got 0\n"),
+        (["--fuel", "5", "verify", "{good}"], {}, EXIT_OK, ""),
+        (["--fuel", "0", "nf", "{term}"], {}, EXIT_INPUT, "ecc: error: --fuel: must be at least 1, got 0\n"),
+        (["verify", "{good}"], {"ECC_FUEL": "abc"}, EXIT_INPUT,
+         "ecc: error: ECC_FUEL: invalid literal for int() with base 10: 'abc'\n"),
+        (["nf", "{missing}"], {}, EXIT_INPUT, "input or resource error: [Errno 2] No such file or directory: "),
+        (["sub", "{deep_term}", "{term}"], {}, EXIT_INPUT, _RECURSION),
+        (["verify", "{deep_json}"], {}, EXIT_INPUT, _RECURSION),
+        (["sub", "{term}"], {}, EXIT_INPUT, "ecc: error: sub takes 2 arguments, got 1\n"),
+        (["sub", "{term}", "{term}", "--level", "-1"], {}, EXIT_INPUT, "ecc: error: --level: must be at least 0, got -1\n"),
+        (["demo", "prop3", "--steps", "0"], {}, EXIT_INPUT, "ecc: error: --steps: must be at least 1, got 0\n"),
+        (["--help"], {}, EXIT_OK, ""),
+        (["sub", "{undecodable}", "{term}"], {}, EXIT_INPUT, "input or resource error: " + _UNDECODABLE),
+        (["verify", "{undecodable}"], {}, EXIT_REJECTED, "rejected: " + _UNDECODABLE),
+        (["sub", "{term}", "{term}", "--strict=1"], {}, EXIT_INPUT, "ecc: error: --strict takes no value\n"),
     ],
     ids=[
         "fuel-0-verify",
@@ -434,9 +439,11 @@ def test_a_demo_that_fails_prints_nothing_to_stdout():
         "help",
         "undecodable-sub",
         "undecodable-verify",
+        "flag-with-value",
     ],
 )
-def test_exit_codes_of_input_and_usage_errors(write, tmp_path, monkeypatch, capsys, argv, env, expected):
+def test_exit_codes_of_input_and_usage_errors(write, tmp_path, monkeypatch, capsys, argv, env, expected, message):
+    # stderr starts with the message; an error prints nothing to stdout
     paths = {
         "term": write("t.ecc", "fn x : Prop . x"),
         "deep_term": write("deep.ecc", "(" * 1500 + "Prop" + ")" * 1500),
@@ -451,8 +458,12 @@ def test_exit_codes_of_input_and_usage_errors(write, tmp_path, monkeypatch, caps
         monkeypatch.setenv(name, value)
     capsys.readouterr()
     assert run_command([arg.format(**paths) for arg in argv]) == expected
-    if "verify" in argv and expected == EXIT_OK:
-        assert capsys.readouterr().out == "accepted\n"
+    out, err = capsys.readouterr()
+    assert err.startswith(message)
+    if expected != EXIT_OK:
+        assert out == ""
+    elif "verify" in argv:
+        assert out == "accepted\n"
 
 
 def test_saved_derivations_load_equal_by_value(tmp_path):
@@ -940,6 +951,19 @@ def test_elab_over_an_existing_file_writes_the_bytes_of_a_fresh_one(write, tmp_p
     assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
     assert run_command(["verify", str(out)]) == EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("earlier", [None, b"earlier output\n"], ids=["absent", "present"])
+def test_elab_rejects_a_derivation_it_built_wrong_and_writes_nothing(write, tmp_path, monkeypatch, capsys, earlier):
+    # elab verifies what the builder hands it before it opens --out
+    bad = Derivation("Ax", Judgment(Context(), PROP, Type(1)))
+    monkeypatch.setattr(cli, "principal_of", lambda g, t, fuel: (Type(1), bad))
+    out = tmp_path / "d.json"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    assert run_command(["elab", write("t.ecc", "Prop"), "--out", str(out)]) == EXIT_REJECTED
+    assert capsys.readouterr() == ("", "derivation rejected: root: Ax types Prop at Type 0\n")
+    assert (out.read_bytes() if out.exists() else None) == earlier
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")

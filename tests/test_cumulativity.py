@@ -82,6 +82,8 @@ def test_reflexive_on_divergent_terms():
 
 
 def test_descending_chain_is_strict_without_normalization():
+    with pytest.raises(ValueError, match="^steps must be positive$"):
+        descending_chain(0)
     chain = descending_chain(6)
     for lower, upper in zip(chain[1:], chain):
         assert strict_subtype(lower, upper, 100)

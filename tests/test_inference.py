@@ -129,9 +129,12 @@ def test_pair_family_must_be_type_sorted():
 
 
 def test_pair_component_violation():
-    with pytest.raises(TypeCheckError) as err:
-        _infer("", "< Type1 , Prop > : Sig x : Type0 . Type1")
-    assert err.value.kind == CUMULATIVITY_VIOLATION
+    # the first component above the domain, or the second above the family at it
+    for pair, offender in (("< Type1 , Prop > : Sig x : Type0 . Type1", "Type1"),
+                           ("< Prop , Prop > : Sig x : Type0 . Prop", "Prop")):
+        with pytest.raises(TypeCheckError) as err:
+            _infer("", pair)
+        assert (err.value.kind, err.value.offender) == (CUMULATIVITY_VIOLATION, parse_term(offender))
 
 
 def test_dependent_projection():

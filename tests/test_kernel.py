@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -24,7 +26,6 @@ from ecckernel import (
     to_full,
     trace_to_derivation,
     type_typing,
-    universe_derivation,
     verify,
 )
 from ecckernel.kernel import KERNEL_RULES
@@ -51,18 +52,18 @@ def test_type_rule_requires_strict_increase():
 
 
 def test_universe_derivations_verify():
-    assert verify(universe_derivation(Context(), Type(2)))
-    assert verify(universe_derivation(Context(), PROP))
+    assert verify(type_typing(Context(), Type(2)))
+    assert verify(type_typing(Context(), PROP))
     g = parse_context("x : Prop")
-    d = universe_derivation(g, Type(0))
+    d = type_typing(g, Type(0))
     assert verify(d)
     assert d.conclusion == Judgment(g, Type(0), Type(1))
 
 
 def test_universe_derivation_conclusions():
-    d = universe_derivation(Context(), Type(2))
+    d = type_typing(Context(), Type(2))
     assert d.conclusion == Judgment(Context(), Type(2), Type(3))
-    d = universe_derivation(Context(), PROP)
+    d = type_typing(Context(), PROP)
     assert d.conclusion == Judgment(Context(), PROP, Type(0))
 
 
@@ -91,6 +92,9 @@ def test_trace_materialization_shapes():
     with pytest.raises(DerivationError) as err:
         verify(tr)
     assert str(err.value) == "root: unknown rule \"App'\""
+    # and a kernel-only rule is no trace rule
+    with pytest.raises(ValueError, match="^unknown trace rule: 'Cum'$"):
+        to_full(type_typing(parse_context("p : Prop"), Var("p")))
     d = to_full(tr)
     assert (d.rule, d.conclusion.type) == ("App", PROP)
     fn, arg = d.premises
@@ -248,23 +252,6 @@ def _replace_first(root: Derivation, target: Derivation, replacement: Derivation
     return Derivation(root.rule, root.conclusion, new_premises, root.level, root.sub, root.sup)
 
 
-def test_false_subsumption_with_perfect_shape_is_rejected():
-    # every structural check passes; only the semantic side condition fails
-    g = Context()
-    p1 = universe_derivation(g, Type(0))  # Type0 : Type1
-    p2 = universe_derivation(g, Type(0))  # subject Type0 is the claimed target
-    bad = Derivation(
-        "Cum",
-        Judgment(g, Type(0), Type(0)),
-        (p1, p2),
-        sub=Type(1),
-        sup=Type(0),
-    )
-    with pytest.raises(DerivationError) as err:
-        verify(bad)
-    assert "side condition" in err.value.reason
-
-
 def test_app_requires_exact_domain_not_mere_conversion():
     # the argument premise types N at a redex convertible to the domain;
     # the kernel rule demands the domain itself, with conversion explicit
@@ -301,60 +288,119 @@ def test_foreign_side_data_is_rejected():
     assert "universe index" in err.value.reason
 
 
-def _pair_with_another_family():
-    # the family premise types Pi z : Type1 . Type1, not the annotation's Type1
-    _, d = principal_of(Context(), parse_term("< Prop , Type0 > : Sig x : Type1 . Type1"))
-    family = d.premises[2].conclusion
-    _, other = principal_of(family.ctx, parse_term("Pi z : Type1 . Type1"))
-    assert other.conclusion.type == family.type
-    return dataclasses.replace(d, premises=d.premises[:2] + (other,)), "root", "Pair family premise"
+_PARSED = {"ctx": parse_context, "subject": parse_term, "type": parse_term, "sub": parse_term, "sup": parse_term}
+_PAIR = "< Prop , Type0 > : Sig x : Type1 . Type1"
+_FN = "f : Pi x : Type1 . Prop"
+_PQ = "p : Prop\nq : p"  # q is a proof, not a type
+_SIG = "p : Sig x : Prop . Prop\nq : Sig x : Type0 . Type0"
 
 
-def _context_with_another_entry():
-    # x : Prop is valid; the node claims the same judgment where x is no type
-    good = universe_derivation(parse_context("x : Prop"), Type(0))
-    ill_formed = Context.of(("x", parse_term("fn y : Prop . y")))
-    bad = dataclasses.replace(good, conclusion=Judgment(ill_formed, Type(0), Type(1)))
-    return bad, "root", "T premise 0 context mismatch"
+def _derived(term: str, at: str = "") -> Derivation:
+    return principal_of(parse_context(at), parse_term(term))[1]
 
 
-def _cum_recording_another_sub():
-    # the side condition reads the premise's type; the recorded sub says Prop
-    _, d = principal_of(Context(), parse_term("< Prop , Type0 > : Sig x : Type1 . Type1"))
-    cum = d.premises[0]
-    assert cum.rule == "Cum" and cum.sub == Type(0)
-    bad = dataclasses.replace(d, premises=(dataclasses.replace(cum, sub=PROP),) + d.premises[1:])
-    return bad, "root.0", "Cum recorded subtype mismatch"
+def _mutant(term: str | Derivation, at: str = "", path: tuple[int, ...] = (), premise=None, **change) -> Derivation:
+    # term's derivation in context `at` (or a derivation given as it is) with
+    # one node changed, the one at `path`: its premise `premise[0]` replaced by
+    # `premise[1]`, and the conclusion parts or node fields given in `change`,
+    # terms and contexts as text
+    change = {k: _PARSED[k](v) if k in _PARSED and isinstance(v, str) else v for k, v in change.items()}
+    parts = {k: change.pop(k) for k in ("ctx", "subject", "type") if k in change}
+
+    def put(node: Derivation, path: tuple[int, ...]) -> Derivation:
+        ps = node.premises
+        if path:
+            return dataclasses.replace(node, premises=ps[: path[0]] + (put(ps[path[0]], path[1:]),) + ps[path[0] + 1 :])
+        if premise is not None:
+            ps = ps[: premise[0]] + (premise[1],) + ps[premise[0] + 1 :]
+        return dataclasses.replace(node, conclusion=dataclasses.replace(node.conclusion, **parts), premises=ps, **change)
+
+    return put(_derived(term, at) if isinstance(term, str) else term, path)
 
 
-def _projection_of_another_pair(proj: str):
-    # derived from p, concluded of q, whose components live in Type0, not Prop
-    g = parse_context("p : Sig x : Prop . Prop\nq : Sig x : Type0 . Type0")
-    _, d = principal_of(g, parse_term(f"{proj} p"))
-    assert d.conclusion.type == PROP
-    bad = dataclasses.replace(d, conclusion=Judgment(g, parse_term(f"{proj} q"), PROP))
-    return bad, "root", f"{d.rule} subject mismatch"
+# (id, changed derivation, failing path, reason): every node the verifier
+# rejects passes each earlier clause of its rule and fails the named one; a
+# case whose node would fail two clauses pins the order in which they run
+_ONE_CHECK = [
+    ("unknown-rule", lambda: _mutant("Prop", rule="Ax'"), "root", "unknown rule \"Ax'\""),
+    ("context-entries", lambda: _mutant("Type0", "x : Prop", ctx="x : fn y : Prop . y"),
+     "root", "T premise 0 context mismatch"),
+    ("T-premise-before-subject", lambda: _mutant("Type0", subject="Prop", premise=(0, _derived("Type0"))),
+     "root", "T premise must be the context validity judgment"),
+    ("T-subject", lambda: _mutant("Type0", subject="Prop"), "root", "T concludes a Type universe"),
+    ("C-premise-entry", lambda: _mutant("Prop", "x : Prop", ctx="x : Type0"), "root", "C premise must type the new entry"),
+    ("C-entry-universe", lambda: _mutant("Prop", _PQ + "\nx : Prop", ctx=_PQ + "\nx : q", premise=(0, _derived("q", _PQ))),
+     "root", "C entry type must live in a universe"),
+    ("C-fresh-before-conclusion", lambda: _mutant("Prop", "x : Prop\ny : Prop", ctx="x : Prop\nx : Prop", type="Type1"),
+     "root", "C entry name must be fresh"),
+    ("C-conclusion", lambda: _mutant("Prop", "x : Prop", type="Type1"), "root", "C types Prop at Type 0"),
+    ("var-premise-before-subject", lambda: _mutant("x", "x : Prop", subject="Prop", premise=(0, _derived("x", "x : Prop"))),
+     "root", "var premise must be the context validity judgment"),
+    ("var-subject", lambda: _mutant("x", "x : Prop", subject="Prop"), "root", "var concludes a variable"),
+    ("var-unbound", lambda: _mutant("x", "x : Prop", subject="y"), "root", "var not bound in the context"),
+    ("Ax-context-before-conclusion", lambda: _mutant("Prop", ctx="x : Prop", type="Type1"),
+     "root", "Ax requires the empty context"),
+    ("Ax-conclusion", lambda: _mutant("Prop", type="Type1"), "root", "Ax types Prop at Type 0"),
+    ("cum-sub", lambda: _mutant(_PAIR, path=(0,), sub="Prop"), "root.0", "Cum recorded subtype mismatch"),
+    ("Cum-conclusion", lambda: _mutant(type_typing(parse_context("p : Prop"), Var("p")), type="Type1"),
+     "root", "Cum must conclude at the target type"),
+    ("Cum-side-pair", lambda: _mutant(_PAIR, path=(0,), sub=None), "root.0", "Cum side pair missing"),
+    ("Cum-sup", lambda: _mutant(_PAIR, path=(0,), sup="Type2"), "root.0", "Cum recorded supertype mismatch"),
+    # every structural check passes; only the semantic side condition fails
+    ("Cum-side-condition", lambda: Derivation("Cum", Judgment(Context(), Type(0), Type(0)), (_derived("Type0"),) * 2,
+                                              sub=Type(1), sup=Type(0)),
+     "root", "Cum side condition fails: not below the target"),
+    ("formation-domain-entry", lambda: _mutant("Pi x : Prop . x", premise=(0, _derived("Type0"))),
+     "root", "formation body premise must extend by the domain"),
+    ("formation-subject", lambda: _mutant("Pi x : Prop . x", subject="Pi x : Prop . Prop"),
+     "root", "formation subject must bind the body premise subject"),
+    # the body premise is never checked: its parent fails first
+    ("formation-domain-universe", lambda: Derivation(
+        "Pi1", Judgment(parse_context(_PQ), parse_term("Pi x : q . p"), PROP),
+        (_derived("q", _PQ), Derivation("var", Judgment(parse_context(_PQ + "\nx : q"), Var("p"), PROP)))),
+     "root", "formation domain must live in a universe"),
+    ("formation-index", lambda: _mutant("Pi x : Type0 . Type0", level=None), "root", "formation side index missing"),
+    ("App-subject", lambda: _mutant("f Prop", _FN, subject="Prop"), "root", "App concludes an application"),
+    ("App-parts", lambda: _mutant("f Prop", _FN, subject="f Type0"), "root", "App subject must apply the premise subjects"),
+    ("Lam-subject", lambda: _mutant("fn x : Prop . x", subject="Prop"), "root", "Lam concludes an abstraction"),
+    ("Lam-binding", lambda: _mutant("fn x : Prop . x", subject="fn x : Prop . Prop"),
+     "root", "Lam subject must bind the premise subject"),
+    ("Pair-subject", lambda: _mutant(_PAIR, subject="Prop"), "root", "Pair concludes a pair"),
+    ("Pair-annotation", lambda: _mutant(_PAIR, subject="< Prop , Type0 > : Type1"),
+     "root", "Pair annotation must be a Sigma type"),
+    ("Pair-second", lambda: _mutant(_PAIR, subject="< Prop , Type1 > : Sig x : Type1 . Type1"),
+     "root", "Pair second premise mismatch"),
+    ("pair-family", lambda: _mutant(_PAIR, premise=(2, _derived("Pi z : Type1 . Type1", "x : Type1"))),
+     "root", "Pair family premise must type the annotation family"),
+    ("Pair-family-universe", lambda: _mutant(_PAIR, path=(2,), type="Prop"),
+     "root", "Pair family must land in a Type universe"),
+    ("proj1-subject", lambda: _mutant("fst p", _SIG, subject="fst q"), "root", "Proj1 subject mismatch"),
+    ("proj2-subject", lambda: _mutant("snd p", _SIG, subject="snd q"), "root", "Proj2 subject mismatch"),
+    ("Proj1-projection", lambda: _mutant("fst p", _SIG, subject="snd p"), "root", "Proj1 concludes its projection"),
+    ("Proj2-projection", lambda: _mutant("snd p", _SIG, subject="fst p"), "root", "Proj2 concludes its projection"),
+]
 
 
-@pytest.mark.parametrize(
-    "mutant",
-    [
-        _pair_with_another_family,
-        _context_with_another_entry,
-        _cum_recording_another_sub,
-        lambda: _projection_of_another_pair("fst"),
-        lambda: _projection_of_another_pair("snd"),
-    ],
-    ids=["pair-family", "context-entries", "cum-sub", "proj1-subject", "proj2-subject"],
-)
-def test_verify_rejects_a_node_that_one_check_alone_catches(mutant):
-    # each mutant differs from a verified derivation in one node, and only
-    # the named check of that node stands between it and acceptance
-    bad, path, reason = mutant()
+@pytest.mark.parametrize("mutant, path, reason", [case[1:] for case in _ONE_CHECK], ids=[case[0] for case in _ONE_CHECK])
+def test_verify_rejects_a_node_that_one_check_alone_catches(mutant, path, reason):
     with pytest.raises(DerivationError) as err:
-        verify(bad)
-    assert err.value.path == path
-    assert err.value.reason.startswith(reason)
+        verify(mutant())
+    assert (err.value.path, err.value.reason) == (path, reason)
+
+
+def test_every_rejection_clause_of_the_kernel_is_pinned():
+    # each `_fail` template of kernel.py, its conversions read as wildcards,
+    # gives a reason of the table above or of golden_verify.json
+    tree = ast.parse(pathlib.Path(ecckernel.kernel.__file__).read_text(encoding="utf-8"))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_fail"]
+    templates = [call.args[1].value for call in calls]
+    assert len(templates) > 40 and all(type(t) is str for t in templates)
+    golden = json.loads((pathlib.Path(__file__).parent / "golden_verify.json").read_text(encoding="utf-8"))
+    reasons = {case[3] for case in _ONE_CHECK}
+    reasons |= {outcome[1] for item in golden for _, outcomes in item["outcomes"] for outcome in outcomes if outcome}
+    unpinned = [t for t in templates
+                if not any(re.fullmatch(".*".join(map(re.escape, re.split("%[sdr]", t))), r) for r in reasons)]
+    assert unpinned == []
 
 
 @pytest.mark.parametrize(

@@ -14,12 +14,14 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 
 import pytest
 
 from ecckernel import (
     PROP,
     App,
+    Context,
     Fuel,
     FuelExhausted,
     Lam,
@@ -34,6 +36,7 @@ from ecckernel import (
     conv,
     descending_chain,
     free_vars,
+    infer_type,
     normalize,
     parse_term,
     print_term,
@@ -288,6 +291,10 @@ def test_the_free_variable_cache_is_invisible():
     for not_a_term in ("x", None, ("x",), Proj1("x"), App(Lam("y", PROP, Var("y")), None)):
         with pytest.raises(TypeError):
             whnf(not_a_term)
+    # so does inference, which reads the head before the context
+    for not_a_term in ("x", None, ("x",)):
+        with pytest.raises(TypeError, match=f"^not a term: {re.escape(repr(not_a_term))}$"):
+            infer_type(Context(), not_a_term)
     # conv rejects one where it reads, a pair of unlike heads included
     for not_a_term in ("x", None, 3, ("x",), Proj1("x")):
         for a, b in ((not_a_term, PROP), (PROP, not_a_term), (Pi("x", PROP, not_a_term), Pi("x", PROP, PROP))):
