@@ -203,7 +203,9 @@ def _row_shape(cls: type) -> tuple:
 _ROWS = {cls.__name__: _row_shape(cls) for cls in SHAPES}  # a term row's tag is its constructor's name
 _SIDE_KEYS = frozenset({"level", "sub", "sup"})
 _TABLE_KEYS = frozenset({"terms", "contexts", "nodes"})
-_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one per call
+# json.dumps would build one per call; _table's lists, tuples and dicts are new and
+# hold only ints, strs and each other, so no cycle can reach the check
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def _read_terms(rows) -> tuple[list[Term], bytearray]:
@@ -334,8 +336,12 @@ def _read_term(path: str):
     return parse_term(_read(path))
 
 
-def _read_ctx(path: str | None, fuel: int) -> Context:
-    ctx = Context() if path is None else parse_context(_read(path))
+def _read_ctx(path: str | None) -> Context:
+    return Context() if path is None else parse_context(_read(path))
+
+
+def _checked_ctx(path: str | None, fuel: int) -> Context:
+    ctx = _read_ctx(path)
     check_context(ctx, fuel)
     return ctx
 
@@ -374,7 +380,7 @@ _COMMANDS = {
     "minlevel": ("least level relating two terms", {"left": None, "right": None}, {}),
     "phi": ("well-foundedness measure", {"termfile": None}, {}),
     "classify": ("stratification class", {"termfile": None}, {}),
-    "elab": ("write a verified kernel derivation", {"termfile": None},
+    "elab": ("check the context, write a verified kernel derivation", {"termfile": None},
              {"--ctx": (str, None), "--out": (str, _REQUIRED)}),
     "verify": ("re-check a derivation file", {"file": None}, {}),
     "demo": ("built-in demonstrations", {"which": ("prop2", "prop3")}, {"--steps": (_at_least(1), 4)}),
@@ -490,12 +496,12 @@ def run_command(argv: list[str] | None = None) -> int:
 def _dispatch(args: SimpleNamespace, fuel: int) -> int:
     match args.cmd:
         case "infer":
-            outcome = infer_type(_read_ctx(args.ctx, fuel), _read_term(args.termfile), fuel)
+            outcome = infer_type(_checked_ctx(args.ctx, fuel), _read_term(args.termfile), fuel)
             print(print_term(outcome.principal))
             return EXIT_OK
 
         case "check":
-            ctx = _read_ctx(args.ctx, fuel)
+            ctx = _checked_ctx(args.ctx, fuel)
             ok = check_type(ctx, _read_term(args.termfile), _read_term(args.typefile), fuel)
             print(_bool_line(ok))
             return EXIT_OK if ok else EXIT_FALSE
@@ -539,7 +545,8 @@ def _dispatch(args: SimpleNamespace, fuel: int) -> int:
             return EXIT_OK
 
         case "elab":
-            _, derivation = principal_of(_read_ctx(args.ctx, fuel), _read_term(args.termfile), fuel)
+            # principal_of checks the context, after the term file is read
+            _, derivation = principal_of(_read_ctx(args.ctx), _read_term(args.termfile), fuel)
             verify(derivation, fuel)
             save_derivation(derivation, args.out)
             print(f"wrote {args.out}")

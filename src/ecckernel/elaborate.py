@@ -12,7 +12,9 @@ each only when its type differs; the lifted type is typed by
 `type_typing`. Each conversion node becomes a subsumption node whose
 target is typed the same way. The conclusion judgment of every node is
 preserved. Nothing here is trusted: `kernel.verify` re-checks what it
-builds.
+builds. `principal_of` builds its context's validity chain first, and
+tests each entry's name fresh as it goes, so the chain is the context
+check: it raises what `check_context` raises, in the same order.
 
 Within one call only validity chains and `type_typing` typings are
 memoised; a chain is built front to back from its longest prefix in the
@@ -23,7 +25,7 @@ objects, which `verify` checks again and a derivation file stores once.
 
 from __future__ import annotations
 
-from .inference import InferOutcome, infer_type, infer_universe
+from .inference import InferOutcome, _fresh, infer_type, infer_universe
 from .kernel import Derivation
 from .reduction import DEFAULT_FUEL, Fuel
 from .terms import PROP, Context, Judgment, Term, Type, alpha_eq, subst
@@ -119,9 +121,10 @@ def _full(tr: Derivation, b: _Build) -> Derivation:
     raise ValueError(f"unknown trace rule: {tr.rule!r}")
 
 
-def _validity(g: Context, b: _Build) -> Derivation:
+def _validity(g: Context, b: _Build, seen: set[str] | None = None) -> Derivation:
     # the context-formation chain, g typing Prop at Type 0, built front to back
-    # from the longest prefix in the memo; each entry is typed in the prefix before it
+    # from the longest prefix in the memo; each entry is typed in the prefix before
+    # it, and, given the names `seen` before the chain, first tested fresh
     longer = []
     while (d := b.get(g)) is None and g.length:
         longer.append(g)
@@ -129,13 +132,20 @@ def _validity(g: Context, b: _Build) -> Derivation:
     if d is None:
         d = b[g] = Derivation("Ax", Judgment(g, PROP, Type(0)))
     for g in reversed(longer):
+        if seen is not None:
+            _fresh(g.name, seen)
         entry_tr, _ = infer_universe(g.parent, g.type, b.fuel)
         d = b[g] = Derivation("C", Judgment(g, PROP, Type(0)), (_full(entry_tr, b),))
     return d
 
 
 def principal_of(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> tuple[Term, Derivation]:
-    """Principal type together with a kernel derivation concluding it."""
+    """Principal type together with a kernel derivation concluding it.
+
+    Checks g first, as `check_context` does and with what it raises, in
+    building g's validity chain, which the derivation's leaves share.
+    """
     b = _Build(fuel)
+    _validity(g, b, set())
     outcome = infer_type(g, t, b.fuel)
     return outcome.principal, _full(outcome.trace, b)

@@ -100,7 +100,8 @@ def _exposed(g: Context, t: Term, f: Fuel) -> tuple[Derivation, Term]:
 
 
 def infer_type(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> InferOutcome:
-    """Principal type of t in g; g is assumed valid (see check_context)."""
+    """Principal type of t in g; g is assumed valid and is not checked (see
+    check_context)."""
     f = Fuel.coerce(fuel)
     tr = _infer(g, t, f)
     return InferOutcome(tr.conclusion.type, tr)
@@ -185,16 +186,23 @@ def _infer(g: Context, t: Term, f: Fuel) -> Derivation:
 
 
 def check_context(g: Context, fuel: int | Fuel = DEFAULT_FUEL) -> None:
-    """Raise unless every entry type has a universe as principal type."""
+    """Raise unless every entry's name is fresh and its type has a universe
+    as principal type, checked front to back."""
     f = Fuel.coerce(fuel)
     seen: set[str] = set()
     prefix = Context()
     for name, ty in g:
-        if name in seen:
-            raise TypeCheckError(INVALID_CONTEXT, Var(name), f"duplicate name {name!r}")
+        _fresh(name, seen)
         infer_universe(prefix, ty, f)
-        seen.add(name)
         prefix = prefix.extend(name, ty)
+
+
+def _fresh(name: str, seen: set[str]) -> None:
+    # check_context's test of an entry before it infers the entry's type: the
+    # name joins the names before it, or is one of them and raises
+    if name in seen:
+        raise TypeCheckError(INVALID_CONTEXT, Var(name), f"duplicate name {name!r}")
+    seen.add(name)
 
 
 def check_type(g: Context, t: Term, ascription: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:

@@ -1,7 +1,9 @@
 """Explicit kernel derivations and an independent verifier.
 
 A `Derivation` is any derivation tree: a rule name, a conclusion, the
-premises and the side data. Inference builds its syntax-directed trace
+premises and the side data. It is a frozen dataclass with slots, built,
+as `terms.Judgment` is, by writing each slot through its own setter.
+Inference builds its syntax-directed trace
 of them, and `elaborate` expands that trace into a derivation of the
 declarative kernel system's thirteen rules alone, explicit subsumption
 (Cum) included. `verify` accepts exactly those thirteen rules: to it a
@@ -57,7 +59,7 @@ from typing import NoReturn
 from .cumulativity import subtype, universe_level
 from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted
 from .terms import SHAPES, App, Context, Judgment, Lam, Pair, Pi, Proj1, Proj2, Prop, Sigma, Term, Type, Var
-from .terms import _alpha, alpha_eq, subst
+from .terms import _alpha, _frozen, alpha_eq, subst
 
 # rule: (premise contexts, carries a universe index, carries a side pair,
 # the judgment that is the context validity judgment)
@@ -72,7 +74,7 @@ KERNEL_RULES = frozenset(_RULES)
 _ABSENT = object()  # what a context lookup finds for a name no entry has
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Derivation:
     """Derivation node, of the kernel or of an inference trace; side data:
     universe index, Cum pair.
@@ -88,6 +90,11 @@ class Derivation:
     level: int | None = None
     sub: Term | None = None
     sup: Term | None = None
+
+    def __init__(self, rule: str, conclusion: Judgment, premises: tuple = (), level: int | None = None,
+                 sub: Term | None = None, sup: Term | None = None):
+        _RULE(self, rule), _CONCLUSION(self, conclusion), _PREMISES(self, premises)
+        _LEVEL(self, level), _SUB(self, sub), _SUP(self, sup)
 
     def _own(self) -> tuple:
         return self.rule, self.level, len(self.premises), self.conclusion, self.sub, self.sup
@@ -107,6 +114,11 @@ class Derivation:
 
     def __hash__(self) -> int:
         return hash(self._own()[:3])
+
+
+Derivation.__setattr__ = Derivation.__delattr__ = _frozen
+# the slots' own setters, which the frozen __setattr__ leaves to the constructor
+_RULE, _CONCLUSION, _PREMISES, _LEVEL, _SUB, _SUP = (getattr(Derivation, slot).__set__ for slot in Derivation.__slots__)
 
 
 class DerivationError(Exception):

@@ -74,6 +74,7 @@ _TOKEN = re.compile(
 _BLANKS = " \t\r"  # the lexer's whitespace within a line
 _SYMBOLS = {"(": "lparen", ")": "rparen", "<": "langle", ">": "rangle", ",": "comma", ":": "colon", ".": "dot"}
 _KEYWORDS = {"Prop": "prop", "Type": "typekw", "Pi": "pi", "Sig": "sig", "fn": "fn", "fst": "fst", "snd": "snd"}
+_NEW = tuple.__new__  # a _Tok without the keyword handling of its generated __new__
 
 
 def is_name(text) -> bool:
@@ -83,19 +84,23 @@ def is_name(text) -> bool:
 
 
 def _scan(text: str, pos: int, end: int) -> list[_Tok]:
+    # one pass over the matches; the first gap between two is an unexpected character
     toks: list[_Tok] = []
-    while pos < end:
-        m = _TOKEN.match(text, pos, end)
-        if m is None:
-            raise _error(f"unexpected character {text[pos]!r}", text, pos)
-        kind = m.lastgroup
-        if kind == "word":
-            toks.append(_Tok(_KEYWORDS.get(m.group(), "ident"), m.group(), pos))
-        elif kind == "sym":
-            toks.append(_Tok(_SYMBOLS[m.group()], m.group(), pos))
-        elif kind is not None:
-            toks.append(_Tok(kind, int(m.group(kind)), pos))
-        pos = m.end()
+    for m in _TOKEN.finditer(text, pos, end):
+        start, stop = m.span()
+        if start != pos:
+            break
+        pos, kind = stop, m.lastgroup
+        if kind == "word" or kind == "sym":
+            value = m.group()
+            kind = _SYMBOLS[value] if kind == "sym" else _KEYWORDS.get(value, "ident")
+        elif kind is None:
+            continue
+        else:
+            value = int(m.group(kind))
+        toks.append(_NEW(_Tok, (kind, value, start)))
+    if pos < end:
+        raise _error(f"unexpected character {text[pos]!r}", text, pos)
     toks.append(_Tok("eof", None, end))
     return toks
 

@@ -35,14 +35,24 @@ context is one object, and `Context()` is the one empty context. `==` is
 by value, but it walks the two lists back only until they reach one object
 (`matches`, which the kernel calls up to alpha), and the hash reads only
 the length and the last entry: neither recurses, and a shared prefix costs
-one `is` test. `lookup` gives the type of the first entry with a name.
-Contexts are frozen; copies and pickles rebuild them with `Context.of`.
+one `is` test. The hash is computed on the first `hash` and kept in a fifth
+slot, so a context used as a key again reads one slot. `lookup` gives the
+type of the first entry with a name. Contexts are frozen; copies and
+pickles rebuild them with `Context.of`.
+
+`Judgment`, like the kernel's `Derivation`, is a frozen dataclass with
+slots whose `__init__` writes each field through its slot's own setter, as
+`extend` does, rather than through the frozen `__setattr__`. Fields,
+defaults, repr, equality, hashing, `dataclasses.replace`, copies and
+pickles behave as for a plain frozen dataclass, and setting or deleting
+any attribute raises `FrozenInstanceError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from operator import eq
+from typing import NoReturn
 
 
 class Term:
@@ -176,7 +186,7 @@ class Context:
     Iterating gives the (name, type) entries front to back.
     """
 
-    __slots__ = ("parent", "name", "type", "length")
+    __slots__ = ("parent", "name", "type", "length", "_hash")
 
     def __new__(cls) -> "Context":
         return _EMPTY
@@ -190,7 +200,7 @@ class Context:
 
     def extend(self, name: str, ty: Term) -> "Context":
         g = object.__new__(Context)
-        _PARENT(g, self), _NAME(g, name), _TYPE(g, ty), _LENGTH(g, self.length + 1)
+        _PARENT(g, self), _NAME(g, name), _TYPE(g, ty), _LENGTH(g, self.length + 1), _HASH(g, None)
         return g
 
     def lookup(self, name: str, default=None) -> Term | None:
@@ -226,7 +236,10 @@ class Context:
         return self.matches(other, eq) if type(other) is Context else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.length, self.name, self.type))
+        if (h := self._hash) is None:
+            h = hash((self.length, self.name, self.type))
+            _HASH(self, h)
+        return h
 
     def __repr__(self) -> str:
         return f"Context.of{tuple(self)!r}"
@@ -235,25 +248,34 @@ class Context:
         # copies and pickles rebuild the list front to back, in no interpreter frame per entry
         return Context.of, tuple(self)
 
-    def __setattr__(self, name, value=None):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    __delattr__ = __setattr__  # called without a value
+def _frozen(self, name: str, *value) -> NoReturn:
+    # every frozen record's __setattr__ and __delattr__ (called without a value): a
+    # slotted dataclass's own raises TypeError for a name that is no field
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+Context.__setattr__ = Context.__delattr__ = _frozen
 # the slots' own setters, which the frozen __setattr__ leaves to the constructors
-_PARENT, _NAME, _TYPE, _LENGTH = (getattr(Context, slot).__set__ for slot in Context.__slots__)
+_PARENT, _NAME, _TYPE, _LENGTH, _HASH = (getattr(Context, slot).__set__ for slot in Context.__slots__)
 _EMPTY = object.__new__(Context)
-_PARENT(_EMPTY, None), _NAME(_EMPTY, None), _TYPE(_EMPTY, None), _LENGTH(_EMPTY, 0)
+_PARENT(_EMPTY, None), _NAME(_EMPTY, None), _TYPE(_EMPTY, None), _LENGTH(_EMPTY, 0), _HASH(_EMPTY, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Judgment:
     """A typing claim: ctx entails subject having the given type."""
 
     ctx: Context
     subject: Term
     type: Term
+
+    def __init__(self, ctx: Context, subject: Term, type: Term):
+        _CTX(self, ctx), _SUBJECT(self, subject), _J_TYPE(self, type)
+
+
+Judgment.__setattr__ = Judgment.__delattr__ = _frozen
+_CTX, _SUBJECT, _J_TYPE = (getattr(Judgment, slot).__set__ for slot in Judgment.__slots__)
 
 
 def free_vars(t: Term) -> frozenset[str]:

@@ -206,6 +206,31 @@ def test_elab_verify_round_trip(write, tmp_path, capsys):
     assert derivation_from_dict(saved(derivation, tmp_path / "again.json")) == derivation
 
 
+# a bad context file and the exit it gives alone: a repeated name, and an entry
+# typed at a redex that takes two contractions, under one unit of fuel
+_BAD_CONTEXT_FILES = [
+    ("x : Prop\nx : Prop", EXIT_TYPE_ERROR), ("K : (fn Y : Type1 . fn Z : Type1 . Y) Type0 Prop\nk : K", EXIT_FUEL),
+]
+
+
+@pytest.mark.parametrize("ctx_text, ctx_exit", _BAD_CONTEXT_FILES, ids=["repeated-name", "fuel"])
+@pytest.mark.parametrize("term_text, term_exit", [("Prop )", EXIT_PARSE), (None, EXIT_INPUT)], ids=["parse", "missing"])
+def test_elab_reports_the_term_files_error_before_the_contexts(write, tmp_path, capsys, ctx_text, ctx_exit, term_text, term_exit):
+    # elab reads both files before principal_of checks the context; infer and
+    # check still check it before they read the term file
+    ctx, good = write("ctx.ecc", ctx_text), write("good.ecc", "Prop")
+    term = str(tmp_path / "missing.ecc") if term_text is None else write("bad.ecc", term_text)
+    out = tmp_path / "d.json"
+    fuel = ["--fuel", "1"]
+    assert run_command([*fuel, "elab", "--ctx", ctx, good, "--out", str(out)]) == ctx_exit
+    assert run_command([*fuel, "elab", term, "--out", str(out)]) == term_exit
+    assert run_command([*fuel, "elab", "--ctx", ctx, term, "--out", str(out)]) == term_exit
+    assert run_command([*fuel, "infer", "--ctx", ctx, term]) == ctx_exit
+    assert run_command([*fuel, "check", "--ctx", ctx, term, good]) == ctx_exit
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_verify_rejects_tampered_rule(write, tmp_path, capsys):
     term = write("t.ecc", "fn x : Prop . x")
     out_path = str(tmp_path / "d.json")

@@ -20,9 +20,11 @@ from ecckernel import (
     infer_type,
     parse_context,
     parse_term,
+    principal_of,
     print_term,
     subtype,
 )
+from ecckernel.reduction import FuelExhausted
 
 from corpus import typed_corpus
 from genterms import alpha_rename
@@ -171,6 +173,54 @@ def test_check_context_unbound_reference():
     with pytest.raises(TypeCheckError) as err:
         check_context(parse_context("x : y"))
     assert err.value.kind == UNBOUND_VARIABLE
+
+
+# b's and k's types are typed at redexes, which take one and two contractions to expose a universe
+_GOOD_ENTRIES = [
+    ("A", "Type0"), ("B", "(fn Y : Type1 . Y) Type0"), ("b", "B"), ("p", "Prop"), ("h", "p"),
+    ("K", "(fn Y : Type1 . fn Z : Type1 . Y) Type0 Prop"), ("k", "K"), ("c", "(fn Y : Type1 . Pi Z : Y . Prop) Type0"),
+]
+
+
+def _context_text(entries) -> str:
+    return "\n".join(f"{name} : {ty}" for name, ty in entries)
+
+
+# contexts `check_context` rejects: each earlier name repeated at each
+# position, a non-type entry before and after a repeat, an unbound
+# reference before and after one, and a bad entry type
+_BAD_CONTEXTS = [
+    *(_context_text(_GOOD_ENTRIES[:i] + [(_GOOD_ENTRIES[k][0], "Prop")] + _GOOD_ENTRIES[i:])
+      for i in range(1, len(_GOOD_ENTRIES) + 1) for k in range(i)),
+    "p : Prop\nq : p\nr : q\np : Prop",
+    "p : Prop\nq : p\np : Prop\nr : q",
+    "A : Type0\nx : y",
+    "A : Type0\nx : y\nA : Type0",
+    "A : Type0\nA : Type0\nx : y",
+    "f : fn y : Prop . y",
+]
+
+
+def _outcome(call, *args):
+    # what a call raises, as (class, kind, offender, message), or None
+    try:
+        call(*args)
+    except (TypeCheckError, FuelExhausted) as e:
+        return type(e), getattr(e, "kind", None), getattr(e, "offender", None), str(e)
+    return None
+
+
+@pytest.mark.parametrize("fuel", [*range(1, 51), 10_000])
+def test_principal_of_checks_the_context_as_check_context_does(fuel):
+    contexts = [*{id(g): g for g, _ in typed_corpus()}.values(), parse_context(_context_text(_GOOD_ENTRIES))]
+    contexts += [parse_context(text) for text in _BAD_CONTEXTS]
+    raised = []
+    for g in contexts:
+        expected = _outcome(check_context, g, fuel)
+        assert _outcome(principal_of, g, PROP, fuel) == expected, list(g)
+        raised.append(expected and expected[0])
+    assert len(raised) - raised.count(None) >= len(_BAD_CONTEXTS)
+    assert (FuelExhausted in raised) == (fuel < 3)
 
 
 def test_check_type_cumulativity():

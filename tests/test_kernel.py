@@ -1,7 +1,9 @@
 import ast
+import copy
 import dataclasses
 import json
 import pathlib
+import pickle
 import random
 import re
 
@@ -442,6 +444,70 @@ def _relative_imports(module: str) -> set[str]:
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             found |= {node.module} if node.module else {a.name for a in node.names}
     return found
+
+
+# the two records' dataclass surface: (class, field names, their defaults)
+_RECORDS = [
+    (Judgment, ("ctx", "subject", "type"), (dataclasses.MISSING,) * 3),
+    (Derivation, ("rule", "conclusion", "premises", "level", "sub", "sup"),
+     (dataclasses.MISSING, dataclasses.MISSING, (), None, None, None)),
+]
+
+
+def _record_samples():
+    j = Judgment(Context.of(("A", Type(0))), PROP, Type(0))
+    t = Derivation("T", Judgment(Context(), Type(0), Type(1)), level=0)
+    return j, Derivation("C", j, (t,)), t
+
+
+@pytest.mark.parametrize("cls, names, defaults", _RECORDS, ids=["Judgment", "Derivation"])
+def test_record_fields_defaults_and_match_args(cls, names, defaults):
+    fields = dataclasses.fields(cls)
+    assert tuple(f.name for f in fields) == names == cls.__match_args__
+    assert tuple(f.default for f in fields) == defaults
+    assert all(f.default_factory is dataclasses.MISSING for f in fields)
+
+
+def test_record_repr_eq_and_hash():
+    j, d, t = _record_samples()
+    assert repr(j) == "Judgment(ctx=Context.of(('A', Type(level=0)),), subject=Prop(), type=Type(level=0))"
+    assert repr(t) == (
+        "Derivation(rule='T', conclusion=Judgment(ctx=Context.of(), subject=Type(level=0), type=Type(level=1)),"
+        " premises=(), level=0, sub=None, sup=None)"
+    )
+    assert repr(d) == f"Derivation(rule='C', conclusion={j!r}, premises=({t!r},), level=None, sub=None, sup=None)"
+    j2, d2, _ = _record_samples()
+    assert j2 is not j and j2 == j and hash(j2) == hash(j) == hash((j.ctx, j.subject, j.type))
+    assert d2 is not d and d2 == d and hash(d2) == hash(d)
+    assert j != Judgment(j.ctx, PROP, Type(1)) and d != Derivation("C", j, (t, t)) and d != t
+    assert j != (j.ctx, j.subject, j.type) and d != j
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["Judgment", "Derivation"])
+def test_records_are_frozen(which):
+    record = _record_samples()[which]
+    for name in ("rule", "ctx", "premises", "unknown"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert record == _record_samples()[which]
+
+
+def test_records_replace_copy_and_pickle():
+    j, d, t = _record_samples()
+    assert dataclasses.replace(j, type=Type(1)) == Judgment(j.ctx, PROP, Type(1))
+    assert dataclasses.replace(d, premises=()) == Derivation("C", j)
+    assert dataclasses.replace(t, level=1, sub=PROP) == Derivation("T", t.conclusion, (), 1, PROP)
+    with pytest.raises(TypeError):
+        dataclasses.replace(j, rule="T")
+    for record in (j, d, t):
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is type(record) and other == record and repr(other) == repr(record)
+    shallow = copy.copy(d)
+    assert shallow is not d and shallow.conclusion is j and shallow.premises is d.premises
 
 
 def test_kernel_imports_only_terms_reduction_cumulativity():

@@ -20,8 +20,8 @@ import tempfile
 
 import pytest
 
-from ecckernel import Context, Judgment, Term, alpha_eq, parse_context, parse_term, principal_of, verify
-from ecckernel import cli, kernel, terms
+from ecckernel import Context, Judgment, Term, alpha_eq, parse_context, parse_term, principal_of, print_term, verify
+from ecckernel import cli, elaborate, inference, kernel, terms
 from ecckernel.cli import load_derivation, save_derivation
 
 from corpus import context_chain
@@ -143,6 +143,23 @@ def test_verify_alpha_calls_grow_linearly_in_pi_depth():
         sys.setrecursionlimit(limit)
     small, big = counts
     assert big <= 2.2 * small, counts
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 32])
+def test_elab_infers_each_context_entry_once(k, tmp_path, capsys):
+    # principal_of checks the context in building its validity chain: the chain's
+    # k + 1 entries take 3k + 1 calls, lifting the h_i to Type 0 k more. With a
+    # check_context of its own first, elab made 7k + 2
+    g, m = context_chain(k)
+    ctx, term, out = tmp_path / "ctx.ecc", tmp_path / "t.ecc", tmp_path / "d.json"
+    ctx.write_text("".join(f"{name} : {print_term(ty)}\n" for name, ty in g), encoding="utf-8")
+    term.write_text(print_term(m), encoding="utf-8")
+    # elaborate imports infer_universe by name, so its calls go through its own binding
+    targets = {module.__name__: (module, "infer_universe", lambda *args: 1) for module in (inference, elaborate)}
+    with counting(**targets) as calls:
+        assert cli.run_command(["elab", "--ctx", str(ctx), str(term), "--out", str(out)]) == cli.EXIT_OK
+    assert sum(calls.values()) == 4 * k + 1, calls
+    capsys.readouterr()
 
 
 @functools.cache

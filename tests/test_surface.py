@@ -54,6 +54,8 @@ def test_type_levels_fused_and_spaced():
     assert parse_term("Type12") == Type(12)
     # a word continuing past the digits is an ordinary identifier
     assert parse_term("Type0x") == Var("Type0x")
+    assert parse_term("Type01x") == Var("Type01x")
+    assert parse_term("Type0'") == Var("Type0'")
 
 
 def test_projections_parse_as_atoms():
@@ -197,6 +199,46 @@ def test_context_entries_end_at_newline_only():
     # a lone "\r" joins two lines into one entry, and the error is on that line
     with pytest.raises(ParseError, match=r"^trailing input ':' in context entry \(line 1, column 13\)$"):
         parse_context("A : Type0\rB : Type0")
+
+
+# (parser, input, message, line, column): the lexer's and the parser's
+# errors at the edges of a token, a line, a comment and the input
+PARSE_ERRORS = [
+    (parse_term, "$Prop", "unexpected character '$'", 1, 1),
+    (parse_term, "Pi x : Prop $ . x", "unexpected character '$'", 1, 13),
+    (parse_term, "Prop$", "unexpected character '$'", 1, 5),
+    (parse_term, "Prop -- a $ in a comment\n  $", "unexpected character '$'", 2, 3),
+    (parse_term, "-- only a comment", "expected a term, found end of input", 1, 18),
+    (parse_term, "Prop\r$", "unexpected character '$'", 1, 6),
+    (parse_term, "\r\rProp\r)", "trailing input ')'", 1, 8),
+    (parse_term, "Prop\t$", "unexpected character '$'", 1, 6),
+    (parse_term, "\tfn\tx : Prop . x\t#", "unexpected character '#'", 1, 18),
+    (parse_term, "Type 0$", "unexpected character '$'", 1, 7),
+    (parse_term, "Type0$", "unexpected character '$'", 1, 6),
+    (parse_term, "Type01x$", "unexpected character '$'", 1, 8),
+    (parse_term, "Type0'$", "unexpected character '$'", 1, 7),
+    (parse_term, "Type 0 )", "trailing input ')'", 1, 8),
+    (parse_term, "Type01x )", "trailing input ')'", 1, 9),
+    (parse_term, "Type0' )", "trailing input ')'", 1, 8),
+    (parse_term, "Type x", "expected a universe level, found 'x'", 1, 6),
+    (parse_term, "Type -0", "unexpected character '-'", 1, 6),
+    (parse_term, "0", "expected a term, found 0", 1, 1),
+    (parse_term, "", "expected a term, found end of input", 1, 1),
+    (parse_term, "  \n\t ", "expected a term, found end of input", 2, 3),
+    (parse_term, "Prop\n\n  x ~ y", "unexpected character '~'", 3, 5),
+    (parse_context, "A : Type0\nB : A $", "unexpected character '$'", 2, 7),
+    (parse_context, "A : Type0\n  B : $A", "unexpected character '$'", 2, 7),
+    (parse_context, "A : Type0 -- $\nB : A -- $\n$", "unexpected character '$'", 3, 1),
+    (parse_context, "A : Type0\rB $ Type0", "unexpected character '$'", 1, 13),
+    (parse_context, "A : Type0\n\tB\t:\tA\t$", "unexpected character '$'", 2, 8),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, col", PARSE_ERRORS, ids=[repr(row[1]) for row in PARSE_ERRORS])
+def test_parse_error_message_line_and_column(parse, text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{message} (line {line}, column {col})", line, col)
 
 
 @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"], ids=repr)
