@@ -73,11 +73,12 @@ import sys
 from types import SimpleNamespace
 
 from .counterexamples import descending_chain, level_transfer_triple, self_application
-from .cumulativity import min_subtype_level, strict_subtype, subtype, subtype_at_level
 from .elaborate import principal_of
 from .inference import TypeCheckError, check_context, check_type, infer_type
 from .kernel import Derivation, DerivationError, verify
-from .reduction import DEFAULT_FUEL, FuelExhausted, conv, normalize, whnf
+from .reduction import (
+    DEFAULT_FUEL, FuelExhausted, conv, min_subtype_level, normalize, strict_subtype, subtype, subtype_at_level, whnf,
+)
 from .stratify import classify, measure
 from .surface import ParseError, is_name, parse_context, parse_term, print_term
 from .terms import BINDERS, SHAPES, Context, Judgment, Term, Type, Var

@@ -34,10 +34,12 @@ from .terms import PROP, Context, Judgment, Term, Type, alpha_eq, subst
 class _Build(dict):
     """One public call's fuel and memo, which keeps a context's validity chain
     under the context and a typing under its (context, term) pair, so each is
-    one object: hash-consing (Filliatre and Conchon, 2006) restricted to the call."""
+    one object: hash-consing (Filliatre and Conchon, 2006) restricted to the call.
+    The empty context's `Ax` node seeds it, so every chain ends in the memo."""
 
     def __init__(self, fuel: int | Fuel):
         self.fuel = Fuel.coerce(fuel)
+        self[Context()] = Derivation("Ax", Judgment(Context(), PROP, Type(0)))
 
 
 def type_typing(g: Context, t: Term, fuel: int | Fuel = DEFAULT_FUEL) -> Derivation:
@@ -126,11 +128,9 @@ def _validity(g: Context, b: _Build, seen: set[str] | None = None) -> Derivation
     # from the longest prefix in the memo; each entry is typed in the prefix before
     # it, and, given the names `seen` before the chain, first tested fresh
     longer = []
-    while (d := b.get(g)) is None and g.length:
+    while (d := b.get(g)) is None:
         longer.append(g)
         g = g.parent
-    if d is None:
-        d = b[g] = Derivation("Ax", Judgment(g, PROP, Type(0)))
     for g in reversed(longer):
         if seen is not None:
             _fresh(g.name, seen)

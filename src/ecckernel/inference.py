@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cumulativity import subtype, universe_level
 from .kernel import Derivation
-from .reduction import DEFAULT_FUEL, Fuel, whnf
+from .reduction import DEFAULT_FUEL, Fuel, subtype, universe_level, whnf
 from .terms import (
     PROP,
     App,

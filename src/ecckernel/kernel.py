@@ -47,8 +47,8 @@ one `is` test; contexts built apart are compared entry by entry down to
 the first object they share.
 
 The verifier never looks at how a tree was produced: this module
-depends only on `terms`, `reduction` and `cumulativity`, never on
-inference or on the derivation builder in `elaborate`.
+depends only on `terms` and `reduction`, never on inference or on the
+derivation builder in `elaborate`.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .cumulativity import subtype, universe_level
-from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted
+from .reduction import DEFAULT_FUEL, Fuel, FuelExhausted, subtype, universe_level
 from .terms import SHAPES, App, Context, Judgment, Lam, Pair, Pi, Proj1, Proj2, Prop, Sigma, Term, Type, Var
 from .terms import _alpha, _frozen, alpha_eq, subst
 

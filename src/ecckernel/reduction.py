@@ -1,4 +1,5 @@
-"""Reduction and conversion: one-step, weak-head, and full normalization.
+"""Reduction, conversion and the cumulativity preorder: one-step,
+weak-head and full normalization, and the one comparison walk.
 
 The only contractions are beta and pair projection. Everything is
 fuel-bounded: raw terms of this calculus can diverge (see
@@ -19,22 +20,29 @@ rebuilds it through the shape table in `terms`, so it rejects a non-term
 anywhere in its input; `whnf` rejects one where it reads: the head it
 stops at.
 
-`conv` and the decisions of `cumulativity` are one walk, `_compare`, in
-three modes: conversion, the preorder, and the preorder read only for its
-strict bit. It walks both sides head first, the conversion check of
-Coquand ("An algorithm for testing conversion in type theory", 1991):
-each pair of parts is brought to weak-head normal form, unlike heads are
-unrelated, and the parts are compared in field order, with the two
-variables of a binder bound at one depth in place, so no level renames or
-copies a term. Every pair goes through one settle step, and the modes
-differ in three places only: the shortcut (one object on both sides, and
-in the preorder alpha-equivalence), the universe rule (Prop or a lower
-Type below a higher Type, outside conversion), and the preorder's heads
-(a Pi's domains convert, a Sigma's parts and a Pi's codomains stay in the
-preorder, other heads convert). It runs on one explicit work stack, so
-the fuel, not the interpreter stack, bounds it. It rejects a non-term
-where it reads: through `_whnf`, or through `free_vars` of one object on
-both sides under renamed binders, in every mode alike.
+`conv` and the decisions of the cumulativity preorder (`subtype`, its
+strict part `strict_subtype`, and `min_subtype_level`) are one walk,
+`_compare`, in three modes: conversion, the preorder, and the preorder
+read only for its strict bit. It walks both sides head first, the
+conversion check of Coquand ("An algorithm for testing conversion in
+type theory", 1991): each pair of parts is brought to weak-head normal
+form, unlike heads are unrelated, and the parts are compared in field
+order, with the two variables of a binder bound at one depth in place,
+so no level renames or copies a term. Every pair goes through one settle
+step, and the modes differ in three places only: the shortcut (one
+object on both sides, and in the preorder alpha-equivalence), the
+universe rule (Prop or a lower Type below a higher Type, outside
+conversion), and the preorder's heads (a Pi's domains convert, a Sigma's
+parts and a Pi's codomains stay in the preorder, other heads convert).
+It runs on one explicit work stack, so the fuel, not the interpreter
+stack, bounds it. It rejects a non-term where it reads: through `_whnf`,
+or through `free_vars` of one object on both sides under renamed
+binders, in every mode alike.
+
+The preorder's answer is a least level: a strict Pi sits one level above
+its codomain, a strict Sigma one level above the higher of its
+components, and `subtype_at_level` compares that level, an int, with its
+index.
 """
 
 from __future__ import annotations
@@ -225,6 +233,48 @@ def conv(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
     with no normal form: `f loop` against `g loop` is False.
     """
     return _compare(a, b, _CONV, Fuel.coerce(fuel)) is not None
+
+
+def universe_level(t: Term) -> int | None:
+    """Level of a universe term, with Prop below Type 0; None otherwise."""
+    cls = type(t)
+    if cls is Prop:
+        return -1
+    return t.level if cls is Type else None
+
+
+def subtype(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
+    """Decide the cumulativity preorder."""
+    return _compare(a, b, _CUMUL, Fuel.coerce(fuel)) is not None
+
+
+def strict_subtype(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
+    """Decide the strict part: subtype but not convertible."""
+    related = _compare(a, b, _STRICT, Fuel.coerce(fuel))
+    return related is not None and related[1]
+
+
+def min_subtype_level(a: Term, b: Term, fuel: int | Fuel = DEFAULT_FUEL) -> int | None:
+    """Least level at which a is below b; None when unrelated."""
+    related = _compare(a, b, _CUMUL, Fuel.coerce(fuel))
+    return None if related is None else related[0]
+
+
+def subtype_at_level(a: Term, b: Term, level: int, fuel: int | Fuel = DEFAULT_FUEL) -> bool:
+    """Decide the level-indexed approximation of the preorder.
+
+    Level 0 is conversion plus universe inclusion; each further level
+    additionally unfolds one shared Pi head (convertible domains,
+    codomains compared one level down) or one shared Sigma head (both
+    components compared one level down). So a is below b at level i
+    exactly when the least level relating them is at most i.
+    """
+    if type(level) is not int:
+        raise TypeError(f"level must be an int, got {level!r}")
+    if level < 0:
+        raise ValueError("level must be non-negative")
+    least = min_subtype_level(a, b, fuel)
+    return least is not None and least <= level
 
 
 _ELIMINATIONS = frozenset((App, Proj1, Proj2))  # the only constructors a head redex can hide under

@@ -5,7 +5,9 @@ against the oracles in `genterms`, which walk and rebuild the whole term:
 equal results, the same fuel left and exhaustion at the same budgets.
 `conv`, which walks head first, answers as the normal-form oracle does
 wherever that answers, on no more fuel, and as the head-first oracle does
-where it answers and that one runs out.
+where it answers and that one runs out. Every answer is monotone in
+fuel: once a decision or a normal form is reached at one budget, every
+larger budget gives it too, on the same fuel.
 Then the sharing itself, the invisibility of the free-variable cache, and
 the interned atoms: one object per universe level, per name and `PROP`.
 """
@@ -17,6 +19,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecckernel import (
     PROP,
@@ -33,15 +37,19 @@ from ecckernel import (
     Type,
     Var,
     alpha_eq,
+    classify,
     conv,
     descending_chain,
     free_vars,
     infer_type,
+    min_subtype_level,
     normalize,
     parse_term,
     print_term,
     self_application,
+    strict_subtype,
     subst,
+    subtype,
     whnf,
 )
 from ecckernel.cli import _read_terms
@@ -226,6 +234,60 @@ def test_only_open_redexes_cut_normalization_short():
             for budget in (1, 2, 3, 4, 10_000):
                 assert _run(normalize, t, budget) == _run(oracle_normalize, t, budget)
             assert normalize(t) == oracle_normalize(t) != t
+
+
+FUEL_STEPS = (*range(1, 21), 30, 60, 100, 300, 1_000, 10_000)
+
+
+def _monotone_in_fuel(op, t) -> None:
+    # once op answers at a budget, every larger one gives that answer and leaves
+    # exactly the extra fuel over, so the fuel spent is the same
+    answered = None
+    for budget in FUEL_STEPS:
+        answer, left = _run(op, t, budget)
+        if answered is not None:
+            assert (answer, budget - left) == answered, (op, budget)
+        elif answer is not FuelExhausted:
+            answered = answer, budget - left
+
+
+def _pair_monotone_in_fuel(a, b) -> None:
+    for x, y in ((a, b), (b, a)):
+        for decide in (conv, subtype, strict_subtype, min_subtype_level):
+            _monotone_in_fuel(lambda s, f: decide(s, y, f), x)
+        for op in (normalize, whnf, classify):
+            _monotone_in_fuel(op, x)
+
+
+def _fixed_pairs() -> dict:
+    """Consecutive stages of the descending chain, and each loop with the next."""
+    chain = descending_chain(6)
+    pairs = {f"chain {i + 1}-{i + 2}": pair for i, pair in enumerate(zip(chain, chain[1:]))}
+    loops = list(_loops().items())
+    for (name, loop), (other, next_loop) in zip(loops, loops[1:] + loops[:1]):
+        pairs[f"{name} / {other}"] = loop, next_loop
+    return pairs
+
+
+@pytest.mark.parametrize("name", list(_fixed_pairs()))
+def test_answers_are_monotone_in_fuel_on_the_chain_and_the_loops(name):
+    _pair_monotone_in_fuel(*_fixed_pairs()[name])
+
+
+def _normal_pair(seed: int, expanded: bool) -> tuple | None:
+    """A normal type and one strictly above it, or their expansions; None when nothing is above."""
+    rng = random.Random(seed)
+    a = normal_type(rng, rng.randrange(6), ("u", "a", "b"))
+    b = strict_above(rng, a)
+    if b is None:
+        return None
+    return (expand(rng, a), expand(rng, b)) if expanded else (a, b)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.builds(_normal_pair, st.integers(0, 2**32), st.booleans()).filter(bool))
+def test_answers_are_monotone_in_fuel_on_generated_pairs(pair):
+    _pair_monotone_in_fuel(*pair)
 
 
 def test_operations_return_what_they_do_not_change():
